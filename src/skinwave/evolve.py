@@ -2,13 +2,15 @@
 
 Two independent routes:
 
-* spectral: biorthogonal eigen-expansion, each requested time evaluated
-  directly from the initial state (no step accumulation);
+* spectral: biorthogonal eigen-expansion, every frame of the time grid
+  evaluated directly from the initial state in one product (no step
+  accumulation);
 * expm: scaling-and-squaring matrix exponential, stepped over the frame grid.
 
-Amplification is never carried in the raw amplitudes: states renormalize to
-unit norm after every propagation and accumulate the growth in a log-norm
-offset, so norms of order exp(hundreds) stay representable.
+Both take a grid of elapsed times and return unit-normalised amplitudes
+(frames x dim) with the total log-norm per frame, so norms of order
+exp(hundreds) stay representable.  A frame at zero elapsed time is the
+initial state itself.
 
 For families that a positive diagonal conjugates to a Hermitian matrix, the
 decomposition goes through that counterpart (an orthogonal eigenbasis scaled
@@ -20,7 +22,7 @@ inversion route refuses to proceed past a 1e12 condition number instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .model import (
     NonHermitianSSH,
     build_hamiltonian,
 )
-from .similarity import build_similarity, exact_chain_symmetrizer
+from .similarity import exact_chain_symmetrizer
 
 CONDITION_LIMIT = 1e12
 
@@ -51,15 +53,14 @@ class WaveState:
 
     amplitudes: np.ndarray
     log_norm_offset: float = 0.0
-    time: float = 0.0
 
     @classmethod
-    def from_amplitudes(cls, amps: np.ndarray, time: float = 0.0) -> "WaveState":
+    def from_amplitudes(cls, amps: np.ndarray) -> "WaveState":
         amps = np.asarray(amps, dtype=complex)
         nrm = float(np.linalg.norm(amps))
         if nrm == 0 or not math.isfinite(nrm):
             raise InvalidParameter("WaveState: amplitudes must be finite and nonzero")
-        return cls(amplitudes=amps / nrm, log_norm_offset=math.log(nrm), time=time)
+        return cls(amplitudes=amps / nrm, log_norm_offset=math.log(nrm))
 
     @property
     def dim(self) -> int:
@@ -115,11 +116,15 @@ def decompose(h) -> SpectralDecomposition:
     """Generic route: eig + inversion of the right-eigenvector matrix.
 
     One Newton polish of the inverse tightens biorthogonality to roundoff;
-    raises DefectiveMatrix past the 1e12 condition limit (fall back to expm).
+    raises DefectiveMatrix past the 1e12 condition limit or when LAPACK fails
+    (fall back to expm).
     """
     m = _as_matrix(h)
-    w, v = np.linalg.eig(m)
-    x = np.linalg.inv(v)
+    try:
+        w, v = np.linalg.eig(m)
+        x = np.linalg.inv(v)
+    except np.linalg.LinAlgError as exc:
+        raise DefectiveMatrix(f"eigendecomposition failed: {exc}") from exc
     cond = float(np.linalg.norm(v, 1) * np.linalg.norm(x, 1))
     if cond > CONDITION_LIMIT:
         raise DefectiveMatrix(
@@ -160,55 +165,22 @@ def _decompose_via_diagonal(m: np.ndarray, diag: np.ndarray) -> SpectralDecompos
 def decompose_model(h: HamiltonianMatrix, spec: ModelSpec | None) -> SpectralDecomposition:
     """Best decomposition route for a known model family.
 
-    Chains use the exact tridiagonal symmetrizer; uniform two-band chains use
-    the per-cell diagonal (rotating the gain/loss variant onto the
-    asymmetric-hop one first).  Everything else goes through ``decompose``.
+    Uniform-skin families go through the exact tridiagonal symmetrizer; the
+    gain/loss two-band chain goes through its asymmetric-hop twin and is
+    rotated back per cell.  A chain the symmetrizer refuses, and everything
+    else, goes through ``decompose``.
     """
-    if isinstance(spec, (ContinuousHN, DiscreteHN)):
-        diag = exact_chain_symmetrizer(h.matrix)
+    if isinstance(spec, (ContinuousHN, DiscreteHN, NonHermitianSSH)):
+        rotate = isinstance(spec, NonHermitianSSH) and spec.axis == "z"
+        m = build_hamiltonian(replace(spec, axis="y")).matrix if rotate else h.matrix
+        diag = exact_chain_symmetrizer(m)
         if diag is not None:
-            return _decompose_via_diagonal(h.matrix, diag)
-    if isinstance(spec, NonHermitianSSH):
-        if spec.axis == "y":
-            s = build_similarity(spec, h.dim)
-            return _decompose_via_diagonal(h.matrix, s.diagonal)
-        twin = NonHermitianSSH(spec.t1, spec.t2, spec.gamma, spec.n_cells, axis="y")
-        h_y = build_hamiltonian(twin)
-        s = build_similarity(twin, h_y.dim)
-        dec = _decompose_via_diagonal(h_y.matrix, s.diagonal)
-        w = np.kron(np.eye(spec.n_cells), _U_AXIS)
-        return SpectralDecomposition(
-            eigenvalues=dec.eigenvalues,
-            right=w @ dec.right,
-            left=w @ dec.left,
-            condition=dec.condition,
-        )
+            dec = _decompose_via_diagonal(m, diag)
+            if rotate:
+                w = np.kron(np.eye(spec.n_cells), _U_AXIS)
+                dec = replace(dec, right=w @ dec.right, left=w @ dec.left)
+            return dec
     return decompose(h)
-
-
-def propagate_spectral(dec: SpectralDecomposition, psi0: WaveState, t: float) -> WaveState:
-    """Evolve by duration t through the eigenbasis, exact at any t.
-
-    The largest Im(E_n) * t is factored into the log-norm offset before
-    exponentiating, so growing modes never overflow.
-    """
-    if not math.isfinite(t):
-        raise InvalidParameter("propagate_spectral: t must be finite")
-    if psi0.dim != dec.dim:
-        raise DimensionMismatch(f"state dim {psi0.dim} != decomposition dim {dec.dim}")
-    coeff = dec.left.conj().T @ psi0.amplitudes
-    growth = dec.eigenvalues.imag * t
-    mu = float(np.max(growth))
-    coeff = coeff * np.exp(-1j * dec.eigenvalues.real * t + (growth - mu))
-    amps = dec.right @ coeff
-    nrm = float(np.linalg.norm(amps))
-    if nrm == 0 or not math.isfinite(nrm):
-        raise NumericalOverflow("propagate_spectral: state norm degenerate")
-    return WaveState(
-        amplitudes=amps / nrm,
-        log_norm_offset=psi0.log_norm_offset + mu + math.log(nrm),
-        time=psi0.time + t,
-    )
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:
@@ -234,40 +206,89 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     return result
 
 
-def propagate_expm(h, psi0: WaveState, t: float) -> WaveState:
-    """Independent propagation route: exp(-i H t) applied to the state.
-
-    The mean diagonal growth rate is shifted into the log-norm offset so that
-    uniformly amplifying spectra do not overflow the exponential itself.
-    """
-    if not math.isfinite(t):
-        raise InvalidParameter("propagate_expm: t must be finite")
-    m = _as_matrix(h)
-    if psi0.dim != m.shape[0]:
-        raise DimensionMismatch(f"state dim {psi0.dim} != matrix dim {m.shape[0]}")
-    gen = -1j * m * t
-    shift = float(np.mean(gen.diagonal().real))
-    propagator = matrix_exp(gen - shift * np.eye(m.shape[0]))
-    amps = propagator @ psi0.amplitudes
-    nrm = float(np.linalg.norm(amps))
-    if nrm == 0 or not math.isfinite(nrm):
-        raise NumericalOverflow("propagate_expm: state norm degenerate")
-    return WaveState(
-        amplitudes=amps / nrm,
-        log_norm_offset=psi0.log_norm_offset + shift + math.log(nrm),
-        time=psi0.time + t,
-    )
-
-
-def _check_times(times) -> np.ndarray:
+def _check_times(times, psi0: WaveState, dim: int) -> np.ndarray:
+    """The elapsed-time grid as an array, checked against the state."""
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or len(ts) == 0:
-        raise InvalidParameter("evolve_series: need a non-empty 1-d time list")
+        raise InvalidParameter("times: need a non-empty 1-d time list")
     if not np.all(np.isfinite(ts)):
-        raise InvalidParameter("evolve_series: times must be finite")
+        raise InvalidParameter("times must be finite")
     if np.any(np.diff(ts) < 0):
-        raise InvalidParameter("evolve_series: times must be ascending")
+        raise InvalidParameter("times must be ascending")
+    if psi0.dim != dim:
+        raise DimensionMismatch(f"frame 0 (t={ts[0]}): state dim {psi0.dim} != operator dim {dim}")
     return ts
+
+
+def _normalise(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-normalise the last axis; returns the scaled amplitudes and log of the norms."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nrm = np.linalg.norm(amps, axis=-1, keepdims=True)
+        return amps / nrm, np.log(nrm[..., 0])
+
+
+def _check_frames(log_norms: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Pass finite log-norms through; name the first frame whose norm degenerated."""
+    bad = ~np.isfinite(log_norms)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise NumericalOverflow(f"frame {k} (t={ts[k]}): state norm degenerate")
+    return log_norms
+
+
+def propagate_spectral(dec: SpectralDecomposition, psi0: WaveState, times):
+    """Evolve psi0 to every elapsed time in ``times`` through the eigenbasis.
+
+    The expansion c = L^H psi0 is formed once and all frames come from one
+    product R (c * phases).  The largest Im(E_n) t of each frame is factored
+    into its log-norm before exponentiating, so growing modes never overflow.
+    Returns unit-normalised amplitudes (frames x dim) and the total log-norm
+    per frame; frames at zero elapsed time are psi0's amplitudes and log-norm
+    unchanged.
+    """
+    ts = _check_times(times, psi0, dec.dim)
+    coeff = dec.left.conj().T @ psi0.amplitudes
+    growth = np.outer(ts, dec.eigenvalues.imag)
+    mu = growth.max(axis=1)
+    phases = np.exp(np.outer(ts, -1j * dec.eigenvalues.real) + (growth - mu[:, None]))
+    amps = (phases * coeff) @ dec.right.T
+    amps, log_nrm = _normalise(amps)
+    log_norms = _check_frames(psi0.log_norm_offset + mu + log_nrm, ts)
+    at_start = ts == 0
+    amps[at_start] = psi0.amplitudes
+    log_norms[at_start] = psi0.log_norm
+    return amps, log_norms
+
+
+def propagate_expm(h, psi0: WaveState, times):
+    """Independent route: exp(-i H gap) stepped from frame to frame.
+
+    Uniform grids produce gaps differing in the last bits, so gaps are
+    quantised and one propagator serves every equal gap.  The mean diagonal
+    growth rate of each step is shifted into the log-norm so that uniformly
+    amplifying spectra do not overflow the exponential itself.  Returns
+    unit-normalised amplitudes (frames x dim) and the total log-norm per frame.
+    """
+    m = _as_matrix(h)
+    dim = m.shape[0]
+    ts = _check_times(times, psi0, dim)
+    cache: dict[float, tuple[np.ndarray, float]] = {}
+    amps = np.empty((len(ts), dim), dtype=complex)
+    log_norms = np.empty(len(ts))
+    state, log_norm, prev_t = psi0.amplitudes, psi0.log_norm, 0.0
+    for k, t in enumerate(ts):
+        gap = float(f"{t - prev_t:.12g}")
+        if gap != 0.0:
+            if gap not in cache:
+                gen = -1j * m * gap
+                shift = float(np.mean(gen.diagonal().real))
+                cache[gap] = (matrix_exp(gen - shift * np.eye(dim)), shift)
+            prop, shift = cache[gap]
+            state, log_nrm = _normalise(prop @ state)
+            log_norm = log_norm + shift + log_nrm
+        amps[k], log_norms[k] = state, log_norm
+        prev_t = t
+    return amps, _check_frames(log_norms, ts)
 
 
 def evolve_series(
@@ -277,71 +298,29 @@ def evolve_series(
     method: str = "auto",
     spec: ModelSpec | None = None,
 ) -> EvolutionResult:
-    """Sample the evolution on a time grid.
+    """Sample the evolution on a grid of elapsed times.
 
     spectral evaluates every frame directly from psi0; expm steps frame to
-    frame (propagators cached per distinct gap); auto falls back to expm when
-    the decomposition is refused as defective.
+    frame; auto falls back to expm when the decomposition is refused as
+    defective.
     """
     if method not in ("spectral", "expm", "auto"):
         raise InvalidParameter(f"evolve_series: unknown method {method!r}")
-    ts = _check_times(times)
-    used = method
-    dec = None
-    if method in ("spectral", "auto"):
+    used = "expm"
+    if method != "expm":
         try:
             dec = decompose_model(h, spec)
             used = "spectral"
         except DefectiveMatrix:
             if method == "spectral":
                 raise
-            used = "expm"
-
-    dim = h.dim
-    densities = np.empty((len(ts), dim))
-    log_norms = np.empty(len(ts))
-
     if used == "spectral":
-        for k, t in enumerate(ts):
-            try:
-                state = propagate_spectral(dec, psi0, t - psi0.time)
-            except Exception as exc:
-                raise type(exc)(f"frame {k} (t={t}): {exc}") from exc
-            densities[k] = state.site_density()
-            log_norms[k] = state.log_norm
+        amps, log_norms = propagate_spectral(dec, psi0, times)
     else:
-        cache: dict[float, tuple[np.ndarray, float]] = {}
-        state = psi0
-        prev_t = psi0.time
-        for k, t in enumerate(ts):
-            # uniform grids produce gaps differing in the last bits; quantize
-            # so one propagator serves the whole series
-            gap = float(f"{t - prev_t:.12g}")
-            try:
-                if gap != 0.0:
-                    if gap not in cache:
-                        gen = -1j * h.matrix * gap
-                        shift = float(np.mean(gen.diagonal().real))
-                        cache[gap] = (matrix_exp(gen - shift * np.eye(dim)), shift)
-                    prop, shift = cache[gap]
-                    amps = prop @ state.amplitudes
-                    nrm = float(np.linalg.norm(amps))
-                    if nrm == 0 or not math.isfinite(nrm):
-                        raise NumericalOverflow("stepped expm: degenerate norm")
-                    state = WaveState(
-                        amplitudes=amps / nrm,
-                        log_norm_offset=state.log_norm_offset + shift + math.log(nrm),
-                        time=t,
-                    )
-            except Exception as exc:
-                raise type(exc)(f"frame {k} (t={t}): {exc}") from exc
-            densities[k] = state.site_density()
-            log_norms[k] = state.log_norm
-            prev_t = t
-
+        amps, log_norms = propagate_expm(h, psi0, times)
     return EvolutionResult(
-        times=ts,
-        site_densities=densities,
+        times=np.asarray(times, dtype=float),
+        site_densities=np.abs(amps) ** 2,
         log_norms=log_norms,
         geometry=h.geometry,
         method=used,

@@ -36,27 +36,27 @@ class HNOracleParams:
             raise InvalidParameter("HNOracleParams: m and sigma must be positive")
 
 
-def sigma_sq_t(p: HNOracleParams, t: float) -> float:
+def sigma_sq_t(p: HNOracleParams, t) -> float | np.ndarray:
     """sigma(t)^2 = sigma^2 + t^2 / (4 sigma^2 m^2)."""
     return p.sigma**2 + t * t / (4.0 * p.sigma**2 * p.m**2)
 
 
-def hn_peak(p: HNOracleParams, t: float) -> float:
+def hn_peak(p: HNOracleParams, t) -> float | np.ndarray:
     """Peak displacement 2 b m [sigma(t)^2 - sigma^2], relative to x0 (drift excluded)."""
     return 2.0 * p.b * p.m * (sigma_sq_t(p, t) - p.sigma**2)
 
 
-def hn_peak_velocity(p: HNOracleParams, t: float) -> float:
+def hn_peak_velocity(p: HNOracleParams, t) -> float | np.ndarray:
     """b t / (m sigma^2)."""
     return p.b * t / (p.m * p.sigma**2)
 
 
-def hn_v_in(p: HNOracleParams, t: float) -> float:
+def hn_v_in(p: HNOracleParams, t) -> float | np.ndarray:
     """Incident velocity k0/m + b t / (m sigma^2)."""
     return p.k0 / p.m + hn_peak_velocity(p, t)
 
 
-def hn_v_ref(p: HNOracleParams, t: float) -> float:
+def hn_v_ref(p: HNOracleParams, t) -> float | np.ndarray:
     """Reflected velocity -k0/m + b t / (m sigma^2)."""
     return -p.k0 / p.m + hn_peak_velocity(p, t)
 
@@ -117,13 +117,13 @@ def general_peak(g: GeneralOracleParams, t) -> float | np.ndarray:
     return 2.0 * math.log(g.r) * (np.interp(t, ts, s2) - s2[0])
 
 
-def general_peak_velocity(g: GeneralOracleParams, t: float) -> float:
-    """2 ln(r) d sigma(t)^2/dt from a smoothed numerical derivative."""
+def general_peak_velocity(g: GeneralOracleParams, t) -> float | np.ndarray:
+    """2 ln(r) d sigma(t)^2/dt from a smoothed numerical derivative (t scalar or array)."""
     ts, s2 = _valid_sigma_sq(g)
     if len(ts) < 2:
         raise WidthUnavailable("need at least two width samples for a derivative")
     ds2 = np.gradient(s2, ts)
-    return float(2.0 * math.log(g.r) * np.interp(t, ts, ds2))
+    return 2.0 * math.log(g.r) * np.interp(t, ts, ds2)
 
 
 def dispersion_velocity(g: GeneralOracleParams, k: float) -> float:
@@ -142,8 +142,8 @@ def reflected_momentum(g: GeneralOracleParams, k0: float | None = None) -> float
     return k1
 
 
-def general_velocities(g: GeneralOracleParams, t: float) -> tuple[float, float]:
-    """(v_in, v_ref) = dE/dk at k0 resp. k1, each plus the peak velocity."""
+def general_velocities(g: GeneralOracleParams, t):
+    """(v_in, v_ref) = dE/dk at k0 resp. k1, each plus the peak velocity (t scalar or array)."""
     vp = general_peak_velocity(g, t)
     k1 = reflected_momentum(g)
     return (

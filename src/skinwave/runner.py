@@ -40,6 +40,8 @@ from .wavepacket import (
     LinearFit,
     ReflectionOutcome,
     TrajectorySeries,
+    _fit_line,
+    _width_ok,
     aggregate_density,
     classify_reflection,
     extract_trajectory,
@@ -121,10 +123,9 @@ def oracle_series(
             wall_left=0.0,
             wall_right=spec.length,
         )
-        for i, t in enumerate(times):
-            x_o[i] = p.x0 + (p.k0 / p.m) * t + hn_peak(p, t)
-            v_in[i] = hn_v_in(p, t)
-            v_ref[i] = hn_v_ref(p, t)
+        x_o = p.x0 + (p.k0 / p.m) * times + hn_peak(p, times)
+        v_in = hn_v_in(p, times)
+        v_ref = hn_v_ref(p, times)
     else:
         r = skin_factor_per_unit_length(spec)
         g = GeneralOracleParams(
@@ -137,8 +138,7 @@ def oracle_series(
         v0 = band_velocity_at_launch(spec, packet.k0)
         try:
             x_o = packet.x0 + v0 * times + general_peak(g, times)
-            for i, t in enumerate(times):
-                v_in[i], v_ref[i] = general_velocities(g, t)
+            v_in, v_ref = general_velocities(g, times)
         except WidthUnavailable:
             pass
 
@@ -164,16 +164,11 @@ def fit_peak_velocity_slope(trajectory: TrajectorySeries, options) -> float | No
     end = len(times) if trajectory.contact_index is None else max(
         0, trajectory.contact_index - options.guard_band
     )
-    length = trajectory.domain[1] - trajectory.domain[0]
-    sig = trajectory.sigma_measured
-    keep = ~(np.isfinite(sig) & (sig > options.width_cutoff_fraction * length))
+    keep = _width_ok(trajectory, options) & np.isfinite(v)
     keep[end:] = False
-    keep &= np.isfinite(v)
     if keep.sum() < 3:
         return None
-    a = np.vstack([times[keep], np.ones(int(keep.sum()))]).T
-    slope = np.linalg.lstsq(a, v[keep], rcond=None)[0][0]
-    return float(slope)
+    return _fit_line(times[keep], v[keep]).slope
 
 
 def _write_density_csv(path: Path, result: EvolutionResult) -> None:

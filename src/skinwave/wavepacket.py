@@ -110,7 +110,7 @@ def gaussian_state(geometry: Geometry, params: GaussianParams) -> WaveState:
     else:
         amps = np.zeros(geometry.dim, dtype=complex)
         amps[0::2] = profile
-    return WaveState.from_amplitudes(amps, time=0.0)
+    return WaveState.from_amplitudes(amps)
 
 
 def density(state: WaveState, geometry: Geometry) -> np.ndarray:
@@ -134,17 +134,18 @@ def peak_position(dens: np.ndarray, geometry: Geometry) -> float:
         raise DimensionMismatch("peak_position: density length != position grid")
     if not np.any(dens > 0):
         raise DegenerateDensity("peak_position: all-zero density")
-    i = int(np.argmax(dens))
-    spacing = geometry.dx
+    x = _refine_peak(dens, xs, int(np.argmax(dens)), geometry.dx)
+    return float(min(xs[-1], max(xs[0], x)))
+
+
+def _refine_peak(dens: np.ndarray, xs: np.ndarray, i: int, spacing: float) -> float:
+    """Vertex of the 3-point parabola through sample i, at most half a spacing away."""
     if 0 < i < len(dens) - 1:
         dm, d0, dp = dens[i - 1], dens[i], dens[i + 1]
         denom = dm - 2.0 * d0 + dp
         offset = 0.0 if denom == 0 else 0.5 * (dm - dp) / denom
-        offset = min(0.5, max(-0.5, offset))
-        x = xs[i] + offset * spacing
-    else:
-        x = xs[i]
-    return float(min(xs[-1], max(xs[0], x)))
+        return float(xs[i] + min(0.5, max(-0.5, offset)) * spacing)
+    return float(xs[i])
 
 
 def sigma_from_halfwidth(dens: np.ndarray, geometry: Geometry) -> float:
@@ -206,16 +207,7 @@ def top_two_peaks(
             chosen.append(j)
         if len(chosen) == 2:
             break
-    return [(peak_position_window(dens, xs, j, geometry.dx), float(dens[j])) for j in chosen]
-
-
-def peak_position_window(dens: np.ndarray, xs: np.ndarray, i: int, spacing: float) -> float:
-    if 0 < i < len(dens) - 1:
-        dm, d0, dp = dens[i - 1], dens[i], dens[i + 1]
-        denom = dm - 2.0 * d0 + dp
-        offset = 0.0 if denom == 0 else 0.5 * (dm - dp) / denom
-        return float(xs[i] + min(0.5, max(-0.5, offset)) * spacing)
-    return float(xs[i])
+    return [(_refine_peak(dens, xs, j, geometry.dx), float(dens[j])) for j in chosen]
 
 
 def moving_average(values: np.ndarray, window: int) -> np.ndarray:

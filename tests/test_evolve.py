@@ -60,9 +60,9 @@ def test_structured_route_survives_extreme_conditioning():
 def test_propagate_spectral_t0_is_identity():
     dec = decompose_model(*_chain(40))
     psi = random_state(40)
-    out = sw.propagate_spectral(dec, psi, 0.0)
-    assert np.allclose(out.amplitudes, psi.amplitudes, atol=1e-12)
-    assert out.log_norm == pytest.approx(psi.log_norm, abs=1e-12)
+    (amps,), (log_norm,) = sw.propagate_spectral(dec, psi, [0.0])
+    assert np.allclose(amps, psi.amplitudes, atol=1e-12)
+    assert log_norm == pytest.approx(psi.log_norm, abs=1e-12)
 
 
 def _chain(n, t1=1.0, tm1=2.0):
@@ -75,25 +75,27 @@ def test_propagate_spectral_hermitian_norm_constant():
     dec = decompose_model(h, spec)
     psi = random_state(60)
     for t in (0.5, 3.0, 10.0):
-        out = sw.propagate_spectral(dec, psi, t)
-        assert out.log_norm == pytest.approx(psi.log_norm, abs=1e-10)
+        _, (log_norm,) = sw.propagate_spectral(dec, psi, [t])
+        assert log_norm == pytest.approx(psi.log_norm, abs=1e-10)
 
 
 def test_propagation_composition():
     h, spec = _chain(50)
     dec = decompose_model(h, spec)
     psi = random_state(50)
-    one = sw.propagate_spectral(dec, psi, 3.1)
-    two = sw.propagate_spectral(dec, sw.propagate_spectral(dec, psi, 1.9), 1.2)
-    assert np.linalg.norm(one.amplitudes - two.amplitudes) < 1e-9
-    assert one.log_norm == pytest.approx(two.log_norm, rel=1e-9, abs=1e-9)
+    (one,), (one_ln,) = sw.propagate_spectral(dec, psi, [3.1])
+    (mid,), (mid_ln,) = sw.propagate_spectral(dec, psi, [1.9])
+    mid_state = sw.WaveState(amplitudes=mid, log_norm_offset=mid_ln)
+    (two,), (two_ln,) = sw.propagate_spectral(dec, mid_state, [1.2])
+    assert np.linalg.norm(one - two) < 1e-9
+    assert one_ln == pytest.approx(two_ln, rel=1e-9, abs=1e-9)
 
 
 def test_expm_nilpotent_exact():
     n = np.array([[0.0, 1.0], [0.0, 0.0]])
     psi = sw.WaveState(amplitudes=np.array([0.0, 1.0 + 0j]))
-    out = sw.propagate_expm(n, psi, 1.0)
-    total = np.exp(out.log_norm_offset) * out.amplitudes
+    (amps,), (log_norm,) = sw.propagate_expm(n, psi, [1.0])
+    total = np.exp(log_norm) * amps
     assert np.allclose(total, [-1.0j, 1.0], atol=1e-15)
     assert np.allclose(matrix_exp(-1.0j * n), [[1.0, -1.0j], [0.0, 1.0]], atol=1e-15)
 
@@ -101,8 +103,8 @@ def test_expm_nilpotent_exact():
 def test_expm_t0_is_identity():
     h, _ = _chain(30)
     psi = random_state(30)
-    out = sw.propagate_expm(h, psi, 0.0)
-    assert np.allclose(out.amplitudes, psi.amplitudes, atol=1e-14)
+    (amps,), _ = sw.propagate_expm(h, psi, [0.0])
+    assert np.allclose(amps, psi.amplitudes, atol=1e-14)
 
 
 def test_expm_matches_spectral_on_random_matrices():
@@ -112,10 +114,10 @@ def test_expm_matches_spectral_on_random_matrices():
         dec = decompose(m)
         psi = random_state(50, rng)
         for t in (0.3, 1.7):
-            a = sw.propagate_spectral(dec, psi, t)
-            b = sw.propagate_expm(m, psi, t)
-            assert np.linalg.norm(a.amplitudes - b.amplitudes) < 1e-8
-            assert a.log_norm == pytest.approx(b.log_norm, abs=1e-8)
+            (a,), (a_ln,) = sw.propagate_spectral(dec, psi, [t])
+            (b,), (b_ln,) = sw.propagate_expm(m, psi, [t])
+            assert np.linalg.norm(a - b) < 1e-8
+            assert a_ln == pytest.approx(b_ln, abs=1e-8)
 
 
 def test_amplification_factor_continuous_rest_packet():
@@ -124,8 +126,8 @@ def test_amplification_factor_continuous_rest_packet():
     h = sw.build_hamiltonian(spec)
     psi0 = sw.gaussian_state(h.geometry, sw.GaussianParams(sigma=0.25, x0=5.0))
     dec = decompose_model(h, spec)
-    out = sw.propagate_spectral(dec, psi0, 0.5)
-    ratio = np.exp(2.0 * (out.log_norm - psi0.log_norm))
+    _, (log_norm,) = sw.propagate_spectral(dec, psi0, [0.5])
+    ratio = np.exp(2.0 * (log_norm - psi0.log_norm))
     assert ratio == pytest.approx(np.exp(2.0), rel=0.05)
 
 
@@ -197,12 +199,12 @@ def test_similarity_dynamics_identity():
         h = sw.build_hamiltonian(spec)
         s = build_similarity(spec, h.dim)
         psi0 = sw.gaussian_state(h.geometry, packet)
-        lhs = sw.propagate_spectral(decompose_model(h, spec), psi0, t)
+        (lhs,), (lhs_ln,) = sw.propagate_spectral(decompose_model(h, spec), psi0, [t])
         hbar = h.matrix * (s.diagonal[None, :] / s.diagonal[:, None])
         rhs = s.diagonal * (matrix_exp(-1j * hbar * t) @ (psi0.amplitudes / s.diagonal))
         nrm = np.linalg.norm(rhs)
-        assert np.linalg.norm(lhs.amplitudes - rhs / nrm) < 1e-8
-        assert lhs.log_norm == pytest.approx(psi0.log_norm_offset + np.log(nrm), abs=1e-8)
+        assert np.linalg.norm(lhs - rhs / nrm) < 1e-8
+        assert lhs_ln == pytest.approx(psi0.log_norm_offset + np.log(nrm), abs=1e-8)
 
 
 def test_hermitian_series_norm_drift():
@@ -230,9 +232,9 @@ def test_global_phase_immunity():
 def test_growth_factored_into_log_norm():
     gain = np.diag([50.0j, 0.0])
     psi = sw.WaveState(amplitudes=np.array([1.0, 1.0]) / np.sqrt(2.0) + 0j)
-    out = sw.propagate_spectral(decompose(gain), psi, 20.0)
-    assert np.all(np.isfinite(out.amplitudes))
-    assert out.log_norm_offset > 900.0
+    (amps,), (log_norm,) = sw.propagate_spectral(decompose(gain), psi, [20.0])
+    assert np.all(np.isfinite(amps))
+    assert log_norm > 900.0
 
 
 def test_error_carries_frame_context():
@@ -250,7 +252,60 @@ def test_spectral_propagation_solves_schrodinger(n, t):
     rng = np.random.default_rng(n * 1000 + int(t * 100))
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     psi = sw.WaveState.from_amplitudes(rng.normal(size=n) + 1j * rng.normal(size=n))
-    out = sw.propagate_spectral(decompose(m), psi, t)
+    (amps,), (log_norm,) = sw.propagate_spectral(decompose(m), psi, [t])
     direct = matrix_exp(-1j * m * t) @ psi.amplitudes
-    total = np.exp(out.log_norm_offset - psi.log_norm_offset) * out.amplitudes
+    total = np.exp(log_norm - psi.log_norm_offset) * amps
     assert np.linalg.norm(total - direct) < 1e-8 * max(1.0, np.linalg.norm(direct))
+
+
+@pytest.mark.parametrize("axis", ["y", "z"])
+def test_strong_gamma_ssh_spectral_matches_expm(axis):
+    """|gamma/2| > |t1| has no Hermitian counterpart: the decomposition must
+    keep the anti-Hermitian part (generic route), not symmetrise it away."""
+    spec = sw.NonHermitianSSH(0.5, 1.0, 2.0, 10, axis=axis)
+    h = sw.build_hamiltonian(spec)
+    psi0 = sw.gaussian_state(h.geometry, sw.GaussianParams(sigma=1.0, x0=4.5, k0=0.5))
+    times = np.linspace(0.0, 3.0, 13)
+    a = evolve_series(h, psi0, times, method="spectral", spec=spec)
+    b = evolve_series(h, psi0, times, method="expm")
+    assert np.max(np.abs(a.site_densities - b.site_densities)) < 1e-7
+    assert np.max(np.abs(a.log_norms - b.log_norms)) < 1e-7
+
+
+def test_singular_eigenvectors_fall_back_to_expm():
+    shift = np.diag(np.ones(2), 1)
+    with pytest.raises(DefectiveMatrix):
+        decompose(shift)
+    h = sw.HamiltonianMatrix(
+        matrix=shift.astype(complex), geometry=sw.Geometry(positions=np.arange(3.0), dx=1.0)
+    )
+    psi = sw.WaveState(amplitudes=np.array([0.0, 0.0, 1.0 + 0j]))
+    times = np.array([0.0, 0.5, 1.0, 2.5])
+    res = evolve_series(h, psi, times, method="auto")
+    assert res.method == "expm"
+    with pytest.raises(DefectiveMatrix):
+        evolve_series(h, psi, times, method="spectral")
+    # exp(-i N t) e_3 = e_3 - i t e_2 - (t^2 / 2) e_1 for the nilpotent shift N
+    exact = np.stack([times**4 / 4.0, times**2, np.ones_like(times)], axis=1)
+    total = exact.sum(axis=1)
+    assert np.allclose(res.site_densities, exact / total[:, None], atol=1e-14)
+    assert np.allclose(res.log_norms, 0.5 * np.log(total), atol=1e-14)
+
+
+def test_spectral_grid_matches_per_frame_products():
+    h, spec = _chain(40)
+    dec = decompose_model(h, spec)
+    psi = random_state(40)
+    times = np.array([0.0, 0.0, 0.7, 2.0, 2.0, 5.5])
+    amps, log_norms = sw.propagate_spectral(dec, psi, times)
+    assert amps.shape == (6, 40)
+    for k in (0, 1):
+        assert np.array_equal(amps[k], psi.amplitudes)
+        assert log_norms[k] == psi.log_norm
+    # reference: one matrix-vector product per frame
+    coeff = dec.left.conj().T @ psi.amplitudes
+    for k in (2, 3, 5):
+        ref = dec.right @ (coeff * np.exp(-1j * dec.eigenvalues * times[k]))
+        assert np.linalg.norm(amps[k] - ref / np.linalg.norm(ref)) < 1e-9
+        assert log_norms[k] == pytest.approx(psi.log_norm_offset + np.log(np.linalg.norm(ref)), abs=1e-9)
+    assert np.allclose(np.linalg.norm(amps, axis=1), 1.0, atol=1e-14)

@@ -48,6 +48,10 @@ def test_incident_and_reflected_velocities():
     t_stall = 20.0 * 0.25**2 / 1.0
     assert t_stall == pytest.approx(1.25)
     assert sw.hn_v_ref(fast, t_stall) == pytest.approx(0.0, abs=1e-12)
+    # a time array gives the same values as one call per time
+    grid = np.array([0.0, 0.3, 1.0, t_stall])
+    for law in (sw.hn_peak, sw.hn_v_in, sw.hn_v_ref):
+        assert np.array_equal(law(fast, grid), [law(fast, t) for t in grid])
 
 
 @settings(max_examples=40)
@@ -153,6 +157,11 @@ def test_general_velocities_and_reflected_momentum():
     vp = general_peak_velocity(g, 20.0)
     assert v_in == pytest.approx(v_plus + vp, rel=1e-9)
     assert v_ref == pytest.approx(-v_plus + vp, rel=1e-9)
+
+    grid = np.linspace(0.0, 40.0, 17)
+    v_in_grid, v_ref_grid = sw.general_velocities(g, grid)
+    assert np.array_equal(v_in_grid, [sw.general_velocities(g, t)[0] for t in grid])
+    assert np.array_equal(v_ref_grid, [sw.general_velocities(g, t)[1] for t in grid])
 
 
 def test_general_velocities_hermitian_symmetric():
