@@ -12,11 +12,12 @@ Both take a grid of elapsed times and return unit-normalised amplitudes
 exp(hundreds) stay representable.  A frame at zero elapsed time is the
 initial state itself.
 
-For families that a positive diagonal conjugates to a Hermitian matrix, the
-decomposition goes through that counterpart (an orthogonal eigenbasis scaled
-by the diagonal).  This keeps the left basis accurate far beyond the point
-where inverting the right-eigenvector matrix breaks down; the generic
-inversion route refuses to proceed past a 1e12 condition number instead.
+Uniform-skin chains go through their real symmetric counterpart, built from
+the three bands: one real eigh, scaled by the positive diagonal S, gives both
+bases and stays accurate far past where inverting the right-eigenvector matrix
+fails (states weighted at the small-S end lose eps * S_max / S_min).  The
+gain/loss two-band chain uses its asymmetric-hop twin, rotated back per cell.
+The generic route refuses condition numbers past 1e12 instead.
 """
 
 from __future__ import annotations
@@ -36,11 +37,10 @@ from .model import (
     NonHermitianSSH,
     build_hamiltonian,
 )
-from .similarity import exact_chain_symmetrizer
 
 CONDITION_LIMIT = 1e12
 
-# rotation taking the gain/loss two-band variant to the asymmetric-hop one
+# per-cell rotation taking the gain/loss two-band variant to the asymmetric-hop one
 _U_AXIS = np.array([[1.0, -1.0j], [-1.0j, 1.0]], dtype=complex) / math.sqrt(2.0)
 
 
@@ -116,8 +116,8 @@ def decompose(h) -> SpectralDecomposition:
     """Generic route: eig + inversion of the right-eigenvector matrix.
 
     One Newton polish of the inverse tightens biorthogonality to roundoff;
-    raises DefectiveMatrix past the 1e12 condition limit or when LAPACK fails
-    (fall back to expm).
+    raises DefectiveMatrix past the 1e12 condition limit, when the polish falls
+    short (near-defective H) or when LAPACK fails (fall back to expm).
     """
     m = _as_matrix(h)
     try:
@@ -131,7 +131,10 @@ def decompose(h) -> SpectralDecomposition:
             f"right-eigenvector matrix condition {cond:.2e} exceeds {CONDITION_LIMIT:.0e}"
         )
     x = x @ (2.0 * np.eye(m.shape[0]) - v @ x)
-    x /= np.einsum("ij,ji->i", x, v)[:, None]
+    scale = np.einsum("ij,ji->i", x, v)
+    if np.max(np.abs(scale - 1.0)) > 1e-8:
+        raise DefectiveMatrix(f"left eigenvectors off biorthogonal by {np.max(np.abs(scale - 1.0)):.1e}")
+    x /= scale[:, None]
     left = x.conj().T
     return SpectralDecomposition(
         eigenvalues=w,
@@ -141,44 +144,57 @@ def decompose(h) -> SpectralDecomposition:
     )
 
 
-def _decompose_via_diagonal(m: np.ndarray, diag: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition through the Hermitian counterpart S^-1 M S."""
-    hbar = m * (diag[None, :] / diag[:, None])
-    hbar = 0.5 * (hbar + hbar.conj().T)
-    energies, q = np.linalg.eigh(hbar)
-    right = diag[:, None] * q
+def _decompose_chain(m: np.ndarray) -> SpectralDecomposition | None:
+    """Chain route through the real symmetric counterpart; None where M has none.
+
+    For real tridiagonal M with off-diagonals a (super), b (sub) and a b > 0,
+    S = diag(1, cumprod(sqrt(b/a))) makes S^-1 M S real symmetric (off-diagonals
+    sign(a) sqrt(a b)); its eigenvectors Q give R = S Q and L = S^-1 Q.
+    """
+    if len(m) < 2 or np.count_nonzero(m.imag):
+        return None
+    m = m.real
+    diag, sup, sub = np.diagonal(m), np.diagonal(m, 1), np.diagonal(m, -1)
+    banded = np.count_nonzero(diag) + np.count_nonzero(sup) + np.count_nonzero(sub)
+    if np.count_nonzero(m) != banded or np.any(sup * sub <= 0):
+        return None
+    s = np.concatenate([[1.0], np.cumprod(np.sqrt(sub / sup))])
+    if not np.all(np.isfinite(s)):
+        return None
+    off = np.sign(sup) * np.sqrt(sup * sub)
+    energies, q = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    right = s[:, None] * q
     norms = np.linalg.norm(right, axis=0)
     if not np.all(np.isfinite(norms)) or np.any(norms == 0):
         raise NumericalOverflow("similarity-scaled eigenbasis overflowed")
-    right = right / norms[None, :]
-    left = (q / diag[:, None]) * norms[None, :]
+    right /= norms
+    left = (q / s[:, None]) * norms
     if not np.all(np.isfinite(left)):
         raise NumericalOverflow("similarity-scaled left basis overflowed")
-    return SpectralDecomposition(
-        eigenvalues=energies.astype(complex),
-        right=right,
-        left=left,
-        condition=float(np.max(np.linalg.norm(left, axis=0))),
-    )
+    condition = float(np.max(np.linalg.norm(left, axis=0)))
+    return SpectralDecomposition(energies.astype(complex), right, left, condition)
 
 
 def decompose_model(h: HamiltonianMatrix, spec: ModelSpec | None) -> SpectralDecomposition:
     """Best decomposition route for a known model family.
 
-    Uniform-skin families go through the exact tridiagonal symmetrizer; the
-    gain/loss two-band chain goes through its asymmetric-hop twin and is
-    rotated back per cell.  A chain the symmetrizer refuses, and everything
+    Uniform-skin families go through ``_decompose_chain``; the gain/loss
+    two-band chain goes through its asymmetric-hop twin, whose bases are
+    rotated back cell by cell.  A chain that route refuses, and everything
     else, goes through ``decompose``.
     """
     if isinstance(spec, (ContinuousHN, DiscreteHN, NonHermitianSSH)):
         rotate = isinstance(spec, NonHermitianSSH) and spec.axis == "z"
         m = build_hamiltonian(replace(spec, axis="y")).matrix if rotate else h.matrix
-        diag = exact_chain_symmetrizer(m)
-        if diag is not None:
-            dec = _decompose_via_diagonal(m, diag)
+        dec = _decompose_chain(m)
+        if dec is not None:
             if rotate:
-                w = np.kron(np.eye(spec.n_cells), _U_AXIS)
-                dec = replace(dec, right=w @ dec.right, left=w @ dec.left)
+                cells = (spec.n_cells, 2, h.dim)
+                right, left = (
+                    np.einsum("ij,cjk->cik", _U_AXIS, b.reshape(cells)).reshape(b.shape)
+                    for b in (dec.right, dec.left)
+                )
+                dec = replace(dec, right=right, left=left)
             return dec
     return decompose(h)
 

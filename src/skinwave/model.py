@@ -23,11 +23,19 @@ from .errors import ExceptionalParameter, InvalidGrid, InvalidParameter
 
 _SQ = math.sqrt
 
+# largest matrix a spec may ask for: routes hold dense dim x dim complex matrices
+MAX_DIM = 4096
+
 
 def _require_finite(name: str, *values: float) -> None:
     for v in values:
         if not math.isfinite(v):
             raise InvalidParameter(f"{name}: non-finite parameter {v!r}")
+
+
+def _require_size(name: str, field: str, dim: float) -> None:
+    if dim > MAX_DIM:
+        raise InvalidGrid(f"{name}: {field} gives matrix dimension {dim:.6g} > MAX_DIM = {MAX_DIM}")
 
 
 @dataclass(frozen=True)
@@ -49,6 +57,7 @@ class ContinuousHN:
             raise InvalidParameter("ContinuousHN: mass must be positive")
         if self.dx <= 0 or self.length <= 0:
             raise InvalidGrid("ContinuousHN: dx and length must be positive")
+        _require_size("ContinuousHN", "length/dx", self.length / self.dx)
         if self.n_sites < 3:
             raise InvalidGrid("ContinuousHN: need at least 3 grid points")
         if self.e0 is None:
@@ -74,6 +83,7 @@ class DiscreteHN:
             raise InvalidParameter("DiscreteHN: hops must be positive")
         if self.n_sites < 2:
             raise InvalidGrid("DiscreteHN: need at least 2 sites")
+        _require_size("DiscreteHN", "n_sites", self.n_sites)
 
 
 @dataclass(frozen=True)
@@ -95,6 +105,7 @@ class NonHermitianSSH:
         _require_finite("NonHermitianSSH", self.t1, self.t2, self.gamma)
         if self.n_cells < 1:
             raise InvalidGrid("NonHermitianSSH: need at least 1 cell")
+        _require_size("NonHermitianSSH", "n_cells", 2 * self.n_cells)
         if self.axis not in ("y", "z"):
             raise InvalidParameter(f"NonHermitianSSH: axis must be 'y' or 'z', got {self.axis!r}")
         if abs(self.gamma / 2.0) == abs(self.t1):
@@ -116,6 +127,7 @@ class BoundarySSH:
         _require_finite("BoundarySSH", self.t1, self.t2, self.gamma)
         if self.n_cells < 1:
             raise InvalidGrid("BoundarySSH: need at least 1 cell")
+        _require_size("BoundarySSH", "n_cells", 2 * self.n_cells)
         if not 0 <= self.boundary_cells <= self.n_cells:
             raise InvalidParameter("BoundarySSH: boundary_cells must lie in [0, n_cells]")
         if self.axis not in ("y", "z"):

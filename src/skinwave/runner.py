@@ -19,6 +19,7 @@ from .config import ExperimentConfig, load_config
 from .errors import WidthUnavailable
 from .evolve import EvolutionResult, evolve_series
 from .model import (
+    BoundarySSH,
     ContinuousHN,
     ModelSpec,
     build_hamiltonian,
@@ -275,6 +276,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         spec, config.packet, trajectory, guard_band=config.analysis.guard_band
     )
     manifest = emit_outputs(result, trajectory, oracle, config)
+    notes = _snapshot_notes(result, config)
+    if isinstance(spec, BoundarySSH):  # r = 1: no uniform-skin law to deviate from
+        deviation, notes = None, ("oracle: n/a (boundary_ssh has no uniform skin factor)",) + notes
     return ExperimentReport(
         name=config.name,
         classification=outcome.kind,
@@ -285,7 +289,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         max_oracle_deviation=deviation,
         contact_time=trajectory.boundary_contact_time,
         manifest=manifest,
-        notes=_snapshot_notes(result, config),
+        notes=notes,
         window_truncated=outcome.window_truncated,
     )
 

@@ -118,35 +118,3 @@ def hermiticity_residual(m: np.ndarray) -> float:
         raise DimensionMismatch("hermiticity_residual: matrix must be square")
     return float(np.max(np.abs(m - m.conj().T)))
 
-
-def exact_chain_symmetrizer(h: np.ndarray) -> np.ndarray | None:
-    """Diagonal that exactly symmetrizes a tridiagonal matrix, or None.
-
-    For a tridiagonal H with off-diagonals alpha_i (super) and beta_i (sub) of
-    equal sign, diag(prod sqrt(beta_j/alpha_j)) conjugates H to a real-symmetric
-    tridiagonal.  Used to decompose the continuum chain without the O(dx)
-    conjugation bias of the sampled exponential.
-    """
-    n = h.shape[0]
-    if n < 2:
-        return None
-    idx = np.arange(n - 1)
-    if np.any(h.imag != 0):
-        return None
-    hr = h.real
-    mask = np.ones((n, n), dtype=bool)
-    np.fill_diagonal(mask, False)
-    mask[idx, idx + 1] = False
-    mask[idx + 1, idx] = False
-    if np.any(hr[mask] != 0):
-        return None
-    sup = hr[idx, idx + 1]
-    sub = hr[idx + 1, idx]
-    ratio = sub * sup
-    if np.any(ratio <= 0):
-        return None
-    step = np.sqrt(sub / sup)
-    diag = np.concatenate([[1.0], np.cumprod(step)])
-    if not np.all(np.isfinite(diag)):
-        return None
-    return diag

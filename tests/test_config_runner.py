@@ -216,3 +216,36 @@ def test_format_report_mentions_fits(tmp_path):
     assert "classification: reflected" in text
     assert "v_in_fit" in text and "v_ref_fit" in text
     assert "sha256=" in text
+
+
+def test_oversized_grid_refused_by_config_and_cli(tmp_path):
+    raw = {
+        "model": {"family": "continuous_hn", "m": 1.0, "b": 1.0, "length": 10.0, "dx": 1e-5},
+        "packet": {"sigma": 1.0, "x0": 5.0},
+        "times": {"t_max": 1.0, "frame_count": 5},
+    }
+    with pytest.raises(ConfigError, match="model: ContinuousHN: length/dx"):
+        config_from_dict(raw)
+    raw["model"] = {"family": "non_hermitian_ssh", "t1": 2.0, "t2": 1.0, "gamma": 0.2, "n_cells": 10**6}
+    with pytest.raises(ConfigError, match="model: NonHermitianSSH: n_cells"):
+        config_from_dict(raw)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path)]) == 2
+
+
+def test_boundary_ssh_reports_no_oracle_deviation(tmp_path):
+    cfg = small_config(
+        tmp_path / "out",
+        model={"family": "boundary_ssh", "t1": 2.0, "t2": 1.0, "gamma": -0.8,
+               "n_cells": 40, "boundary_cells": 10},
+        packet={"sigma": 4.0, "x0": 18.0, "k0": 1.0},
+        times={"t_max": 10.0, "frame_count": 10},
+    )
+    report = run_experiment(cfg)
+    assert report.max_oracle_deviation is None
+    assert "oracle: n/a (boundary_ssh has no uniform skin factor)" in report.notes
+    text = format_report(report)
+    assert "max_oracle_deviation" not in text
+    assert "oracle: n/a" in text
+    assert (tmp_path / "out" / "oracle.csv").exists()

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import skinwave as sw
 from skinwave.errors import ExceptionalParameter, InvalidGrid, InvalidParameter
-from skinwave.model import bloch_matrix, group_velocity, solve_momentum_for_velocity
+from skinwave.model import MAX_DIM, bloch_matrix, group_velocity, solve_momentum_for_velocity
 
 
 def test_laplacian_3x3_exact():
@@ -49,6 +49,22 @@ def test_grid_errors():
         sw.build_gradient_forward(1.0, 1)
     with pytest.raises(InvalidGrid):
         sw.build_laplacian(-0.1, 5)
+
+
+def test_oversized_grids_refused_at_construction():
+    # the check runs in __post_init__, before anything is allocated
+    oversized = [
+        ("length/dx", lambda: sw.ContinuousHN(m=1.0, b=1.0, length=10.0, dx=1e-5)),
+        ("length/dx", lambda: sw.ContinuousHN(m=1.0, b=1.0, length=1.0, dx=1e-320)),
+        ("n_sites", lambda: sw.DiscreteHN(1.0, 2.0, MAX_DIM + 1)),
+        ("n_cells", lambda: sw.NonHermitianSSH(2.0, 1.0, 0.2, MAX_DIM // 2 + 1)),
+        ("n_cells", lambda: sw.BoundarySSH(2.0, 1.0, 0.2, MAX_DIM // 2 + 1, 1)),
+    ]
+    for field, make in oversized:
+        with pytest.raises(InvalidGrid, match=field):
+            make()
+    assert sw.DiscreteHN(1.0, 2.0, MAX_DIM).n_sites == MAX_DIM
+    assert sw.NonHermitianSSH(2.0, 1.0, 0.2, MAX_DIM // 2).n_cells == MAX_DIM // 2
 
 
 def test_continuous_box_matches_grid_count():

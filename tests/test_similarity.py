@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import skinwave as sw
 from skinwave.errors import DimensionMismatch
-from skinwave.similarity import exact_chain_symmetrizer
+from skinwave.evolve import _decompose_chain
 
 
 def test_skin_factor_values():
@@ -156,11 +156,13 @@ def test_conjugation_preserves_spectrum(spec):
     assert np.max(np.abs(ev_h - ev_b)) < 1e-8 * scale
 
 
-def test_exact_chain_symmetrizer():
+def test_chain_symmetric_counterpart():
     spec = sw.DiscreteHN(1.0, 2.0, 10)
     h = sw.build_hamiltonian(spec).matrix
-    diag = exact_chain_symmetrizer(h)
-    conj = h * (diag[None, :] / diag[:, None])
-    assert sw.hermiticity_residual(conj) < 1e-12
+    dec = _decompose_chain(h)
+    biorth = dec.left.conj().T @ dec.right - np.eye(10)
+    rebuilt = (dec.right * dec.eigenvalues) @ dec.left.conj().T - h
+    assert np.max(np.abs(biorth)) < 1e-12
+    assert np.max(np.abs(rebuilt)) < 1e-12
     # sign-mixed off-diagonals admit no positive-diagonal symmetrizer
-    assert exact_chain_symmetrizer(np.array([[0.0, 1.0], [-1.0, 0.0]])) is None
+    assert _decompose_chain(np.array([[0.0, 1.0], [-1.0, 0.0]])) is None
