@@ -20,11 +20,12 @@ The file mirrors the dataclass fields one-to-one:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from .errors import ConfigError, SkinwaveError
-from .model import BoundarySSH, ContinuousHN, DiscreteHN, ModelSpec, NonHermitianSSH
+from .errors import ConfigError, InvalidGrid, SkinwaveError
+from .model import MAX_DIM, BoundarySSH, ContinuousHN, DiscreteHN, ModelSpec, NonHermitianSSH
 from .wavepacket import AnalysisOptions, GaussianParams
 
 _FAMILIES = {
@@ -40,8 +41,21 @@ METHODS = ("spectral", "expm", "auto")
 
 @dataclass(frozen=True)
 class TimeGrid:
+    """Frame grid 0..t_max; at most MAX_DIM frames keeps frames x dim within MAX_DIM^2."""
+
     t_max: float
     frame_count: int
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise InvalidGrid(f"TimeGrid: t_max must be finite and positive, got {self.t_max!r}")
+        if not (float(self.frame_count).is_integer() and 2 <= self.frame_count <= MAX_DIM):
+            raise InvalidGrid(
+                f"TimeGrid: frame_count must be an integer in [2, {MAX_DIM}], "
+                f"got {self.frame_count!r}"
+            )
+        object.__setattr__(self, "t_max", float(self.t_max))
+        object.__setattr__(self, "frame_count", int(self.frame_count))
 
 
 @dataclass(frozen=True)
@@ -75,28 +89,32 @@ class ExperimentConfig:
         return cfg
 
 
-def _need(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigError(f"{where}.{key} is required")
-    return mapping[key]
+def _section(raw: dict, key: str, required: bool = False) -> dict:
+    """The mapping under ``key``; an absent or null optional section reads as empty."""
+    if key not in raw and required:
+        raise ConfigError(f"config.{key} is required")
+    v = raw.get(key)
+    if v is None and not required:
+        return {}
+    if not isinstance(v, dict):
+        raise ConfigError(f"{key} must be a mapping, got {type(v).__name__}")
+    return v
 
 
-def _number(mapping: dict, key: str, where: str, default=None):
-    if key not in mapping or mapping[key] is None:
-        if default is None and key not in mapping:
+def _number(mapping: dict, key, where: str, default=None):
+    v = mapping.get(key)
+    if v is None:
+        if default is None:
             raise ConfigError(f"{where}.{key} is required")
         return default
-    v = mapping[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
     return v
 
 
 def _model_from_dict(d: dict) -> ModelSpec:
-    if not isinstance(d, dict):
-        raise ConfigError("model must be a mapping")
-    family = _need(d, "family", "model")
-    cls = _FAMILIES.get(family)
+    family = d.get("family")
+    cls = _FAMILIES.get(family) if isinstance(family, str) else None
     if cls is None:
         raise ConfigError(f"model.family must be one of {sorted(_FAMILIES)}, got {family!r}")
     kwargs = {k: v for k, v in d.items() if k != "family"}
@@ -117,9 +135,9 @@ def _model_to_dict(spec: ModelSpec) -> dict:
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    model = _model_from_dict(_need(raw, "model", "config"))
+    model = _model_from_dict(_section(raw, "model", required=True))
 
-    pk = _need(raw, "packet", "config")
+    pk = _section(raw, "packet", required=True)
     sigma = _number(pk, "sigma", "packet")
     if sigma <= 0:
         raise ConfigError("packet.sigma must be positive")
@@ -130,19 +148,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     except SkinwaveError as exc:
         raise ConfigError(f"packet: {exc}") from exc
 
-    tm = _need(raw, "times", "config")
-    t_max = _number(tm, "t_max", "times")
-    frame_count = _number(tm, "frame_count", "times")
-    if t_max <= 0:
-        raise ConfigError("times.t_max must be positive")
-    if not float(frame_count).is_integer() or frame_count < 2:
-        raise ConfigError("times.frame_count must be an integer >= 2")
+    tm = _section(raw, "times", required=True)
+    t_max, frame_count = _number(tm, "t_max", "times"), _number(tm, "frame_count", "times")
+    try:
+        times = TimeGrid(t_max=t_max, frame_count=frame_count)
+    except SkinwaveError as exc:
+        raise ConfigError(f"times: {exc}") from exc
 
     method = raw.get("method", "auto")
     if method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
 
-    an = raw.get("analysis", {}) or {}
+    an = _section(raw, "analysis")
     window = an.get("classify_window")
     if window is not None:
         window = _number(an, "classify_window", "analysis")
@@ -172,7 +189,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         contact_wall=wall,
     )
 
-    out = raw.get("output", {}) or {}
+    out = _section(raw, "output")
     output = OutputOptions(
         directory=str(out.get("directory", "out")),
         density_csv=bool(out.get("density_csv", True)),
@@ -184,15 +201,16 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     snaps = raw.get("snapshot_times", []) or []
     if not isinstance(snaps, (list, tuple)):
         raise ConfigError("snapshot_times must be a list of times")
+    snaps = dict(enumerate(snaps))
 
     return ExperimentConfig(
         model=model,
         packet=packet,
-        times=TimeGrid(t_max=float(t_max), frame_count=int(frame_count)),
+        times=times,
         method=method,
         analysis=analysis,
         output=output,
-        snapshot_times=tuple(float(s) for s in snaps),
+        snapshot_times=tuple(float(_number(snaps, i, "snapshot_times")) for i in snaps),
         name=str(raw.get("name", "custom")),
     )
 

@@ -9,7 +9,6 @@ velocity fits, oracle deviations, and a sha256 manifest of everything written.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -74,16 +73,6 @@ class ExperimentReport:
     manifest: dict[str, str] = field(default_factory=dict)
     notes: tuple[str, ...] = ()
     window_truncated: bool = False
-
-
-def _fmt(value) -> str:
-    """Shortest round-trip decimal; empty for missing values."""
-    if value is None:
-        return ""
-    v = float(value)
-    if math.isnan(v):
-        return ""
-    return repr(v)
 
 
 def band_velocity_at_launch(spec: ModelSpec, k0: float) -> float:
@@ -172,55 +161,40 @@ def fit_peak_velocity_slope(trajectory: TrajectorySeries, options) -> float | No
     return _fit_line(times[keep], v[keep]).slope
 
 
-def _write_density_csv(path: Path, result: EvolutionResult) -> None:
-    geometry = result.geometry
-    xs = geometry.density_positions
-    rows = ["t,x,density,log_norm"]
-    for k, t in enumerate(result.times):
-        dens = aggregate_density(result.site_densities[k], geometry)
-        ln = result.log_norms[k]
-        t_s, ln_s = _fmt(t), _fmt(ln)
-        for x, d in zip(xs, dens):
-            rows.append(f"{t_s},{_fmt(x)},{_fmt(d)},{ln_s}")
-    path.write_text("\n".join(rows) + "\n")
+def _column(values) -> list[str]:
+    """Shortest round-trip decimal of each value; empty for nan."""
+    return ["" if v != v else repr(v) for v in np.asarray(values, dtype=float).tolist()]
 
 
-def _write_trajectory_csv(path: Path, trajectory: TrajectorySeries) -> None:
-    rows = ["t,x_peak,v_peak,sigma_measured,log_norm"]
-    for t, x, v, s, ln in zip(
-        trajectory.times,
-        trajectory.x_peak,
-        trajectory.v_peak,
-        trajectory.sigma_measured,
-        trajectory.log_norm,
-    ):
-        rows.append(f"{_fmt(t)},{_fmt(x)},{_fmt(v)},{_fmt(s)},{_fmt(ln)}")
-    path.write_text("\n".join(rows) + "\n")
+def _write_table(path: Path, header: str, rows) -> Path:
+    """Stream rows of formatted cells to a CSV file below its header line."""
+    with path.open("w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+    return path
 
 
-def _write_oracle_csv(path: Path, series: OracleSeries) -> None:
-    rows = ["t,x_peak_oracle,v_in_oracle,v_ref_oracle"]
-    for t, x, vi, vr in zip(series.times, series.x_peak, series.v_in, series.v_ref):
-        rows.append(f"{_fmt(t)},{_fmt(x)},{_fmt(vi)},{_fmt(vr)}")
-    path.write_text("\n".join(rows) + "\n")
+def _rows(*columns):
+    """One row of formatted cells per sample of equally long columns."""
+    return zip(*map(_column, columns))
 
 
-def _write_heatmap_pgm(path: Path, result: EvolutionResult) -> None:
+def _density_rows(result: EvolutionResult, dens: np.ndarray):
+    """t-major (t, x, density, log_norm) rows; each distinct t, x and log_norm formatted once."""
+    xs = _column(result.geometry.density_positions)
+    for t, ln, frame in zip(_column(result.times), _column(result.log_norms), dens):
+        for x, d in zip(xs, _column(frame)):
+            yield t, x, d, ln
+
+
+def _write_heatmap_pgm(path: Path, dens: np.ndarray) -> Path:
     """Binary graymap, one row per frame, each row scaled to its own maximum."""
-    geometry = result.geometry
-    frames = len(result.times)
-    width = len(geometry.density_positions)
-    pixels = bytearray()
-    for k in range(frames):
-        dens = aggregate_density(result.site_densities[k], geometry)
-        peak = dens.max()
-        if peak <= 0:
-            row = np.zeros(width, dtype=np.uint8)
-        else:
-            row = np.round(255.0 * dens / peak).astype(np.uint8)
-        pixels.extend(row.tobytes())
-    header = f"P5\n{width} {frames}\n255\n".encode("ascii")
-    path.write_bytes(header + bytes(pixels))
+    peak = dens.max(axis=1, keepdims=True)
+    # a row with no positive density divides by inf and is written as zeros
+    pixels = np.round(255.0 * dens / np.where(peak > 0, peak, np.inf)).astype(np.uint8)
+    frames, width = dens.shape
+    path.write_bytes(f"P5\n{width} {frames}\n255\n".encode("ascii") + pixels.tobytes())
+    return path
 
 
 def emit_outputs(
@@ -230,33 +204,28 @@ def emit_outputs(
     config: ExperimentConfig,
 ) -> dict[str, str]:
     """Write the requested artifacts and return a name -> sha256 manifest."""
-    out_dir = Path(config.output.directory)
+    opts = config.output
+    out_dir = Path(opts.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    if config.output.density_csv:
-        p = out_dir / "density.csv"
-        _write_density_csv(p, result)
-        written.append(p)
-    if config.output.trajectory_csv:
-        p = out_dir / "trajectory.csv"
-        _write_trajectory_csv(p, trajectory)
-        written.append(p)
-    if config.output.oracle_csv:
-        p = out_dir / "oracle.csv"
-        _write_oracle_csv(p, oracle)
-        written.append(p)
-    if config.output.heatmap:
-        p = out_dir / "heatmap.pgm"
-        _write_heatmap_pgm(p, result)
-        written.append(p)
+    dens = aggregate_density(result.site_densities, result.geometry)
+    tr = trajectory
+    tables = (
+        (opts.density_csv, "density.csv", "t,x,density,log_norm", _density_rows(result, dens)),
+        (opts.trajectory_csv, "trajectory.csv", "t,x_peak,v_peak,sigma_measured,log_norm",
+         _rows(tr.times, tr.x_peak, tr.v_peak, tr.sigma_measured, tr.log_norm)),
+        (opts.oracle_csv, "oracle.csv", "t,x_peak_oracle,v_in_oracle,v_ref_oracle",
+         _rows(oracle.times, oracle.x_peak, oracle.v_in, oracle.v_ref)),
+    )
+    written = [_write_table(out_dir / name, head, rows) for on, name, head, rows in tables if on]
+    if opts.heatmap:
+        written.append(_write_heatmap_pgm(out_dir / "heatmap.pgm", dens))
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
 
 
 def _snapshot_notes(result: EvolutionResult, config: ExperimentConfig) -> tuple[str, ...]:
     notes = []
-    for t_snap in config.snapshot_times:
-        k = int(np.argmin(np.abs(result.times - t_snap)))
-        dens = aggregate_density(result.site_densities[k], result.geometry)
+    ks = [int(np.argmin(np.abs(result.times - t_snap))) for t_snap in config.snapshot_times]
+    for k, dens in zip(ks, aggregate_density(result.site_densities[ks], result.geometry)):
         peaks = top_two_peaks(dens, result.geometry)
         desc = "; ".join(f"x={x:.2f} height={h:.3e}" for x, h in peaks)
         notes.append(f"snapshot t={result.times[k]:g}: {desc}")

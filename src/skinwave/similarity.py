@@ -40,7 +40,14 @@ class SimilarityTransform:
 
 
 def skin_factor(spec: ModelSpec) -> float:
-    """Exponential envelope ratio r of the skin modes; r = 1 iff Hermitian."""
+    """Exponential envelope ratio r of the skin modes; r = 1 iff Hermitian.
+
+    For ``ContinuousHN`` this is the continuum value exp(b m dx), not the
+    finite-difference matrix's own hop ratio (1 - 2 m b dx)^(-1/2); their
+    logarithms agree to first order in m b dx.  Once 2 m b dx >= 1 the
+    forward-gradient hop changes sign and the grid has no Hermitian
+    counterpart at all, while this still returns a finite r.
+    """
     if isinstance(spec, ContinuousHN):
         return math.exp(spec.b * spec.m * spec.dx)
     if isinstance(spec, DiscreteHN):

@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateDensity,
@@ -121,9 +122,10 @@ def density(state: WaveState, geometry: Geometry) -> np.ndarray:
 
 
 def aggregate_density(site_density: np.ndarray, geometry: Geometry) -> np.ndarray:
-    if geometry.sites_per_cell == 1:
-        return np.asarray(site_density, dtype=float)
-    return np.asarray(site_density, dtype=float).reshape(-1, geometry.sites_per_cell).sum(axis=1)
+    """Per-position density of one frame (dim,) or a stack of frames (frames, dim)."""
+    d = np.asarray(site_density, dtype=float)
+    n = geometry.sites_per_cell
+    return d if n == 1 else d.reshape(d.shape[:-1] + (d.shape[-1] // n, n)).sum(axis=-1)
 
 
 def peak_position(dens: np.ndarray, geometry: Geometry) -> float:
@@ -212,15 +214,15 @@ def top_two_peaks(
 
 def moving_average(values: np.ndarray, window: int) -> np.ndarray:
     """Centered moving average; the window shrinks symmetrically at the edges."""
-    if window <= 1:
-        return np.asarray(values, dtype=float)
     values = np.asarray(values, dtype=float)
-    half = window // 2
-    out = np.empty_like(values)
+    if window <= 1:
+        return values
     n = len(values)
-    for i in range(n):
-        k = min(half, i, n - 1 - i)
-        out[i] = values[i - k : i + k + 1].mean()
+    out = np.empty_like(values)
+    # half-width k covers centers k .. n-1-k; each wider pass overwrites the
+    # centers it reaches, so every sample ends with its widest fitting window
+    for k in range(min(window // 2, (n - 1) // 2) + 1):
+        out[k : n - k] = sliding_window_view(values, 2 * k + 1).mean(axis=-1)
     return out
 
 
@@ -250,8 +252,7 @@ def extract_trajectory(result: EvolutionResult, options: AnalysisOptions) -> Tra
     frames = len(result.times)
     x_raw = np.empty(frames)
     sigma = np.full(frames, np.nan)
-    for k in range(frames):
-        dens = aggregate_density(result.site_densities[k], geometry)
+    for k, dens in enumerate(aggregate_density(result.site_densities, geometry)):
         x_raw[k] = peak_position(dens, geometry)
         try:
             sigma[k] = sigma_from_halfwidth(dens, geometry)
@@ -262,17 +263,14 @@ def extract_trajectory(result: EvolutionResult, options: AnalysisOptions) -> Tra
 
     threshold = options.contact_threshold * geometry.dx
     lo, hi = float(xs[0]), float(xs[-1])
-    watch_lo = options.contact_wall in ("either", "left")
-    watch_hi = options.contact_wall in ("either", "right")
-    contact_index = None
-    contact_boundary = None
-    for k in range(frames):
-        d_lo = x[k] - lo if watch_lo else math.inf
-        d_hi = hi - x[k] if watch_hi else math.inf
-        if min(d_lo, d_hi) <= threshold:
-            contact_index = k
-            contact_boundary = lo if d_lo <= d_hi else hi
-            break
+    unwatched = np.full(frames, np.inf)
+    d_lo = x - lo if options.contact_wall in ("either", "left") else unwatched
+    d_hi = hi - x if options.contact_wall in ("either", "right") else unwatched
+    touching = np.minimum(d_lo, d_hi) <= threshold
+    contact_index = contact_boundary = None
+    if touching.any():
+        contact_index = int(np.argmax(touching))
+        contact_boundary = lo if d_lo[contact_index] <= d_hi[contact_index] else hi
 
     return TrajectorySeries(
         times=result.times,

@@ -13,9 +13,12 @@ from skinwave.config import (
     load_config,
     save_config,
 )
-from skinwave.errors import ConfigError, UnknownPreset
+from skinwave.errors import ConfigError, InvalidGrid, UnknownPreset
+from skinwave.evolve import EvolutionResult
+from skinwave.model import Geometry
 from skinwave.presets import get_preset, preset_names
-from skinwave.runner import format_report, run_experiment, run_preset
+from skinwave.runner import OracleSeries, emit_outputs, format_report, run_experiment, run_preset
+from skinwave.wavepacket import TrajectorySeries
 
 
 def small_config(out_dir, **overrides) -> ExperimentConfig:
@@ -86,6 +89,59 @@ def test_config_validation_messages():
         config_from_dict({"packet": {"sigma": 1.0, "x0": 1.0}, "times": base["times"]})
 
 
+_MALFORMED = {
+    "analysis-list": ({"analysis": [1]}, "analysis must be a mapping"),
+    "output-int": ({"output": 3}, "output must be a mapping"),
+    "packet-int": ({"packet": 5}, "packet must be a mapping"),
+    "packet-null-sigma": ({"packet": {"sigma": None, "x0": 5.0}}, "packet.sigma is required"),
+    "times-null-t_max": ({"times": {"t_max": None, "frame_count": 5}}, "times.t_max is required"),
+    "family-list": ({"model": {"family": []}}, "model.family"),
+    "snapshot-str": ({"snapshot_times": ["a"]}, "snapshot_times.0 must be a number"),
+    "snapshot-null": ({"snapshot_times": [1.0, None]}, "snapshot_times.1 is required"),
+    "t_max-nan": ({"times": {"t_max": float("nan"), "frame_count": 5}}, "times: .*t_max"),
+    "frame_count-huge": ({"times": {"t_max": 1.0, "frame_count": 1e12}}, "times: .*frame_count"),
+}
+
+
+def _malformed(override) -> dict:
+    raw = {
+        "model": {"family": "discrete_hn", "t1": 1.0, "t_minus1": 2.0, "n_sites": 10},
+        "packet": {"sigma": 1.0, "x0": 5.0},
+        "times": {"t_max": 1.0, "frame_count": 5},
+    }
+    raw.update(override)
+    return raw
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_sections_raise_config_error(case):
+    override, message = _MALFORMED[case]
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(_malformed(override))
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_cli_exits_2_on_malformed_sections(case, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_malformed(_MALFORMED[case][0])))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_time_grid_checked_at_construction():
+    # only the check runs: the oversized grid is never allocated
+    with pytest.raises(InvalidGrid, match="frame_count"):
+        TimeGrid(t_max=1.0, frame_count=10**12)
+    with pytest.raises(InvalidGrid, match="frame_count"):
+        TimeGrid(t_max=1.0, frame_count=2.5)
+    for t_max in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(InvalidGrid, match="t_max"):
+            TimeGrid(t_max=t_max, frame_count=10)
+    grid = TimeGrid(t_max=2, frame_count=4096.0)
+    assert (type(grid.t_max), type(grid.frame_count)) == (float, int)
+
+
 def test_run_experiment_outputs(tmp_path):
     cfg = small_config(tmp_path / "out")
     report = run_experiment(cfg)
@@ -106,6 +162,61 @@ def test_run_experiment_outputs(tmp_path):
     pgm = (out / "heatmap.pgm").read_bytes()
     assert pgm.startswith(b"P5\n60 12\n255\n")
     assert len(pgm) == len(b"P5\n60 12\n255\n") + 60 * 12
+
+
+def test_emit_outputs_golden_two_band(tmp_path):
+    # 2 frames x 2 cells of a two-band chain: per-cell sums, t-major rows,
+    # shortest repr, empty cells for nan, a zero-density frame as a zero row
+    geometry = Geometry(positions=np.array([0.0, 0.0, 1.0, 1.0]), dx=1.0, sites_per_cell=2)
+    times = np.array([0.0, 0.5])
+    log_norms = np.array([0.1, -1.5])
+    result = EvolutionResult(
+        times=times,
+        site_densities=np.array([[0.1, 0.2, 0.3, 0.4], [0.0, 0.0, 0.0, 0.0]]),
+        log_norms=log_norms,
+        geometry=geometry,
+        method="spectral",
+    )
+    trajectory = TrajectorySeries(
+        times=times,
+        x_peak=np.array([0.7142857142857143, 1.0]),
+        v_peak=np.array([0.5714285714285714, 0.5714285714285714]),
+        sigma_measured=np.array([0.42, np.nan]),
+        log_norm=log_norms,
+        boundary_contact_time=0.5,
+        contact_index=1,
+        contact_boundary=1.0,
+        domain=(0.0, 1.0),
+        dx=1.0,
+    )
+    oracle = OracleSeries(
+        times=times,
+        x_peak=np.array([0.75, np.nan]),
+        v_in=np.array([1e-20, np.nan]),
+        v_ref=np.array([np.nan, -2.0]),
+    )
+    cfg = small_config(tmp_path / "out")
+    manifest = emit_outputs(result, trajectory, oracle, cfg)
+    out = tmp_path / "out"
+    assert sorted(manifest) == ["density.csv", "heatmap.pgm", "oracle.csv", "trajectory.csv"]
+    assert (out / "density.csv").read_text() == (
+        "t,x,density,log_norm\n"
+        "0.0,0.0,0.30000000000000004,0.1\n"
+        "0.0,1.0,0.7,0.1\n"
+        "0.5,0.0,0.0,-1.5\n"
+        "0.5,1.0,0.0,-1.5\n"
+    )
+    assert (out / "trajectory.csv").read_text() == (
+        "t,x_peak,v_peak,sigma_measured,log_norm\n"
+        "0.0,0.7142857142857143,0.5714285714285714,0.42,0.1\n"
+        "0.5,1.0,0.5714285714285714,,-1.5\n"
+    )
+    assert (out / "oracle.csv").read_text() == (
+        "t,x_peak_oracle,v_in_oracle,v_ref_oracle\n"
+        "0.0,0.75,1e-20,\n"
+        "0.5,,,-2.0\n"
+    )
+    assert (out / "heatmap.pgm").read_bytes() == b"P5\n2 2\n255\n" + bytes([109, 255, 0, 0])
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -204,6 +204,31 @@ def test_moving_average_window_one_is_identity():
     assert sm[1] == pytest.approx((1.0 + 4.0 + 2.0) / 3.0)
 
 
+def _moving_average_loop(values, window):
+    """Reference: one slice mean per sample, the window shrinking at the edges."""
+    values = np.asarray(values, dtype=float)
+    if window <= 1:
+        return values
+    half, n = window // 2, len(values)
+    out = np.empty_like(values)
+    for i in range(n):
+        k = min(half, i, n - 1 - i)
+        out[i] = values[i - k : i + k + 1].mean()
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=0, max_size=300
+    ),
+    window=st.integers(min_value=1, max_value=12),
+)
+def test_moving_average_matches_slice_mean_loop(values, window):
+    values = np.array(values, dtype=float)
+    assert np.array_equal(moving_average(values, window), _moving_average_loop(values, window))
+
+
 @pytest.fixture(scope="module")
 def hermitian_bounce():
     """Free Hermitian packet launched at the right wall (elastic reference)."""
