@@ -101,14 +101,16 @@ def _section(raw: dict, key: str, required: bool = False) -> dict:
     return v
 
 
-def _number(mapping: dict, key, where: str, default=None):
+def _field(mapping: dict, key, where: str, default=None, kind=(int, float)):
+    """``mapping[key]`` as a ``kind`` (a bool is no number); absent or null reads as ``default``."""
     v = mapping.get(key)
     if v is None:
         if default is None:
             raise ConfigError(f"{where}.{key} is required")
         return default
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
+    if not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool):
+        noun = kind.__name__ if isinstance(kind, type) else "number"
+        raise ConfigError(f"{where}.{key} must be a {noun}, got {v!r}")
     return v
 
 
@@ -120,9 +122,7 @@ def _model_from_dict(d: dict) -> ModelSpec:
     kwargs = {k: v for k, v in d.items() if k != "family"}
     try:
         return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"model: {exc}") from exc
-    except SkinwaveError as exc:
+    except (TypeError, SkinwaveError) as exc:
         raise ConfigError(f"model: {exc}") from exc
 
 
@@ -138,18 +138,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     model = _model_from_dict(_section(raw, "model", required=True))
 
     pk = _section(raw, "packet", required=True)
-    sigma = _number(pk, "sigma", "packet")
+    sigma = _field(pk, "sigma", "packet")
     if sigma <= 0:
         raise ConfigError("packet.sigma must be positive")
     try:
         packet = GaussianParams(
-            sigma=sigma, x0=_number(pk, "x0", "packet"), k0=_number(pk, "k0", "packet", 0.0)
+            sigma=sigma, x0=_field(pk, "x0", "packet"), k0=_field(pk, "k0", "packet", 0.0)
         )
     except SkinwaveError as exc:
         raise ConfigError(f"packet: {exc}") from exc
 
     tm = _section(raw, "times", required=True)
-    t_max, frame_count = _number(tm, "t_max", "times"), _number(tm, "frame_count", "times")
+    t_max, frame_count = _field(tm, "t_max", "times"), _field(tm, "frame_count", "times")
     try:
         times = TimeGrid(t_max=t_max, frame_count=frame_count)
     except SkinwaveError as exc:
@@ -162,19 +162,19 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     an = _section(raw, "analysis")
     window = an.get("classify_window")
     if window is not None:
-        window = _number(an, "classify_window", "analysis")
+        window = _field(an, "classify_window", "analysis")
         if window <= 0:
             raise ConfigError("analysis.classify_window must be positive when set")
-    sm = _number(an, "smoothing_window", "analysis", 1)
+    sm = _field(an, "smoothing_window", "analysis", 1)
     if not float(sm).is_integer() or sm < 1:
         raise ConfigError("analysis.smoothing_window must be an integer >= 1")
-    guard = _number(an, "guard_band", "analysis", 5)
+    guard = _field(an, "guard_band", "analysis", 5)
     if not float(guard).is_integer() or guard < 0:
         raise ConfigError("analysis.guard_band must be a nonnegative integer")
-    threshold = _number(an, "contact_threshold", "analysis", 3.0)
+    threshold = _field(an, "contact_threshold", "analysis", 3.0)
     if threshold <= 0:
         raise ConfigError("analysis.contact_threshold must be positive")
-    cutoff = _number(an, "width_cutoff_fraction", "analysis", 0.25)
+    cutoff = _field(an, "width_cutoff_fraction", "analysis", 0.25)
     if cutoff <= 0:
         raise ConfigError("analysis.width_cutoff_fraction must be positive")
     wall = an.get("contact_wall", "either")
@@ -191,11 +191,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     out = _section(raw, "output")
     output = OutputOptions(
-        directory=str(out.get("directory", "out")),
-        density_csv=bool(out.get("density_csv", True)),
-        trajectory_csv=bool(out.get("trajectory_csv", True)),
-        heatmap=bool(out.get("heatmap", True)),
-        oracle_csv=bool(out.get("oracle_csv", True)),
+        directory=_field(out, "directory", "output", "out", str),
+        density_csv=_field(out, "density_csv", "output", True, bool),
+        trajectory_csv=_field(out, "trajectory_csv", "output", True, bool),
+        heatmap=_field(out, "heatmap", "output", True, bool),
+        oracle_csv=_field(out, "oracle_csv", "output", True, bool),
     )
 
     snaps = raw.get("snapshot_times", []) or []
@@ -210,7 +210,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         method=method,
         analysis=analysis,
         output=output,
-        snapshot_times=tuple(float(_number(snaps, i, "snapshot_times")) for i in snaps),
+        snapshot_times=tuple(float(_field(snaps, i, "snapshot_times")) for i in snaps),
         name=str(raw.get("name", "custom")),
     )
 

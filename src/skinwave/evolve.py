@@ -13,11 +13,11 @@ exp(hundreds) stay representable.  A frame at zero elapsed time is the
 initial state itself.
 
 Uniform-skin chains go through their real symmetric counterpart, built from
-the three bands: one real eigh, scaled by the positive diagonal S, gives both
-bases and stays accurate far past where inverting the right-eigenvector matrix
-fails (states weighted at the small-S end lose eps * S_max / S_min).  The
-gain/loss two-band chain uses its asymmetric-hop twin, rotated back per cell.
-The generic route refuses condition numbers past 1e12 instead.
+the operator's three bands: one real eigh, scaled by the positive diagonal S,
+gives both bases and stays accurate far past where inverting the right-eigenvector
+matrix fails (states weighted at the small-S end lose eps * S_max / S_min).  The
+gain/loss two-band chain uses its asymmetric-hop twin's bands, rotated back per
+cell.  Only the generic route (condition cap 1e12) and expm assemble a dense H.
 """
 
 from __future__ import annotations
@@ -144,19 +144,18 @@ def decompose(h) -> SpectralDecomposition:
     )
 
 
-def _decompose_chain(m: np.ndarray) -> SpectralDecomposition | None:
-    """Chain route through the real symmetric counterpart; None where M has none.
+def _decompose_chain(bands: dict[int, np.ndarray]) -> SpectralDecomposition | None:
+    """Chain route through the real symmetric counterpart; None where H has none.
 
-    For real tridiagonal M with off-diagonals a (super), b (sub) and a b > 0,
-    S = diag(1, cumprod(sqrt(b/a))) makes S^-1 M S real symmetric (off-diagonals
+    For real tridiagonal H with off-diagonals a (super), b (sub) and a b > 0,
+    S = diag(1, cumprod(sqrt(b/a))) makes S^-1 H S real symmetric (off-diagonals
     sign(a) sqrt(a b)); its eigenvectors Q give R = S Q and L = S^-1 Q.
     """
-    if len(m) < 2 or np.count_nonzero(m.imag):
+    n = len(bands.get(1, ())) + 1
+    diag, sup, sub = (bands.get(k, np.zeros(n - abs(k))).real for k in (0, 1, -1))
+    if n < 2 or any(np.count_nonzero(b.imag) or (abs(k) > 1 and np.count_nonzero(b)) for k, b in bands.items()):
         return None
-    m = m.real
-    diag, sup, sub = np.diagonal(m), np.diagonal(m, 1), np.diagonal(m, -1)
-    banded = np.count_nonzero(diag) + np.count_nonzero(sup) + np.count_nonzero(sub)
-    if np.count_nonzero(m) != banded or np.any(sup * sub <= 0):
+    if np.any(sup * sub <= 0):
         return None
     s = np.concatenate([[1.0], np.cumprod(np.sqrt(sub / sup))])
     if not np.all(np.isfinite(s)):
@@ -178,15 +177,15 @@ def _decompose_chain(m: np.ndarray) -> SpectralDecomposition | None:
 def decompose_model(h: HamiltonianMatrix, spec: ModelSpec | None) -> SpectralDecomposition:
     """Best decomposition route for a known model family.
 
-    Uniform-skin families go through ``_decompose_chain``; the gain/loss
-    two-band chain goes through its asymmetric-hop twin, whose bases are
-    rotated back cell by cell.  A chain that route refuses, and everything
-    else, goes through ``decompose``.
+    Uniform-skin families go through ``_decompose_chain`` on their bands; the
+    gain/loss two-band chain goes through the bands of its asymmetric-hop twin,
+    whose bases are rotated back cell by cell.  A chain that route refuses, and
+    everything else, goes through ``decompose``.
     """
     if isinstance(spec, (ContinuousHN, DiscreteHN, NonHermitianSSH)):
         rotate = isinstance(spec, NonHermitianSSH) and spec.axis == "z"
-        m = build_hamiltonian(replace(spec, axis="y")).matrix if rotate else h.matrix
-        dec = _decompose_chain(m)
+        bands = build_hamiltonian(replace(spec, axis="y")).bands if rotate else h.bands
+        dec = _decompose_chain(bands)
         if dec is not None:
             if rotate:
                 cells = (spec.n_cells, 2, h.dim)

@@ -9,11 +9,13 @@ Conventions used throughout:
   sublattices of cell c at coordinate c.  The asymmetric variant carries the
   non-Hermiticity on the intracell hops (t1 +/- gamma/2); the gain/loss
   variant carries it as +i gamma/2 on A and -i gamma/2 on B sites.
+* Every family is banded (|offset| <= 3) and is stored as its bands.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -23,7 +25,7 @@ from .errors import ExceptionalParameter, InvalidGrid, InvalidParameter
 
 _SQ = math.sqrt
 
-# largest matrix a spec may ask for: routes hold dense dim x dim complex matrices
+# largest dimension a spec may ask for: eigenbases and the generic/expm matrix are dim x dim
 MAX_DIM = 4096
 
 
@@ -81,8 +83,8 @@ class DiscreteHN:
         _require_finite("DiscreteHN", self.t1, self.t_minus1)
         if self.t1 <= 0 or self.t_minus1 <= 0:
             raise InvalidParameter("DiscreteHN: hops must be positive")
-        if self.n_sites < 2:
-            raise InvalidGrid("DiscreteHN: need at least 2 sites")
+        if not isinstance(self.n_sites, numbers.Integral) or self.n_sites < 2:
+            raise InvalidGrid(f"DiscreteHN: n_sites must be an integer >= 2, got {self.n_sites!r}")
         _require_size("DiscreteHN", "n_sites", self.n_sites)
 
 
@@ -103,8 +105,8 @@ class NonHermitianSSH:
 
     def __post_init__(self) -> None:
         _require_finite("NonHermitianSSH", self.t1, self.t2, self.gamma)
-        if self.n_cells < 1:
-            raise InvalidGrid("NonHermitianSSH: need at least 1 cell")
+        if not isinstance(self.n_cells, numbers.Integral) or self.n_cells < 1:
+            raise InvalidGrid(f"NonHermitianSSH: n_cells must be an integer >= 1, got {self.n_cells!r}")
         _require_size("NonHermitianSSH", "n_cells", 2 * self.n_cells)
         if self.axis not in ("y", "z"):
             raise InvalidParameter(f"NonHermitianSSH: axis must be 'y' or 'z', got {self.axis!r}")
@@ -125,9 +127,11 @@ class BoundarySSH:
 
     def __post_init__(self) -> None:
         _require_finite("BoundarySSH", self.t1, self.t2, self.gamma)
-        if self.n_cells < 1:
-            raise InvalidGrid("BoundarySSH: need at least 1 cell")
+        if not isinstance(self.n_cells, numbers.Integral) or self.n_cells < 1:
+            raise InvalidGrid(f"BoundarySSH: n_cells must be an integer >= 1, got {self.n_cells!r}")
         _require_size("BoundarySSH", "n_cells", 2 * self.n_cells)
+        if not isinstance(self.boundary_cells, numbers.Integral):
+            raise InvalidGrid(f"BoundarySSH: boundary_cells must be an integer, got {self.boundary_cells!r}")
         if not 0 <= self.boundary_cells <= self.n_cells:
             raise InvalidParameter("BoundarySSH: boundary_cells must lie in [0, n_cells]")
         if self.axis not in ("y", "z"):
@@ -164,14 +168,23 @@ class Geometry:
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """Dense complex operator plus its site geometry."""
+    """Complex operator as bands, ``bands[k] = numpy.diagonal(H, k)`` (absent = 0), plus geometry."""
 
-    matrix: np.ndarray
+    bands: dict[int, np.ndarray]
     geometry: Geometry
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.geometry.dim
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense dim x dim matrix, assembled from the bands on every access."""
+        m = np.zeros((self.dim, self.dim), dtype=complex)
+        for k, band in self.bands.items():
+            i = np.arange(len(band)) + max(-k, 0)
+            m[i, i + k] = band
+        return m
 
 
 def build_laplacian(dx: float, n: int) -> np.ndarray:
@@ -203,67 +216,53 @@ def build_gradient_forward(dx: float, n: int) -> np.ndarray:
     return grad
 
 
-def _gamma_profile(spec: NonHermitianSSH | BoundarySSH) -> np.ndarray:
-    """Per-cell gamma values."""
-    g = np.zeros(spec.n_cells)
-    if isinstance(spec, NonHermitianSSH):
-        g[:] = spec.gamma
-    else:
-        if spec.boundary_cells > 0:
-            g[spec.n_cells - spec.boundary_cells:] = spec.gamma
-    return g
+def _band(length: int, even, odd=0.0) -> np.ndarray:
+    """Complex band with ``even`` and ``odd`` in its alternating entries."""
+    band = np.zeros(max(length, 0), dtype=complex)
+    band[0::2], band[1::2] = even, odd
+    return band
 
 
-def _build_ssh(spec: NonHermitianSSH | BoundarySSH) -> np.ndarray:
-    n = spec.n_cells
+def _build_ssh(spec: NonHermitianSSH | BoundarySSH) -> dict[int, np.ndarray]:
+    dim = 2 * spec.n_cells
     t1, t2 = spec.t1, spec.t2
-    gamma = _gamma_profile(spec)
-    h = np.zeros((2 * n, 2 * n), dtype=complex)
-    a = np.arange(n) * 2          # A-site indices
-    bidx = a + 1                  # B-site indices
+    # per-cell gamma: on every cell, or on the rightmost boundary cells only
+    cells = spec.n_cells if isinstance(spec, NonHermitianSSH) else spec.boundary_cells
+    gamma = np.zeros(spec.n_cells)
+    gamma[spec.n_cells - cells:] = spec.gamma
     if spec.axis == "y":
-        h[a, bidx] = t1 + gamma / 2.0
-        h[bidx, a] = t1 - gamma / 2.0
-        h[bidx[:-1], a[1:]] = t2
-        h[a[1:], bidx[:-1]] = t2
-    else:
-        # sublattice-diagonal variant: intracell t1 symmetric, the cosine part of
-        # the intercell coupling stays on the off-sublattice block and the sine
-        # part becomes imaginary same-sublattice hops; gain/loss on the diagonal
-        h[a, bidx] = t1
-        h[bidx, a] = t1
-        h[a, a] = 1j * gamma / 2.0
-        h[bidx, bidx] = -1j * gamma / 2.0
-        h[a[:-1], bidx[1:]] = t2 / 2.0
-        h[bidx[1:], a[:-1]] = t2 / 2.0
-        h[bidx[:-1], a[1:]] = t2 / 2.0
-        h[a[1:], bidx[:-1]] = t2 / 2.0
-        h[a[:-1], a[1:]] = -1j * t2 / 2.0
-        h[a[1:], a[:-1]] = 1j * t2 / 2.0
-        h[bidx[:-1], bidx[1:]] = 1j * t2 / 2.0
-        h[bidx[1:], bidx[:-1]] = -1j * t2 / 2.0
-    return h
+        # even entries intracell (A -> B), odd entries intercell (B -> next A)
+        return {1: _band(dim - 1, t1 + gamma / 2.0, t2), -1: _band(dim - 1, t1 - gamma / 2.0, t2)}
+    # sublattice-diagonal variant: intracell t1 symmetric, the cosine part of
+    # the intercell coupling stays on the off-sublattice bands (+-1, +-3) and
+    # the sine part becomes imaginary same-sublattice hops (+-2); gain/loss on
+    # the diagonal
+    return {
+        0: _band(dim, 1j * gamma / 2.0, -1j * gamma / 2.0),
+        1: _band(dim - 1, t1, t2 / 2.0),
+        -1: _band(dim - 1, t1, t2 / 2.0),
+        2: _band(dim - 2, -1j * t2 / 2.0, 1j * t2 / 2.0),
+        -2: _band(dim - 2, 1j * t2 / 2.0, -1j * t2 / 2.0),
+        3: _band(dim - 3, t2 / 2.0),
+        -3: _band(dim - 3, t2 / 2.0),
+    }
 
 
 def build_hamiltonian(spec: ModelSpec) -> HamiltonianMatrix:
-    """Dense open-boundary Hamiltonian for any model family."""
-    if isinstance(spec, ContinuousHN):
+    """Open-boundary Hamiltonian of any model family, stored as its bands."""
+    if isinstance(spec, (ContinuousHN, DiscreteHN)):
         n = spec.n_sites
-        h = (
-            -(1.0 / (2.0 * spec.m)) * build_laplacian(spec.dx, n)
-            + spec.b * build_gradient_forward(spec.dx, n)
-            + spec.e0 * np.eye(n)
-        ).astype(complex)
-        geom = Geometry(positions=np.arange(n) * spec.dx, dx=spec.dx)
-    elif isinstance(spec, DiscreteHN):
-        n = spec.n_sites
-        h = np.zeros((n, n), dtype=complex)
-        idx = np.arange(n - 1)
-        h[idx, idx + 1] = spec.t1
-        h[idx + 1, idx] = spec.t_minus1
-        geom = Geometry(positions=np.arange(n, dtype=float), dx=1.0)
+        if isinstance(spec, ContinuousHN):
+            # -(1/2m) Laplacian + b forward gradient + e0, in the stencils' order
+            dx, inv = spec.dx, 1.0 / spec.dx
+            kin = -(1.0 / (2.0 * spec.m)) * (1.0 / (dx * dx))
+            diag, sup, sub = -2.0 * kin - spec.b * inv + spec.e0, kin + spec.b * inv, kin
+        else:
+            dx, diag, sup, sub = 1.0, 0.0, spec.t1, spec.t_minus1
+        bands = {k: np.full(n - abs(k), v, dtype=complex) for k, v in ((0, diag), (1, sup), (-1, sub))}
+        geom = Geometry(positions=np.arange(n) * dx, dx=dx)
     elif isinstance(spec, (NonHermitianSSH, BoundarySSH)):
-        h = _build_ssh(spec)
+        bands = _build_ssh(spec)
         geom = Geometry(
             positions=np.repeat(np.arange(spec.n_cells, dtype=float), 2),
             dx=1.0,
@@ -271,9 +270,9 @@ def build_hamiltonian(spec: ModelSpec) -> HamiltonianMatrix:
         )
     else:
         raise InvalidParameter(f"unknown model spec {type(spec).__name__}")
-    if not np.all(np.isfinite(h)):
+    if not all(np.all(np.isfinite(band)) for band in bands.values()):
         raise InvalidParameter("build_hamiltonian: non-finite matrix entry")
-    return HamiltonianMatrix(matrix=h, geometry=geom)
+    return HamiltonianMatrix(bands=bands, geometry=geom)
 
 
 def bloch_matrix(spec: NonHermitianSSH | BoundarySSH, k: float) -> np.ndarray:

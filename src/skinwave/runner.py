@@ -75,11 +75,6 @@ class ExperimentReport:
     window_truncated: bool = False
 
 
-def band_velocity_at_launch(spec: ModelSpec, k0: float) -> float:
-    """Counterpart group velocity of the launched packet (lower band for two-band chains)."""
-    return group_velocity(spec, k0, band=-1)
-
-
 def oracle_series(
     spec: ModelSpec, packet, trajectory: TrajectorySeries, guard_band: int = 0
 ) -> tuple[OracleSeries, float | None]:
@@ -125,7 +120,7 @@ def oracle_series(
             dispersion=dispersion_handle(spec, band=-1),
             k0=packet.k0,
         )
-        v0 = band_velocity_at_launch(spec, packet.k0)
+        v0 = group_velocity(spec, packet.k0, band=-1)  # lower band of two-band chains
         try:
             x_o = packet.x0 + v0 * times + general_peak(g, times)
             v_in, v_ref = general_velocities(g, times)

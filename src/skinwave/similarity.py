@@ -111,12 +111,15 @@ def build_similarity(spec: ModelSpec, dim: int) -> SimilarityTransform:
 
 
 def hermitian_counterpart(h: HamiltonianMatrix, s: SimilarityTransform) -> HamiltonianMatrix:
-    """S^-1 H S computed entrywise: Hbar_ij = H_ij * S_jj / S_ii."""
+    """S^-1 H S computed band by band: Hbar_ij = H_ij * S_jj / S_ii."""
     if h.dim != s.dim:
         raise DimensionMismatch(f"hermitian_counterpart: {h.dim} vs {s.dim}")
     d = s.diagonal
-    hbar = h.matrix * (d[None, :] / d[:, None])
-    return HamiltonianMatrix(matrix=hbar, geometry=h.geometry)
+    hbar = {}
+    for k, band in h.bands.items():
+        i = np.arange(len(band)) + max(-k, 0)
+        hbar[k] = band * (d[i + k] / d[i])
+    return HamiltonianMatrix(bands=hbar, geometry=h.geometry)
 
 
 def hermiticity_residual(m: np.ndarray) -> float:

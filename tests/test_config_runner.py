@@ -7,6 +7,7 @@ import skinwave as sw
 from skinwave.cli import main
 from skinwave.config import (
     ExperimentConfig,
+    OutputOptions,
     TimeGrid,
     config_from_dict,
     config_to_dict,
@@ -100,6 +101,26 @@ _MALFORMED = {
     "snapshot-null": ({"snapshot_times": [1.0, None]}, "snapshot_times.1 is required"),
     "t_max-nan": ({"times": {"t_max": float("nan"), "frame_count": 5}}, "times: .*t_max"),
     "frame_count-huge": ({"times": {"t_max": 1.0, "frame_count": 1e12}}, "times: .*frame_count"),
+    "n_sites-fraction": (
+        {"model": {"family": "discrete_hn", "t1": 1.0, "t_minus1": 2.0, "n_sites": 10.5}},
+        "model: .*n_sites",
+    ),
+    "n_cells-fraction": (
+        {"model": {"family": "non_hermitian_ssh", "t1": 2.0, "t2": 1.0, "gamma": -0.2, "n_cells": 10.5}},
+        "model: .*n_cells",
+    ),
+    "boundary-n_cells-fraction": (
+        {"model": {"family": "boundary_ssh", "t1": 2.0, "t2": 1.0, "gamma": -0.2,
+                   "n_cells": 10.5, "boundary_cells": 2}},
+        "model: .*n_cells",
+    ),
+    "boundary_cells-fraction": (
+        {"model": {"family": "boundary_ssh", "t1": 2.0, "t2": 1.0, "gamma": -0.2,
+                   "n_cells": 10, "boundary_cells": 2.5}},
+        "model: .*boundary_cells",
+    ),
+    "directory-int": ({"output": {"directory": 3}}, "output.directory must be a str"),
+    "flag-str": ({"output": {"heatmap": "false"}}, "output.heatmap must be a bool"),
 }
 
 
@@ -127,6 +148,12 @@ def test_cli_exits_2_on_malformed_sections(case, tmp_path, capsys):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_null_output_values_read_as_absent():
+    output = config_from_dict(_malformed({"output": {"directory": None, "heatmap": None}})).output
+    assert output == OutputOptions()
+    assert output.directory == "out"
 
 
 def test_time_grid_checked_at_construction():

@@ -279,7 +279,7 @@ def test_singular_eigenvectors_fall_back_to_expm():
     with pytest.raises(DefectiveMatrix):
         decompose(shift)
     h = sw.HamiltonianMatrix(
-        matrix=shift.astype(complex), geometry=sw.Geometry(positions=np.arange(3.0), dx=1.0)
+        bands={1: np.ones(2, dtype=complex)}, geometry=sw.Geometry(positions=np.arange(3.0), dx=1.0)
     )
     psi = sw.WaveState(amplitudes=np.array([0.0, 0.0, 1.0 + 0j]))
     times = np.array([0.0, 0.5, 1.0, 2.5])
@@ -292,6 +292,45 @@ def test_singular_eigenvectors_fall_back_to_expm():
     total = exact.sum(axis=1)
     assert np.allclose(res.site_densities, exact / total[:, None], atol=1e-14)
     assert np.allclose(res.log_norms, 0.5 * np.log(total), atol=1e-14)
+
+
+class _DenseAssembled(Exception):
+    pass
+
+
+def _refuse_dense(self):
+    raise _DenseAssembled("dense matrix assembled")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        sw.ContinuousHN(1.0, 1.0, 2.0, 0.1),
+        sw.DiscreteHN(1.0, 2.0, 12),
+        sw.NonHermitianSSH(2.0, 1.0, -0.2, 8, axis="y"),
+        sw.NonHermitianSSH(2.0, 1.0, -0.2, 8, axis="z"),
+    ],
+    ids=["continuous", "discrete", "ssh-y", "ssh-z"],
+)
+def test_chain_route_never_assembles_dense_matrix(spec, monkeypatch):
+    h = sw.build_hamiltonian(spec)
+    psi0 = random_state(h.dim, np.random.default_rng(7))
+    times = np.linspace(0.0, 2.0, 5)
+    ref_amps, ref_log_norms = sw.propagate_expm(h, psi0, times)
+    monkeypatch.setattr(sw.HamiltonianMatrix, "matrix", property(_refuse_dense))
+    with pytest.raises(_DenseAssembled):
+        h.matrix
+    amps, log_norms = sw.propagate_spectral(decompose_model(h, spec), psi0, times)
+    assert np.max(np.abs(np.abs(amps) ** 2 - np.abs(ref_amps) ** 2)) <= 1e-7
+    assert np.max(np.abs(log_norms - ref_log_norms)) <= 1e-7
+
+
+def test_generic_route_assembles_dense_matrix(monkeypatch):
+    spec = sw.BoundarySSH(2.0, 1.0, -0.2, 8, 3, axis="z")
+    h = sw.build_hamiltonian(spec)
+    monkeypatch.setattr(sw.HamiltonianMatrix, "matrix", property(_refuse_dense))
+    with pytest.raises(_DenseAssembled):
+        decompose_model(h, spec)
 
 
 def test_spectral_grid_matches_per_frame_products():

@@ -257,6 +257,14 @@ def test_spec_validation_errors():
         sw.BoundarySSH(t1=1.0, t2=1.0, gamma=-0.2, n_cells=4, boundary_cells=5)
     with pytest.raises(InvalidGrid):
         sw.ContinuousHN(m=1.0, b=1.0, length=0.2, dx=0.1)
+    with pytest.raises(InvalidGrid, match="n_sites"):
+        sw.DiscreteHN(t1=1.0, t_minus1=2.0, n_sites=10.5)
+    with pytest.raises(InvalidGrid, match="n_cells"):
+        sw.NonHermitianSSH(t1=1.0, t2=1.0, gamma=-0.2, n_cells=10.5)
+    with pytest.raises(InvalidGrid, match="n_cells"):
+        sw.BoundarySSH(t1=1.0, t2=1.0, gamma=-0.2, n_cells=10.5, boundary_cells=2)
+    with pytest.raises(InvalidGrid, match="boundary_cells"):
+        sw.BoundarySSH(t1=1.0, t2=1.0, gamma=-0.2, n_cells=10, boundary_cells=2.5)
 
 
 def test_momentum_solver_hits_target_velocity():

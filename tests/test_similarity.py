@@ -158,11 +158,11 @@ def test_conjugation_preserves_spectrum(spec):
 
 def test_chain_symmetric_counterpart():
     spec = sw.DiscreteHN(1.0, 2.0, 10)
-    h = sw.build_hamiltonian(spec).matrix
-    dec = _decompose_chain(h)
+    h = sw.build_hamiltonian(spec)
+    dec = _decompose_chain(h.bands)
     biorth = dec.left.conj().T @ dec.right - np.eye(10)
-    rebuilt = (dec.right * dec.eigenvalues) @ dec.left.conj().T - h
+    rebuilt = (dec.right * dec.eigenvalues) @ dec.left.conj().T - h.matrix
     assert np.max(np.abs(biorth)) < 1e-12
     assert np.max(np.abs(rebuilt)) < 1e-12
-    # sign-mixed off-diagonals admit no positive-diagonal symmetrizer
-    assert _decompose_chain(np.array([[0.0, 1.0], [-1.0, 0.0]])) is None
+    # sign-mixed off-diagonals admit no positive-diagonal symmetrizer: [[0, 1], [-1, 0]]
+    assert _decompose_chain({0: np.zeros(2), 1: np.array([1.0]), -1: np.array([-1.0])}) is None
