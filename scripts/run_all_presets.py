@@ -25,7 +25,7 @@ def main() -> int:
     args = parser.parse_args()
 
     base = Path(args.out)
-    print(f"{'preset':16s} {'method':8s} {'class':10s} {'contact':>9s} {'v_in(mid)':>10s} "
+    print(f"{'preset':16s} {'method':8s} {'route':14s} {'class':10s} {'contact':>9s} {'v_in(mid)':>10s} "
           f"{'v_ref(mid)':>10s} {'oracle_dev':>10s} {'secs':>6s}")
     failures = 0
     for name in preset_names():
@@ -41,7 +41,7 @@ def main() -> int:
         contact = report.contact_time if report.contact_time is not None else float("nan")
         dev = report.max_oracle_deviation if report.max_oracle_deviation is not None else float("nan")
         print(
-            f"{name:16s} {report.method:8s} {report.classification:10s} {contact:9.3g} {v_in:10.3g} "
+            f"{name:16s} {report.method:8s} {report.route:14s} {report.classification:10s} {contact:9.3g} {v_in:10.3g} "
             f"{v_ref:10.3g} {dev:10.3g} {time.time() - start:6.1f}"
         )
         for note in report.notes:

@@ -57,9 +57,7 @@ from .oracle import (
     sigma_sq_t,
 )
 from .similarity import (
-    SimilarityTransform,
-    build_similarity,
-    hermitian_counterpart,
+    chain_similarity,
     hermiticity_residual,
     skin_factor,
     skin_factor_per_unit_length,

@@ -161,33 +161,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     an = _section(raw, "analysis")
     window = an.get("classify_window")
-    if window is not None:
-        window = _field(an, "classify_window", "analysis")
-        if window <= 0:
-            raise ConfigError("analysis.classify_window must be positive when set")
-    sm = _field(an, "smoothing_window", "analysis", 1)
-    if not float(sm).is_integer() or sm < 1:
-        raise ConfigError("analysis.smoothing_window must be an integer >= 1")
-    guard = _field(an, "guard_band", "analysis", 5)
-    if not float(guard).is_integer() or guard < 0:
-        raise ConfigError("analysis.guard_band must be a nonnegative integer")
-    threshold = _field(an, "contact_threshold", "analysis", 3.0)
-    if threshold <= 0:
-        raise ConfigError("analysis.contact_threshold must be positive")
-    cutoff = _field(an, "width_cutoff_fraction", "analysis", 0.25)
-    if cutoff <= 0:
-        raise ConfigError("analysis.width_cutoff_fraction must be positive")
-    wall = an.get("contact_wall", "either")
-    if wall not in ("either", "left", "right"):
-        raise ConfigError("analysis.contact_wall must be 'either', 'left', or 'right'")
-    analysis = AnalysisOptions(
-        smoothing_window=int(sm),
-        contact_threshold=float(threshold),
-        guard_band=int(guard),
-        width_cutoff_fraction=float(cutoff),
-        classify_window=window,
-        contact_wall=wall,
+    knobs = dict(
+        smoothing_window=_field(an, "smoothing_window", "analysis", 1),
+        contact_threshold=_field(an, "contact_threshold", "analysis", 3.0),
+        guard_band=_field(an, "guard_band", "analysis", 5),
+        width_cutoff_fraction=_field(an, "width_cutoff_fraction", "analysis", 0.25),
+        classify_window=None if window is None else _field(an, "classify_window", "analysis"),
+        contact_wall=_field(an, "contact_wall", "analysis", "either", str),
     )
+    try:
+        analysis = AnalysisOptions(**knobs)
+    except SkinwaveError as exc:
+        raise ConfigError(f"analysis: {exc}") from exc
 
     out = _section(raw, "output")
     output = OutputOptions(
@@ -211,7 +196,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         analysis=analysis,
         output=output,
         snapshot_times=tuple(float(_field(snaps, i, "snapshot_times")) for i in snaps),
-        name=str(raw.get("name", "custom")),
+        name=_field(raw, "name", "config", "custom", str),
     )
 
 

@@ -12,12 +12,14 @@ Both take a grid of elapsed times and return unit-normalised amplitudes
 exp(hundreds) stay representable.  A frame at zero elapsed time is the
 initial state itself.
 
-Uniform-skin chains go through their real symmetric counterpart, built from
-the operator's three bands: one real eigh, scaled by the positive diagonal S,
-gives both bases and stays accurate far past where inverting the right-eigenvector
-matrix fails (states weighted at the small-S end lose eps * S_max / S_min).  The
-gain/loss two-band chain uses its asymmetric-hop twin's bands, rotated back per
-cell.  Only the generic route (condition cap 1e12) and expm assemble a dense H.
+Every model family goes through its real symmetric counterpart, which
+``similarity.chain_similarity`` reads from the operator's three bands with the
+positive diagonal S (uniform or not): one real eigh, scaled by S, gives both
+bases and stays accurate far past where inverting the right-eigenvector matrix
+fails (states weighted at the small-S end lose eps * S_max / S_min).  The
+gain/loss two-band chains use their asymmetric-hop twin's bands, rotated back
+per cell.  Only a chain without a counterpart, or a bare matrix, takes the
+generic route (condition cap 1e12); it and expm are all that assemble a dense H.
 """
 
 from __future__ import annotations
@@ -28,15 +30,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DefectiveMatrix, DimensionMismatch, InvalidParameter, NumericalOverflow
-from .model import (
-    ContinuousHN,
-    DiscreteHN,
-    Geometry,
-    HamiltonianMatrix,
-    ModelSpec,
-    NonHermitianSSH,
-    build_hamiltonian,
-)
+from .model import Geometry, HamiltonianMatrix, ModelSpec, axis_y_twin, build_hamiltonian
+from .similarity import chain_similarity
 
 CONDITION_LIMIT = 1e12
 
@@ -84,6 +79,7 @@ class SpectralDecomposition:
     right: np.ndarray    # columns R_n
     left: np.ndarray     # columns L_n
     condition: float     # max left-vector norm (diagnostic)
+    route: str           # 'chain', 'chain+rotation' or 'generic'
 
     @property
     def dim(self) -> int:
@@ -98,8 +94,12 @@ class EvolutionResult:
     site_densities: np.ndarray   # shape (frames, dim)
     log_norms: np.ndarray        # total log norm per frame
     geometry: Geometry
-    method: str
+    route: str                   # a decomposition route, or 'expm'
     spec: ModelSpec | None = None
+
+    @property
+    def method(self) -> str:
+        return "expm" if self.route == "expm" else "spectral"
 
 
 def _as_matrix(h) -> np.ndarray:
@@ -141,26 +141,19 @@ def decompose(h) -> SpectralDecomposition:
         right=v,
         left=left,
         condition=float(np.max(np.linalg.norm(left, axis=0))),
+        route="generic",
     )
 
 
 def _decompose_chain(bands: dict[int, np.ndarray]) -> SpectralDecomposition | None:
     """Chain route through the real symmetric counterpart; None where H has none.
 
-    For real tridiagonal H with off-diagonals a (super), b (sub) and a b > 0,
-    S = diag(1, cumprod(sqrt(b/a))) makes S^-1 H S real symmetric (off-diagonals
-    sign(a) sqrt(a b)); its eigenvectors Q give R = S Q and L = S^-1 Q.
+    The eigenvectors Q of the counterpart S^-1 H S give R = S Q and L = S^-1 Q.
     """
-    n = len(bands.get(1, ())) + 1
-    diag, sup, sub = (bands.get(k, np.zeros(n - abs(k))).real for k in (0, 1, -1))
-    if n < 2 or any(np.count_nonzero(b.imag) or (abs(k) > 1 and np.count_nonzero(b)) for k, b in bands.items()):
+    sim = chain_similarity(bands)
+    if sim is None:
         return None
-    if np.any(sup * sub <= 0):
-        return None
-    s = np.concatenate([[1.0], np.cumprod(np.sqrt(sub / sup))])
-    if not np.all(np.isfinite(s)):
-        return None
-    off = np.sign(sup) * np.sqrt(sup * sub)
+    s, diag, off = sim
     energies, q = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     right = s[:, None] * q
     norms = np.linalg.norm(right, axis=0)
@@ -171,29 +164,28 @@ def _decompose_chain(bands: dict[int, np.ndarray]) -> SpectralDecomposition | No
     if not np.all(np.isfinite(left)):
         raise NumericalOverflow("similarity-scaled left basis overflowed")
     condition = float(np.max(np.linalg.norm(left, axis=0)))
-    return SpectralDecomposition(energies.astype(complex), right, left, condition)
+    return SpectralDecomposition(energies.astype(complex), right, left, condition, "chain")
 
 
 def decompose_model(h: HamiltonianMatrix, spec: ModelSpec | None) -> SpectralDecomposition:
-    """Best decomposition route for a known model family.
+    """Best decomposition route for a model spec.
 
-    Uniform-skin families go through ``_decompose_chain`` on their bands; the
-    gain/loss two-band chain goes through the bands of its asymmetric-hop twin,
-    whose bases are rotated back cell by cell.  A chain that route refuses, and
-    everything else, goes through ``decompose``.
+    Every spec goes through ``_decompose_chain`` on its bands; a gain/loss
+    two-band chain goes through the bands of its asymmetric-hop twin, whose
+    bases are rotated back cell by cell.  A chain that route refuses, and a
+    bare matrix (no spec), go through ``decompose``.
     """
-    if isinstance(spec, (ContinuousHN, DiscreteHN, NonHermitianSSH)):
-        rotate = isinstance(spec, NonHermitianSSH) and spec.axis == "z"
-        bands = build_hamiltonian(replace(spec, axis="y")).bands if rotate else h.bands
-        dec = _decompose_chain(bands)
+    if spec is not None:
+        twin = axis_y_twin(spec)
+        dec = _decompose_chain(h.bands if twin is spec else build_hamiltonian(twin).bands)
         if dec is not None:
-            if rotate:
-                cells = (spec.n_cells, 2, h.dim)
+            if twin is not spec:
+                cells = (h.dim // 2, 2, h.dim)
                 right, left = (
                     np.einsum("ij,cjk->cik", _U_AXIS, b.reshape(cells)).reshape(b.shape)
                     for b in (dec.right, dec.left)
                 )
-                dec = replace(dec, right=right, left=left)
+                dec = replace(dec, right=right, left=left, route="chain+rotation")
             return dec
     return decompose(h)
 
@@ -321,23 +313,23 @@ def evolve_series(
     """
     if method not in ("spectral", "expm", "auto"):
         raise InvalidParameter(f"evolve_series: unknown method {method!r}")
-    used = "expm"
+    route = "expm"
     if method != "expm":
         try:
             dec = decompose_model(h, spec)
-            used = "spectral"
+            route = dec.route
         except DefectiveMatrix:
             if method == "spectral":
                 raise
-    if used == "spectral":
-        amps, log_norms = propagate_spectral(dec, psi0, times)
-    else:
+    if route == "expm":
         amps, log_norms = propagate_expm(h, psi0, times)
+    else:
+        amps, log_norms = propagate_spectral(dec, psi0, times)
     return EvolutionResult(
         times=np.asarray(times, dtype=float),
         site_densities=np.abs(amps) ** 2,
         log_norms=log_norms,
         geometry=h.geometry,
-        method=used,
+        route=route,
         spec=spec,
     )

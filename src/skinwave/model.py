@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -141,6 +141,11 @@ class BoundarySSH:
 
 
 ModelSpec = Union[ContinuousHN, DiscreteHN, NonHermitianSSH, BoundarySSH]
+
+
+def axis_y_twin(spec: ModelSpec) -> ModelSpec:
+    """Axis-'y' twin of an axis-'z' two-band spec (equal up to a per-cell rotation); others as they are."""
+    return replace(spec, axis="y") if getattr(spec, "axis", "y") == "z" else spec
 
 
 @dataclass(frozen=True)

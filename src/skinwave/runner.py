@@ -58,13 +58,14 @@ class OracleSeries:
     x_peak: np.ndarray
     v_in: np.ndarray
     v_ref: np.ndarray
+    note: str | None = None   # why the oracle does not apply to the run
 
 
 @dataclass(frozen=True)
 class ExperimentReport:
     name: str
     classification: str
-    method: str
+    route: str   # 'chain', 'chain+rotation', 'generic' or 'expm'
     v_in_fit: LinearFit | None
     v_ref_fit: LinearFit | None
     v_p_slope: float | None
@@ -74,14 +75,19 @@ class ExperimentReport:
     notes: tuple[str, ...] = ()
     window_truncated: bool = False
 
+    @property
+    def method(self) -> str:
+        return "expm" if self.route == "expm" else "spectral"
+
 
 def oracle_series(
     spec: ModelSpec, packet, trajectory: TrajectorySeries, guard_band: int = 0
 ) -> tuple[OracleSeries, float | None]:
     """Closed-form trajectory for the run plus its max pre-contact deviation.
 
-    Continuum chains use the fully analytic forms; lattice families use the
-    uniform-skin forms driven by the measured width series.  The oracle
+    Continuum chains use the fully analytic forms; lattice families with a
+    skin factor use the uniform-skin forms driven by the measured width series,
+    and the others get empty columns and a note saying why.  The oracle
     trajectory is blanked after wall contact (free-evolution validity only),
     incident velocities before contact, reflected velocities after.  The
     deviation skips the guard band before contact, where the peak is already
@@ -96,6 +102,7 @@ def oracle_series(
     x_o = np.full(len(times), np.nan)
     v_in = np.full(len(times), np.nan)
     v_ref = np.full(len(times), np.nan)
+    deviation, note = None, None
 
     if isinstance(spec, ContinuousHN):
         p = HNOracleParams(
@@ -111,8 +118,9 @@ def oracle_series(
         x_o = p.x0 + (p.k0 / p.m) * times + hn_peak(p, times)
         v_in = hn_v_in(p, times)
         v_ref = hn_v_ref(p, times)
+    elif (r := skin_factor_per_unit_length(spec)) is None:
+        note = "oracle: n/a (no Hermitian counterpart)"
     else:
-        r = skin_factor_per_unit_length(spec)
         g = GeneralOracleParams(
             r=r,
             sigma_times=times,
@@ -127,11 +135,12 @@ def oracle_series(
         except WidthUnavailable:
             pass
 
-    deviation = None
     mask = pre & np.isfinite(x_o)
     if ci is not None:
         mask[max(0, ci - guard_band):] = False
-    if np.any(mask):
+    if isinstance(spec, BoundarySSH):  # bulk r = 1: no uniform-skin law to deviate from
+        note = "oracle: n/a (boundary_ssh has no uniform skin factor)"
+    elif np.any(mask):
         deviation = float(np.max(np.abs(trajectory.x_peak[mask] - x_o[mask])))
 
     x_o[~pre] = np.nan
@@ -140,7 +149,7 @@ def oracle_series(
         v_ref[:] = np.nan
     else:
         v_ref[pre] = np.nan
-    return OracleSeries(times=times, x_peak=x_o, v_in=v_in, v_ref=v_ref), deviation
+    return OracleSeries(times=times, x_peak=x_o, v_in=v_in, v_ref=v_ref, note=note), deviation
 
 
 def fit_peak_velocity_slope(trajectory: TrajectorySeries, options) -> float | None:
@@ -240,20 +249,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         spec, config.packet, trajectory, guard_band=config.analysis.guard_band
     )
     manifest = emit_outputs(result, trajectory, oracle, config)
-    notes = _snapshot_notes(result, config)
-    if isinstance(spec, BoundarySSH):  # r = 1: no uniform-skin law to deviate from
-        deviation, notes = None, ("oracle: n/a (boundary_ssh has no uniform skin factor)",) + notes
     return ExperimentReport(
         name=config.name,
         classification=outcome.kind,
-        method=result.method,
+        route=result.route,
         v_in_fit=outcome.v_in_fit,
         v_ref_fit=outcome.v_ref_fit,
         v_p_slope=fit_peak_velocity_slope(trajectory, config.analysis),
         max_oracle_deviation=deviation,
         contact_time=trajectory.boundary_contact_time,
         manifest=manifest,
-        notes=notes,
+        notes=((oracle.note,) if oracle.note else ()) + _snapshot_notes(result, config),
         window_truncated=outcome.window_truncated,
     )
 
@@ -272,6 +278,7 @@ def format_report(report: ExperimentReport) -> str:
     lines = [
         f"experiment: {report.name}",
         f"method: {report.method}",
+        f"route: {report.route}",
         f"classification: {report.classification}",
     ]
     if report.contact_time is not None:

@@ -1,125 +1,60 @@
-"""Diagonal similarity transforms and Hermitian counterparts.
+"""The diagonal similarity S of a chain, read from its three bands.
 
-A uniform-skin model H is conjugated to a Hermitian matrix by a positive
-diagonal S whose consecutive-entry ratio is the skin factor r (per site for
-chains, per cell for two-band chains).  The boundary-restricted family has no
-uniform transform; it reports the bulk value r = 1 and an identity diagonal.
+A real tridiagonal H with same-sign off-diagonals a (super) and b (sub) is
+taken by the positive diagonal S = diag(1, cumprod(sqrt(b/a))) to the real
+symmetric counterpart S^-1 H S (same diagonal, off-diagonals sign(a) sqrt(a b)).
+S carries the skin effect and the counterpart the Hermitian spreading.  Uniform
+chains give a geometric S, the boundary-restricted two-band chain a non-uniform
+one; the gain/loss variants are read through their asymmetric-hop twin.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParameter
-from .model import (
-    BoundarySSH,
-    ContinuousHN,
-    DiscreteHN,
-    Geometry,
-    HamiltonianMatrix,
-    ModelSpec,
-    NonHermitianSSH,
-)
+from .errors import DimensionMismatch
+from .model import ContinuousHN, ModelSpec, axis_y_twin, build_hamiltonian
 
 
-@dataclass(frozen=True)
-class SimilarityTransform:
-    """Positive diagonal S with its per-site (or per-cell) ratio r."""
+def chain_similarity(bands: dict[int, np.ndarray]):
+    """``(S, diagonal, off_diagonal)`` of the symmetric counterpart, or None where H has none.
 
-    diagonal: np.ndarray
-    skin_factor: float
-    family: str
-    uniform: bool = True   # False: no uniform transform exists (boundary-restricted gamma)
-
-    @property
-    def dim(self) -> int:
-        return len(self.diagonal)
-
-
-def skin_factor(spec: ModelSpec) -> float:
-    """Exponential envelope ratio r of the skin modes; r = 1 iff Hermitian.
-
-    For ``ContinuousHN`` this is the continuum value exp(b m dx), not the
-    finite-difference matrix's own hop ratio (1 - 2 m b dx)^(-1/2); their
-    logarithms agree to first order in m b dx.  Once 2 m b dx >= 1 the
-    forward-gradient hop changes sign and the grid has no Hermitian
-    counterpart at all, while this still returns a finite r.
+    None for dim < 2, an imaginary entry, a nonzero entry off the three bands,
+    a b <= 0 anywhere, or a non-finite S.
     """
-    if isinstance(spec, ContinuousHN):
-        return math.exp(spec.b * spec.m * spec.dx)
-    if isinstance(spec, DiscreteHN):
-        if spec.t1 <= 0 or spec.t_minus1 <= 0:
-            raise InvalidParameter("skin_factor: hops must be positive")
-        return math.sqrt(spec.t_minus1 / spec.t1)
-    if isinstance(spec, NonHermitianSSH):
-        num = abs(spec.t1 - spec.gamma / 2.0)
-        den = abs(spec.t1 + spec.gamma / 2.0)
-        if den == 0 or num == 0:
-            raise InvalidParameter("skin_factor: |gamma/2| == |t1| is excluded")
-        return math.sqrt(num / den)
-    if isinstance(spec, BoundarySSH):
-        return 1.0
-    raise InvalidParameter(f"skin_factor: unknown spec {type(spec).__name__}")
+    n = len(bands.get(1, ())) + 1
+    diag, sup, sub = (bands.get(k, np.zeros(n - abs(k))).real for k in (0, 1, -1))
+    if n < 2 or any(np.count_nonzero(b.imag) or (abs(k) > 1 and np.count_nonzero(b)) for k, b in bands.items()):
+        return None
+    if np.any(sup * sub <= 0):
+        return None
+    s = np.concatenate([[1.0], np.cumprod(np.sqrt(sub / sup))])
+    if not np.all(np.isfinite(s)):
+        return None
+    return s, diag, np.sign(sup) * np.sqrt(sup * sub)
 
 
-def skin_factor_per_unit_length(spec: ModelSpec) -> float:
+def skin_factor(spec: ModelSpec) -> float | None:
+    """Bulk ratio r = S[cell] / S[0] of the spec's similarity; r = 1 iff the bulk is Hermitian.
+
+    Per site for chains, per cell for two-band chains (the intracell ratio if
+    there is one cell); axis 'z' reads its axis-'y' twin.  None without a
+    Hermitian counterpart: strong gamma, or a continuum grid with 2 m b dx >= 1.
+    """
+    h = build_hamiltonian(axis_y_twin(spec))
+    sim = chain_similarity(h.bands)
+    if sim is None:
+        return None
+    s = sim[0]
+    return float(s[min(h.geometry.sites_per_cell, len(s) - 1)] / s[0])
+
+
+def skin_factor_per_unit_length(spec: ModelSpec) -> float | None:
     """r re-expressed per unit coordinate (equals skin_factor for lattice models)."""
     r = skin_factor(spec)
-    if isinstance(spec, ContinuousHN):
+    if r is not None and isinstance(spec, ContinuousHN):
         return r ** (1.0 / spec.dx)
     return r
-
-
-def build_similarity(spec: ModelSpec, dim: int) -> SimilarityTransform:
-    """Diagonal transform matching ``build_hamiltonian(spec)``.
-
-    Chains: diag(r, r^2, ..., r^n) with the continuum case sampled as
-    exp(b m x_i); two-band chains: diag(1, r, r, r^2, r^2, ...).
-    """
-    r = skin_factor(spec)
-    name = type(spec).__name__
-    if isinstance(spec, ContinuousHN):
-        expected = spec.n_sites
-        diag = np.exp(spec.b * spec.m * spec.dx * np.arange(expected))
-    elif isinstance(spec, DiscreteHN):
-        expected = spec.n_sites
-        diag = r ** np.arange(1, expected + 1)
-    elif isinstance(spec, NonHermitianSSH):
-        expected = 2 * spec.n_cells
-        cells = np.arange(spec.n_cells)
-        diag = np.empty(expected)
-        diag[0::2] = r ** cells
-        diag[1::2] = r ** (cells + 1)
-    elif isinstance(spec, BoundarySSH):
-        expected = 2 * spec.n_cells
-        diag = np.ones(expected)
-    else:
-        raise InvalidParameter(f"build_similarity: unknown spec {type(spec).__name__}")
-    if dim != expected:
-        raise DimensionMismatch(f"build_similarity: dim {dim} != expected {expected}")
-    if not np.all(np.isfinite(diag)) or np.any(diag <= 0):
-        raise InvalidParameter("build_similarity: diagonal must be positive and finite")
-    return SimilarityTransform(
-        diagonal=diag,
-        skin_factor=r,
-        family=name,
-        uniform=not isinstance(spec, BoundarySSH),
-    )
-
-
-def hermitian_counterpart(h: HamiltonianMatrix, s: SimilarityTransform) -> HamiltonianMatrix:
-    """S^-1 H S computed band by band: Hbar_ij = H_ij * S_jj / S_ii."""
-    if h.dim != s.dim:
-        raise DimensionMismatch(f"hermitian_counterpart: {h.dim} vs {s.dim}")
-    d = s.diagonal
-    hbar = {}
-    for k, band in h.bands.items():
-        i = np.arange(len(band)) + max(-k, 0)
-        hbar[k] = band * (d[i + k] / d[i])
-    return HamiltonianMatrix(bands=hbar, geometry=h.geometry)
 
 
 def hermiticity_residual(m: np.ndarray) -> float:
@@ -127,4 +62,3 @@ def hermiticity_residual(m: np.ndarray) -> float:
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch("hermiticity_residual: matrix must be square")
     return float(np.max(np.abs(m - m.conj().T)))
-

@@ -52,6 +52,22 @@ class AnalysisOptions:
     classify_window: float | None = None   # None: inspect to the end of the series
     contact_wall: str = "either"           # 'either' | 'left' | 'right'
 
+    def __post_init__(self) -> None:
+        for name, low in (("smoothing_window", 1), ("guard_band", 0)):
+            v = getattr(self, name)
+            if not (float(v).is_integer() and v >= low):
+                raise InvalidParameter(f"AnalysisOptions: {name} must be an integer >= {low}, got {v!r}")
+            object.__setattr__(self, name, int(v))
+        for name in ("contact_threshold", "width_cutoff_fraction"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise InvalidParameter(f"AnalysisOptions: {name} must be finite and positive, got {v!r}")
+            object.__setattr__(self, name, float(v))
+        if self.classify_window is not None and not self.classify_window > 0:
+            raise InvalidParameter("AnalysisOptions: classify_window must be positive when set")
+        if self.contact_wall not in ("either", "left", "right"):
+            raise InvalidParameter("AnalysisOptions: contact_wall must be 'either', 'left', or 'right'")
+
 
 @dataclass(frozen=True)
 class TrajectorySeries:

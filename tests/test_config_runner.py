@@ -14,7 +14,7 @@ from skinwave.config import (
     load_config,
     save_config,
 )
-from skinwave.errors import ConfigError, InvalidGrid, UnknownPreset
+from skinwave.errors import ConfigError, InvalidGrid, InvalidParameter, UnknownPreset
 from skinwave.evolve import EvolutionResult
 from skinwave.model import Geometry
 from skinwave.presets import get_preset, preset_names
@@ -121,6 +121,9 @@ _MALFORMED = {
     ),
     "directory-int": ({"output": {"directory": 3}}, "output.directory must be a str"),
     "flag-str": ({"output": {"heatmap": "false"}}, "output.heatmap must be a bool"),
+    "name-int": ({"name": 3}, "config.name must be a str"),
+    "threshold-nan": ({"analysis": {"contact_threshold": float("nan")}}, "analysis: .*contact_threshold"),
+    "cutoff-nan": ({"analysis": {"width_cutoff_fraction": float("nan")}}, "analysis: .*width_cutoff_fraction"),
 }
 
 
@@ -154,6 +157,22 @@ def test_null_output_values_read_as_absent():
     output = config_from_dict(_malformed({"output": {"directory": None, "heatmap": None}})).output
     assert output == OutputOptions()
     assert output.directory == "out"
+    assert config_from_dict(_malformed({"name": None})).name == "custom"
+
+
+def test_analysis_options_check_themselves():
+    for bad in (
+        {"contact_threshold": float("nan")},
+        {"width_cutoff_fraction": float("inf")},
+        {"smoothing_window": 0},
+        {"guard_band": 2.5},
+        {"classify_window": 0.0},
+        {"contact_wall": "top"},
+    ):
+        with pytest.raises(InvalidParameter, match=next(iter(bad))):
+            sw.AnalysisOptions(**bad)
+    opts = sw.AnalysisOptions(smoothing_window=5.0, contact_threshold=6)
+    assert (type(opts.smoothing_window), type(opts.contact_threshold)) == (int, float)
 
 
 def test_time_grid_checked_at_construction():
@@ -202,7 +221,7 @@ def test_emit_outputs_golden_two_band(tmp_path):
         site_densities=np.array([[0.1, 0.2, 0.3, 0.4], [0.0, 0.0, 0.0, 0.0]]),
         log_norms=log_norms,
         geometry=geometry,
-        method="spectral",
+        route="chain",
     )
     trajectory = TrajectorySeries(
         times=times,
@@ -387,3 +406,29 @@ def test_boundary_ssh_reports_no_oracle_deviation(tmp_path):
     assert "max_oracle_deviation" not in text
     assert "oracle: n/a" in text
     assert (tmp_path / "out" / "oracle.csv").exists()
+
+
+def test_strong_gamma_ssh_runs_without_oracle(tmp_path, capsys):
+    """|gamma/2| > |t1| has no Hermitian counterpart: the run still writes
+    every file, with an empty lattice oracle and a note saying why."""
+    cfg = small_config(
+        tmp_path / "out",
+        model={"family": "non_hermitian_ssh", "t1": 1.0, "t2": 1.0, "gamma": 3.0, "n_cells": 40},
+        packet={"sigma": 4.0, "x0": 20.0, "k0": 0.0},
+        times={"t_max": 5.0, "frame_count": 10},
+    )
+    path = tmp_path / "cfg.json"
+    save_config(cfg, path)
+    assert main(["run", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "oracle: n/a (no Hermitian counterpart)" in out
+    assert "max_oracle_deviation" not in out
+    rows = (tmp_path / "out" / "oracle.csv").read_text().splitlines()[1:]
+    assert len(rows) == 10 and all(row.endswith(",,,") for row in rows)
+
+
+def test_report_names_the_route(tmp_path):
+    assert "method: spectral\nroute: chain\n" in format_report(run_experiment(small_config(tmp_path / "a")))
+    expm = run_experiment(small_config(tmp_path / "b", method="expm"))
+    assert (expm.method, expm.route) == ("expm", "expm")
+    assert "method: expm\nroute: expm\n" in format_report(expm)

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 import skinwave as sw
 from skinwave.errors import DefectiveMatrix, InvalidParameter
 from skinwave.evolve import decompose, decompose_model, evolve_series, matrix_exp
-from skinwave.similarity import build_similarity
+from skinwave.model import axis_y_twin
+from skinwave.presets import get_preset, preset_names
+from skinwave.similarity import chain_similarity
 
 RNG = np.random.default_rng(1234)
 
@@ -38,10 +40,10 @@ def test_decompose_biorthogonality_and_reconstruction():
 def test_decompose_shares_spectrum_with_counterpart():
     spec = sw.DiscreteHN(1.0, 2.0, 50)
     h = sw.build_hamiltonian(spec)
-    s = sw.build_similarity(spec, 50)
-    hbar = sw.hermitian_counterpart(h, s)
+    _, diag, off = chain_similarity(h.bands)
+    hbar = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     ev_h = np.sort_complex(decompose(h).eigenvalues)
-    ev_b = np.sort_complex(np.linalg.eigvals(hbar.matrix))
+    ev_b = np.sort_complex(np.linalg.eigvals(hbar))
     assert np.max(np.abs(ev_h - ev_b)) < 1e-8
 
 
@@ -199,11 +201,11 @@ def test_similarity_dynamics_identity():
     ]
     for spec, packet, t in cases:
         h = sw.build_hamiltonian(spec)
-        s = build_similarity(spec, h.dim)
+        s, _, _ = chain_similarity(h.bands)
         psi0 = sw.gaussian_state(h.geometry, packet)
         (lhs,), (lhs_ln,) = sw.propagate_spectral(decompose_model(h, spec), psi0, [t])
-        hbar = h.matrix * (s.diagonal[None, :] / s.diagonal[:, None])
-        rhs = s.diagonal * (matrix_exp(-1j * hbar * t) @ (psi0.amplitudes / s.diagonal))
+        hbar = h.matrix * (s[None, :] / s[:, None])
+        rhs = s * (matrix_exp(-1j * hbar * t) @ (psi0.amplitudes / s))
         nrm = np.linalg.norm(rhs)
         assert np.linalg.norm(lhs - rhs / nrm) < 1e-8
         assert lhs_ln == pytest.approx(psi0.log_norm_offset + np.log(nrm), abs=1e-8)
@@ -309,8 +311,10 @@ def _refuse_dense(self):
         sw.DiscreteHN(1.0, 2.0, 12),
         sw.NonHermitianSSH(2.0, 1.0, -0.2, 8, axis="y"),
         sw.NonHermitianSSH(2.0, 1.0, -0.2, 8, axis="z"),
+        sw.BoundarySSH(2.0, 1.0, -0.8, 8, 3, axis="y"),
+        sw.BoundarySSH(2.0, 1.0, -0.8, 8, 3, axis="z"),
     ],
-    ids=["continuous", "discrete", "ssh-y", "ssh-z"],
+    ids=["continuous", "discrete", "ssh-y", "ssh-z", "boundary-y", "boundary-z"],
 )
 def test_chain_route_never_assembles_dense_matrix(spec, monkeypatch):
     h = sw.build_hamiltonian(spec)
@@ -326,7 +330,7 @@ def test_chain_route_never_assembles_dense_matrix(spec, monkeypatch):
 
 
 def test_generic_route_assembles_dense_matrix(monkeypatch):
-    spec = sw.BoundarySSH(2.0, 1.0, -0.2, 8, 3, axis="z")
+    spec = sw.NonHermitianSSH(0.5, 1.0, 2.0, 8, axis="z")   # |gamma/2| > |t1|: no counterpart
     h = sw.build_hamiltonian(spec)
     monkeypatch.setattr(sw.HamiltonianMatrix, "matrix", property(_refuse_dense))
     with pytest.raises(_DenseAssembled):
@@ -383,7 +387,7 @@ def small_specs(draw):
         else:
             cells = draw(st.integers(min_value=0, max_value=n))
             spec = sw.BoundarySSH(t1, t2, gamma, n, cells, axis)
-        span = cells * abs(math.log(sw.skin_factor(sw.NonHermitianSSH(t1, t2, gamma, 1))))
+        span = cells * 0.5 * abs(math.log(abs(t1 - gamma / 2.0) / abs(t1 + gamma / 2.0)))
     assume(span <= 10.0)
     return spec
 
@@ -404,3 +408,28 @@ def test_auto_matches_expm_on_small_specs(spec, t_max, seed):
     assert np.max(np.abs(auto.log_norms - ref.log_norms)) <= 1e-7
     for res in (auto, ref):
         assert np.array_equal(res.site_densities[0], np.abs(psi0.amplitudes) ** 2)
+
+
+def test_every_preset_has_a_chain_similarity():
+    for name in preset_names():
+        spec = get_preset(name).model
+        assert chain_similarity(sw.build_hamiltonian(axis_y_twin(spec)).bands) is not None, name
+
+
+@pytest.mark.parametrize(
+    "spec, method, route",
+    [
+        (sw.DiscreteHN(1.0, 2.0, 12), "auto", "chain"),
+        (sw.BoundarySSH(2.0, 1.0, -0.8, 8, 3, axis="z"), "auto", "chain+rotation"),
+        (sw.NonHermitianSSH(0.5, 1.0, 2.0, 8, axis="y"), "auto", "generic"),
+        (sw.DiscreteHN(1.0, 2.0, 12), "expm", "expm"),
+    ],
+)
+def test_evolve_series_names_its_route(spec, method, route):
+    h = sw.build_hamiltonian(spec)
+    psi0 = random_state(h.dim, np.random.default_rng(3))
+    res = evolve_series(h, psi0, [0.0, 1.0], method=method, spec=spec)
+    assert res.route == route
+    assert res.method == ("expm" if route == "expm" else "spectral")
+    if route != "expm":
+        assert decompose_model(h, spec).route == route

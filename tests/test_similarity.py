@@ -4,8 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skinwave as sw
-from skinwave.errors import DimensionMismatch
 from skinwave.evolve import _decompose_chain
+from skinwave.model import axis_y_twin
+
+
+def _counterpart(spec):
+    """S, H conjugated by S (dense), and the symmetric counterpart ``chain_similarity`` reports."""
+    h = sw.build_hamiltonian(spec)
+    s, diag, off = sw.chain_similarity(h.bands)
+    conjugated = h.matrix * (s[None, :] / s[:, None])
+    return s, conjugated, np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def test_skin_factor_values():
@@ -15,6 +23,10 @@ def test_skin_factor_values():
     )
     assert sw.skin_factor(sw.NonHermitianSSH(2.0, 1.0, -0.2, 8)) == pytest.approx(
         1.051315, abs=1e-6
+    )
+    # one cell has no intercell hop: the intracell ratio stands for the cell
+    assert sw.skin_factor(sw.NonHermitianSSH(2.0, 1.0, -0.2, 1)) == sw.skin_factor(
+        sw.NonHermitianSSH(2.0, 1.0, -0.2, 8)
     )
 
 
@@ -38,55 +50,62 @@ def test_skin_factor_scale_consistent(t1, tm1, c):
 
 
 def test_skin_factor_per_unit_length_continuous():
+    # the grid's own hop ratio (1 - 2 m b dx)^(-1/2), not the continuum exp(b m dx)
     spec = sw.ContinuousHN(m=1.5, b=0.8, length=5.0, dx=0.05)
-    assert sw.skin_factor(spec) == pytest.approx(np.exp(0.8 * 1.5 * 0.05))
-    assert sw.skin_factor_per_unit_length(spec) == pytest.approx(np.exp(0.8 * 1.5))
+    assert sw.skin_factor(spec) == pytest.approx(0.88 ** -0.5)
+    assert sw.skin_factor_per_unit_length(spec) == pytest.approx(0.88 ** -10.0)
+
+
+def test_skin_factor_none_without_counterpart():
+    assert sw.skin_factor(sw.NonHermitianSSH(1.0, 1.0, 3.0, 8)) is None
+    assert sw.skin_factor(sw.NonHermitianSSH(1.0, 1.0, 3.0, 8, axis="z")) is None
+    coarse = sw.ContinuousHN(m=1.5, b=1.375, length=4.0, dx=0.25)   # 2 m b dx > 1
+    assert sw.skin_factor(coarse) is None
+    assert sw.skin_factor_per_unit_length(coarse) is None
 
 
 def test_build_similarity_discrete_pattern():
-    s = sw.build_similarity(sw.DiscreteHN(1.0, 4.0, 3), 3)   # r = 2
-    assert np.allclose(s.diagonal, [2.0, 4.0, 8.0], rtol=1e-12)
-    assert s.skin_factor == pytest.approx(2.0)
+    s, _, _ = sw.chain_similarity(sw.build_hamiltonian(sw.DiscreteHN(1.0, 4.0, 3)).bands)   # r = 2
+    assert np.allclose(s, [1.0, 2.0, 4.0], rtol=1e-12)
+    assert sw.skin_factor(sw.DiscreteHN(1.0, 4.0, 3)) == pytest.approx(2.0)
 
 
 def test_build_similarity_ssh_pattern():
-    # t1 = 5/3, gamma = -2 gives r = 2 per cell
-    spec = sw.NonHermitianSSH(t1=5.0 / 3.0, t2=1.0, gamma=-2.0, n_cells=2)
-    s = sw.build_similarity(spec, 4)
-    assert np.allclose(s.diagonal, [1.0, 2.0, 2.0, 4.0], rtol=1e-12)
+    # t1 = 5/3, gamma = -2 gives r = 2 per cell, on both axes
+    for axis in ("y", "z"):
+        spec = sw.NonHermitianSSH(t1=5.0 / 3.0, t2=1.0, gamma=-2.0, n_cells=2, axis=axis)
+        s, _, _ = sw.chain_similarity(sw.build_hamiltonian(axis_y_twin(spec)).bands)
+        assert np.allclose(s, [1.0, 2.0, 2.0, 4.0], rtol=1e-12)
+        assert sw.skin_factor(spec) == pytest.approx(2.0)
 
 
 def test_build_similarity_hermitian_is_identity():
-    s = sw.build_similarity(sw.DiscreteHN(1.2, 1.2, 5), 5)
-    assert np.allclose(s.diagonal, np.ones(5))
+    s, _, _ = sw.chain_similarity(sw.build_hamiltonian(sw.DiscreteHN(1.2, 1.2, 5)).bands)
+    assert np.allclose(s, np.ones(5))
 
 
 def test_build_similarity_boundary_ssh_identity_flagged():
+    """The boundary-restricted chain has a non-uniform S: ratio 1 in the bulk
+    and r only across the gamma cells; its bulk skin factor is 1."""
     spec = sw.BoundarySSH(20.0, 10.0, -2.0, 6, boundary_cells=2)
-    s = sw.build_similarity(spec, 12)
-    assert not s.uniform
-    assert s.skin_factor == 1.0
-    assert np.array_equal(s.diagonal, np.ones(12))
-
-
-def test_build_similarity_dim_mismatch():
-    with pytest.raises(DimensionMismatch):
-        sw.build_similarity(sw.DiscreteHN(1.0, 2.0, 5), 6)
+    assert sw.chain_similarity(sw.build_hamiltonian(spec).bands) is None   # axis z: imaginary hops
+    s, _, _ = sw.chain_similarity(sw.build_hamiltonian(axis_y_twin(spec)).bands)
+    r = np.sqrt(21.0 / 19.0)
+    assert np.allclose(s, [1.0] * 9 + [r, r, r * r], rtol=1e-12)
+    assert sw.skin_factor(spec) == 1.0
 
 
 def test_continuous_similarity_ratio_constant():
     spec = sw.ContinuousHN(m=2.0, b=0.3, length=4.0, dx=0.1)
-    s = sw.build_similarity(spec, spec.n_sites)
-    ratios = s.diagonal[1:] / s.diagonal[:-1]
-    assert np.allclose(ratios, np.exp(0.3 * 2.0 * 0.1), rtol=1e-12)
-    assert np.allclose(s.diagonal, np.exp(0.3 * 2.0 * 0.1 * np.arange(spec.n_sites)))
+    s, _, _ = sw.chain_similarity(sw.build_hamiltonian(spec).bands)
+    ratios = s[1:] / s[:-1]
+    ratio = (1.0 - 2.0 * 2.0 * 0.3 * 0.1) ** -0.5
+    assert np.allclose(ratios, ratio, rtol=1e-12)
+    assert np.allclose(s, ratio ** np.arange(spec.n_sites))
 
 
 def test_hermitian_counterpart_discrete_hand_conjugation():
-    spec = sw.DiscreteHN(1.0, 2.0, 4)
-    h = sw.build_hamiltonian(spec)
-    s = sw.build_similarity(spec, 4)
-    hbar = sw.hermitian_counterpart(h, s).matrix
+    _, conjugated, hbar = _counterpart(sw.DiscreteHN(1.0, 2.0, 4))
     hop = np.sqrt(2.0)
     expected = np.array(
         [
@@ -97,23 +116,23 @@ def test_hermitian_counterpart_discrete_hand_conjugation():
         ]
     )
     assert np.allclose(hbar, expected, atol=1e-12)
-    assert sw.hermiticity_residual(hbar) < 1e-12
+    assert np.allclose(conjugated, expected, atol=1e-12)
+    assert sw.hermiticity_residual(conjugated) < 1e-12
 
 
 def test_hermitian_counterpart_identity_is_noop():
-    spec = sw.DiscreteHN(1.0, 2.0, 4)
-    h = sw.build_hamiltonian(spec)
-    ident = sw.SimilarityTransform(np.ones(4), 1.0, "DiscreteHN")
-    assert np.array_equal(sw.hermitian_counterpart(h, ident).matrix, h.matrix)
+    h = sw.build_hamiltonian(sw.DiscreteHN(1.3, 1.3, 4))
+    s, diag, off = sw.chain_similarity(h.bands)
+    assert np.array_equal(s, np.ones(4))
+    assert np.array_equal(diag, h.bands[0].real)
+    assert np.array_equal(off, h.bands[1].real)
 
 
 def test_hermitian_counterpart_ssh():
-    spec = sw.NonHermitianSSH(2.0, 1.0, -0.2, 20, axis="y")
-    h = sw.build_hamiltonian(spec)
-    s = sw.build_similarity(spec, h.dim)
-    hbar = sw.hermitian_counterpart(h, s).matrix
-    assert sw.hermiticity_residual(hbar) < 1e-10
-    assert hbar[0, 1].real == pytest.approx(1.997498, abs=1e-6)
+    _, conjugated, hbar = _counterpart(sw.NonHermitianSSH(2.0, 1.0, -0.2, 20, axis="y"))
+    assert sw.hermiticity_residual(conjugated) < 1e-10
+    assert np.max(np.abs(conjugated - hbar)) < 1e-10
+    assert hbar[0, 1] == pytest.approx(1.997498, abs=1e-6)
 
 
 def test_hermiticity_residual_values():
@@ -125,17 +144,12 @@ def test_hermiticity_residual_values():
 
 
 def test_continuous_counterpart_residual():
-    """The sampled-exponential conjugation leaves a b^2 m residual on the
-    off-diagonals (the forward stencil is not exactly conjugated); relative to
-    the 1/dx^2 matrix scale it is O(dx)."""
-    spec = sw.ContinuousHN(m=1.0, b=1.0, length=10.0, dx=0.01)
-    h = sw.build_hamiltonian(spec)
-    s = sw.build_similarity(spec, h.dim)
-    hbar = sw.hermitian_counterpart(h, s).matrix
-    residual = sw.hermiticity_residual(hbar)
-    b, m, dx = spec.b, spec.m, spec.dx
-    assert residual <= 1.1 * (b * b * m + b**3 * m * m * dx)
-    assert residual / np.max(np.abs(hbar)) <= 5.0 * dx * max(abs(b), 1.0) * m
+    """S read from the grid's own bands conjugates the finite-difference
+    matrix exactly: the residual is roundoff on the 1/dx^2 matrix scale."""
+    _, conjugated, hbar = _counterpart(sw.ContinuousHN(m=1.0, b=1.0, length=10.0, dx=0.01))
+    scale = np.max(np.abs(conjugated))
+    assert sw.hermiticity_residual(conjugated) <= 1e-13 * scale
+    assert np.max(np.abs(conjugated - hbar)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize(
@@ -148,8 +162,7 @@ def test_continuous_counterpart_residual():
 )
 def test_conjugation_preserves_spectrum(spec):
     h = sw.build_hamiltonian(spec)
-    s = sw.build_similarity(spec, h.dim)
-    hbar = sw.hermitian_counterpart(h, s).matrix
+    _, _, hbar = _counterpart(spec)
     ev_h = np.sort_complex(np.linalg.eigvals(h.matrix))
     ev_b = np.sort_complex(np.linalg.eigvals(hbar))
     scale = max(1.0, np.max(np.abs(ev_h)))
