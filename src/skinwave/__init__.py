@@ -44,16 +44,13 @@ from .oracle import (
     GeneralOracleParams,
     HNOracleParams,
     general_peak,
-    general_peak_velocity,
     general_velocities,
     hn_density,
     hn_peak,
-    hn_peak_velocity,
-    hn_v_in,
-    hn_v_ref,
+    hn_width_series,
+    measured_width_series,
     norm_amplification,
     predict_stuck,
-    reflected_momentum,
     sigma_sq_t,
 )
 from .similarity import (
@@ -73,7 +70,6 @@ from .wavepacket import (
     extract_trajectory,
     gaussian_state,
     peak_position,
-    peak_velocity_series,
     sigma_from_halfwidth,
     top_two_peaks,
 )

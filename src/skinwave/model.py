@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -326,15 +326,19 @@ def hermitian_dispersion(spec: ModelSpec, k: float, band: int = 1) -> float:
     return float(bloch_dispersion(spec, k)[1 if band == 1 else 0])
 
 
-def dispersion_handle(spec: ModelSpec, band: int = 1) -> Callable[[float], float]:
-    """Counterpart dispersion as a plain callable (for velocity derivatives)."""
-    return lambda k: hermitian_dispersion(spec, k, band)
+def group_velocity(spec: ModelSpec, k, band: int = 1):
+    """dE/dk of the Hermitian counterpart in closed form, for scalar or array ``k``.
 
-
-def group_velocity(spec: ModelSpec, k: float, band: int = 1, step: float = 1e-5) -> float:
-    """dE/dk of the Hermitian counterpart by central difference."""
-    e = dispersion_handle(spec, band)
-    return (e(k + step) - e(k - step)) / (2.0 * step)
+    ``band`` = +1/-1 picks the band of two-band chains; chains ignore it.
+    """
+    if isinstance(spec, ContinuousHN):
+        return k / spec.m
+    if isinstance(spec, DiscreteHN):
+        return -2.0 * _SQ(spec.t1 * spec.t_minus1) * np.sin(k)
+    if band not in (1, -1):
+        raise InvalidParameter("group_velocity: band must be +1 or -1")
+    tbar = counterpart_t1(spec)
+    return -band * tbar * spec.t2 * np.sin(k) / np.abs(tbar + spec.t2 * np.exp(1j * k))
 
 
 def solve_momentum_for_velocity(
@@ -346,7 +350,7 @@ def solve_momentum_for_velocity(
     reach, which happens when the target equals the band's top speed.
     """
     ks = np.linspace(1e-6, k_hi, 4001)
-    vs = np.array([group_velocity(spec, k, band) for k in ks])
+    vs = group_velocity(spec, ks, band)
     if target > 0:
         above = np.nonzero(vs >= target)[0]
     else:

@@ -9,6 +9,7 @@ velocity fits, oracle deviations, and a sha256 manifest of everything written.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,22 +18,14 @@ import numpy as np
 from .config import ExperimentConfig, load_config
 from .errors import WidthUnavailable
 from .evolve import EvolutionResult, evolve_series
-from .model import (
-    BoundarySSH,
-    ContinuousHN,
-    ModelSpec,
-    build_hamiltonian,
-    dispersion_handle,
-    group_velocity,
-)
+from .model import BoundarySSH, ContinuousHN, ModelSpec, build_hamiltonian, group_velocity
 from .oracle import (
     GeneralOracleParams,
     HNOracleParams,
     general_peak,
     general_velocities,
-    hn_peak,
-    hn_v_in,
-    hn_v_ref,
+    hn_width_series,
+    measured_width_series,
 )
 from .presets import get_preset
 from .similarity import skin_factor_per_unit_length
@@ -85,13 +78,13 @@ def oracle_series(
 ) -> tuple[OracleSeries, float | None]:
     """Closed-form trajectory for the run plus its max pre-contact deviation.
 
-    Continuum chains use the fully analytic forms; lattice families with a
-    skin factor use the uniform-skin forms driven by the measured width series,
-    and the others get empty columns and a note saying why.  The oracle
-    trajectory is blanked after wall contact (free-evolution validity only),
-    incident velocities before contact, reflected velocities after.  The
-    deviation skips the guard band before contact, where the peak is already
-    transitioning onto the wall.
+    Every family with a Hermitian counterpart gets the one skin law: the
+    continuum chain with kappa = b m and its analytic width, the lattices with
+    kappa = ln r and their measured width series; the others get empty
+    columns and a note saying why.  The oracle trajectory is blanked after
+    wall contact (free-evolution validity only), incident velocities before
+    contact, reflected velocities after.  The deviation skips the guard band
+    before contact, where the peak is already transitioning onto the wall.
     """
     times = trajectory.times
     ci = trajectory.contact_index
@@ -102,38 +95,24 @@ def oracle_series(
     x_o = np.full(len(times), np.nan)
     v_in = np.full(len(times), np.nan)
     v_ref = np.full(len(times), np.nan)
-    deviation, note = None, None
+    deviation, note, widths = None, None, None
 
     if isinstance(spec, ContinuousHN):
-        p = HNOracleParams(
-            m=spec.m,
-            b=spec.b,
-            sigma=packet.sigma,
-            k0=packet.k0,
-            x0=packet.x0,
-            e0=spec.e0,
-            wall_left=0.0,
-            wall_right=spec.length,
-        )
-        x_o = p.x0 + (p.k0 / p.m) * times + hn_peak(p, times)
-        v_in = hn_v_in(p, times)
-        v_ref = hn_v_ref(p, times)
+        kappa = spec.b * spec.m
+        widths = hn_width_series(HNOracleParams(m=spec.m, b=spec.b, sigma=packet.sigma), times)
     elif (r := skin_factor_per_unit_length(spec)) is None:
         note = "oracle: n/a (no Hermitian counterpart)"
     else:
-        g = GeneralOracleParams(
-            r=r,
-            sigma_times=times,
-            sigma_values=trajectory.sigma_measured,
-            dispersion=dispersion_handle(spec, band=-1),
-            k0=packet.k0,
-        )
-        v0 = group_velocity(spec, packet.k0, band=-1)  # lower band of two-band chains
+        kappa = math.log(r)
         try:
-            x_o = packet.x0 + v0 * times + general_peak(g, times)
-            v_in, v_ref = general_velocities(g, times)
+            widths = measured_width_series(times, trajectory.sigma_measured)
         except WidthUnavailable:
             pass
+    if widths is not None:
+        v0 = group_velocity(spec, packet.k0, band=-1)  # lower band of two-band chains
+        g = GeneralOracleParams(kappa, v0, times, *widths, x0=packet.x0)
+        x_o = general_peak(g)
+        v_in, v_ref = general_velocities(g)
 
     mask = pre & np.isfinite(x_o)
     if ci is not None:

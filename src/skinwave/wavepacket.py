@@ -249,12 +249,6 @@ def differentiate(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.gradient(np.asarray(values, dtype=float), np.asarray(times, dtype=float))
 
 
-def peak_velocity_series(trajectory: TrajectorySeries, smoothing_window: int = 1) -> np.ndarray:
-    """Numerical time derivative of the peak series."""
-    x = moving_average(trajectory.x_peak, smoothing_window)
-    return differentiate(trajectory.times, x)
-
-
 def extract_trajectory(result: EvolutionResult, options: AnalysisOptions) -> TrajectorySeries:
     """Measure peak, width, and velocity on every frame and locate wall contact.
 
@@ -321,10 +315,7 @@ def _width_ok(trajectory: TrajectorySeries, options: AnalysisOptions) -> np.ndar
 
 
 def classify_reflection(
-    trajectory: TrajectorySeries,
-    boundary: float | None = None,
-    window: float | None = None,
-    options: AnalysisOptions = AnalysisOptions(),
+    trajectory: TrajectorySeries, options: AnalysisOptions = AnalysisOptions()
 ) -> ReflectionOutcome:
     """Stuck / reflected / no-contact decision with incident and reflected fits.
 
@@ -337,12 +328,9 @@ def classify_reflection(
     """
     if trajectory.contact_index is None:
         return ReflectionOutcome(kind="no_contact")
-    if boundary is None:
-        boundary = trajectory.contact_boundary
     times = trajectory.times
     t_contact = trajectory.boundary_contact_time
-    if window is None:
-        window = options.classify_window
+    window = options.classify_window
     truncated = False
     if window is None:
         t_end = times[-1]
@@ -354,7 +342,7 @@ def classify_reflection(
 
     in_window = (times >= t_contact) & (times <= t_end)
     threshold = options.contact_threshold * trajectory.dx
-    dist = np.abs(trajectory.x_peak - boundary)
+    dist = np.abs(trajectory.x_peak - trajectory.contact_boundary)
     if np.all(dist[in_window] <= threshold):
         return ReflectionOutcome(kind="stuck", window_truncated=truncated)
 

@@ -188,13 +188,13 @@ def test_criterion_9_structure_suites():
     drift = float(np.max(np.abs(np.exp(res.log_norms - res.log_norms[0]) - 1.0)))
     assert drift < 1e-9
 
-    # closed-form gradient check
+    # closed-form gradient check: the skin law's peak velocity 2 kappa d sigma^2/dt
     p = sw.HNOracleParams(m=1.0, b=1.0, sigma=0.25)
     step = 1e-6
-    grad_err = max(
-        abs((sw.hn_peak(p, t + step) - sw.hn_peak(p, t - step)) / (2 * step) - sw.hn_peak_velocity(p, t))
-        for t in (0.1, 0.4, 0.9)
-    )
+    ts = np.array([0.1, 0.4, 0.9])
+    law = sw.GeneralOracleParams(p.b * p.m, 0.0, ts, *sw.hn_width_series(p, ts))
+    numeric = (sw.hn_peak(p, ts + step) - sw.hn_peak(p, ts - step)) / (2 * step)
+    grad_err = float(np.max(np.abs(numeric - sw.general_velocities(law)[0])))
     assert grad_err < 1e-8
     _ok(
         9,

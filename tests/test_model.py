@@ -267,6 +267,50 @@ def test_spec_validation_errors():
         sw.BoundarySSH(t1=1.0, t2=1.0, gamma=-0.2, n_cells=10, boundary_cells=2.5)
 
 
+_VELOCITY_SPECS = (
+    sw.ContinuousHN(m=1.5, b=1.0, length=10.0, dx=0.01),
+    sw.DiscreteHN(1.0, 2.0, 10),
+    sw.NonHermitianSSH(2.0, 1.0, -0.2, 10, axis="y"),
+    sw.NonHermitianSSH(2.0, 1.0, -0.2, 10, axis="z"),
+    sw.BoundarySSH(20.0, 10.0, -2.0, 10, 4, axis="y"),
+    sw.BoundarySSH(20.0, 10.0, -2.0, 10, 4, axis="z"),
+)
+
+
+def test_group_velocity_matches_dispersion_derivative():
+    h = 1e-5
+    for spec in _VELOCITY_SPECS:
+        for band in (1, -1):
+            for k in (-2.9, -1.3, -0.4, 0.3, 1.0, 2.0, 2.8):
+                e_up = sw.hermitian_dispersion(spec, k + h, band)
+                e_down = sw.hermitian_dispersion(spec, k - h, band)
+                numeric = (e_up - e_down) / (2.0 * h)
+                assert group_velocity(spec, k, band) == pytest.approx(numeric, rel=1e-7)
+
+
+def test_group_velocity_array_equals_scalar():
+    ks = np.linspace(-np.pi, np.pi, 41)
+    for spec in _VELOCITY_SPECS:
+        for band in (1, -1):
+            v = group_velocity(spec, ks, band)
+            assert np.array_equal(v, [group_velocity(spec, k, band) for k in ks])
+
+
+def test_group_velocity_is_odd():
+    """v(-k) = -v(k): every counterpart band is even, so a packet reflects to -k0."""
+    ks = np.linspace(0.0, np.pi, 41)
+    for spec in _VELOCITY_SPECS:
+        for band in (1, -1):
+            assert np.array_equal(group_velocity(spec, -ks, band), -group_velocity(spec, ks, band))
+
+
+def test_group_velocity_band_must_be_plus_or_minus_one():
+    for spec in _VELOCITY_SPECS[2:]:
+        for band in (0, 2):
+            with pytest.raises(InvalidParameter, match="band"):
+                group_velocity(spec, 0.5, band)
+
+
 def test_momentum_solver_hits_target_velocity():
     spec = sw.NonHermitianSSH(t1=20.0, t2=10.0, gamma=-2.0, n_cells=50, axis="y")
     k = solve_momentum_for_velocity(spec, 1.0, band=-1)

@@ -5,10 +5,26 @@ from hypothesis import strategies as st
 
 import skinwave as sw
 from skinwave.errors import InvalidParameter, WidthUnavailable
-from skinwave.model import dispersion_handle
-from skinwave.oracle import dispersion_velocity, general_peak_velocity, measured_sigma_sq
+from skinwave.model import group_velocity
+from skinwave.presets import get_preset
+from skinwave.runner import oracle_series
+from skinwave.wavepacket import TrajectorySeries
 
-FIG1 = sw.HNOracleParams(m=1.0, b=1.0, sigma=0.25, x0=5.0, wall_right=10.0)
+FIG1 = sw.HNOracleParams(m=1.0, b=1.0, sigma=0.25, x0=5.0)
+
+
+def _hn_law(p, t):
+    """The continuum's skin law on the time grid ``t`` (kappa = b m, v0 = k0/m)."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    return sw.GeneralOracleParams(p.b * p.m, p.k0 / p.m, ts, *sw.hn_width_series(p, ts), x0=p.x0)
+
+
+def _v_in(p, t):
+    return sw.general_velocities(_hn_law(p, t))[0]
+
+
+def _v_ref(p, t):
+    return sw.general_velocities(_hn_law(p, t))[1]
 
 
 def test_sigma_sq_t_values():
@@ -21,44 +37,47 @@ def test_sigma_sq_t_values():
 def test_hn_peak_and_velocity_values():
     still = sw.HNOracleParams(m=1.0, b=0.0, sigma=0.25)
     assert sw.hn_peak(still, 3.0) == 0.0
-    assert sw.hn_peak_velocity(still, 3.0) == 0.0
+    assert _v_in(still, 3.0) == 0.0
     assert sw.hn_peak(FIG1, 0.5) == pytest.approx(2.0)
-    assert sw.hn_peak_velocity(FIG1, 0.5) == pytest.approx(8.0)
+    # at rest the incident velocity is the peak velocity 2 b m d sigma^2/dt
+    assert _v_in(FIG1, 0.5) == pytest.approx(8.0)
     # the slope of v_p(t) is b / (m sigma^2) = 16
-    assert sw.hn_peak_velocity(FIG1, 1.0) - sw.hn_peak_velocity(FIG1, 0.0) == pytest.approx(16.0)
+    assert _v_in(FIG1, 1.0) - _v_in(FIG1, 0.0) == pytest.approx(16.0)
+    # at rest the law's peak is x0 + hn_peak (its grid starts at t = 0)
+    assert sw.general_peak(_hn_law(FIG1, [0.0, 0.5]))[1] == pytest.approx(5.0 + 2.0)
 
 
 def test_hn_peak_velocity_is_derivative_of_peak():
     h = 1e-6
     for t in (0.1, 0.5, 1.1):
         numeric = (sw.hn_peak(FIG1, t + h) - sw.hn_peak(FIG1, t - h)) / (2.0 * h)
-        assert abs(numeric - sw.hn_peak_velocity(FIG1, t)) < 1e-8
+        assert abs(numeric - _v_in(FIG1, t)[0]) < 1e-8
 
 
 def test_incident_and_reflected_velocities():
     elastic = sw.HNOracleParams(m=1.0, b=0.0, sigma=0.25, k0=7.0)
-    assert sw.hn_v_in(elastic, 2.0) == pytest.approx(7.0)
-    assert sw.hn_v_ref(elastic, 2.0) == pytest.approx(-7.0)
+    assert _v_in(elastic, 2.0) == pytest.approx(7.0)
+    assert _v_ref(elastic, 2.0) == pytest.approx(-7.0)
 
     fast = sw.HNOracleParams(m=1.0, b=1.0, sigma=0.25, k0=20.0)
     for t in (0.0, 0.3, 1.0):
-        assert sw.hn_v_in(fast, t) == pytest.approx(20.0 + 16.0 * t)
-        assert sw.hn_v_ref(fast, t) == pytest.approx(-20.0 + 16.0 * t)
+        assert _v_in(fast, t) == pytest.approx(20.0 + 16.0 * t)
+        assert _v_ref(fast, t) == pytest.approx(-20.0 + 16.0 * t)
     # the reflected packet stalls at the right wall once v_ref >= 0
     t_stall = 20.0 * 0.25**2 / 1.0
     assert t_stall == pytest.approx(1.25)
-    assert sw.hn_v_ref(fast, t_stall) == pytest.approx(0.0, abs=1e-12)
+    assert _v_ref(fast, t_stall) == pytest.approx(0.0, abs=1e-12)
     # a time array gives the same values as one call per time
     grid = np.array([0.0, 0.3, 1.0, t_stall])
-    for law in (sw.hn_peak, sw.hn_v_in, sw.hn_v_ref):
-        assert np.array_equal(law(fast, grid), [law(fast, t) for t in grid])
+    for law in (sw.hn_peak, _v_in, _v_ref):
+        assert np.array_equal(law(fast, grid), np.ravel([law(fast, t) for t in grid]))
 
 
 @settings(max_examples=40)
 @given(st.floats(min_value=0.0, max_value=5.0))
 def test_velocity_difference_is_constant(t):
     fast = sw.HNOracleParams(m=2.0, b=0.7, sigma=0.4, k0=3.0)
-    assert sw.hn_v_in(fast, t) - sw.hn_v_ref(fast, t) == pytest.approx(2.0 * 3.0 / 2.0)
+    assert _v_in(fast, t) - _v_ref(fast, t) == pytest.approx(2.0 * 3.0 / 2.0)
 
 
 def test_hn_density_initial_and_normalized():
@@ -97,47 +116,39 @@ def test_norm_amplification_monotone():
     assert sw.norm_amplification(still, 2.0) == 1.0
 
 
-def _general(r, sigma_times, sigma_values, spec=None, k0=0.0, smoothing=1):
-    disp = dispersion_handle(spec, band=-1) if spec is not None else (lambda k: k * k / 2.0)
-    return sw.GeneralOracleParams(
-        r=r,
-        sigma_times=np.asarray(sigma_times, dtype=float),
-        sigma_values=np.asarray(sigma_values, dtype=float),
-        dispersion=disp,
-        k0=k0,
-        smoothing_window=smoothing,
-    )
+def _general(kappa, times, sigmas, v0=0.0, smoothing=1):
+    times = np.asarray(times, dtype=float)
+    widths = sw.measured_width_series(times, np.asarray(sigmas, dtype=float), smoothing)
+    return sw.GeneralOracleParams(kappa, v0, times, *widths)
 
 
 def test_general_peak_trivial_and_ssh_value():
     ts = np.array([0.0, 1.0])
-    g1 = _general(1.0, ts, [20.0, 25.0])
-    assert sw.general_peak(g1, 1.0) == 0.0
+    g1 = _general(0.0, ts, [20.0, 25.0])
+    assert sw.general_peak(g1)[1] == 0.0
 
     r = sw.skin_factor(sw.NonHermitianSSH(2.0, 1.0, -0.2, 10))
-    g = _general(r, ts, [20.0, 25.0])
-    assert sw.general_peak(g, 1.0) == pytest.approx(22.52, abs=0.01)
+    g = _general(np.log(r), ts, [20.0, 25.0])
+    assert sw.general_peak(g)[1] == pytest.approx(22.52, abs=0.01)
 
 
 def test_general_peak_interpolates_missing_widths():
     ts = np.array([0.0, 1.0, 2.0])
-    g = _general(2.0, ts, [10.0, np.nan, 12.0])
-    mid = sw.general_peak(g, 1.0)
-    lo, hi = sw.general_peak(g, 0.0), sw.general_peak(g, 2.0)
+    lo, mid, hi = sw.general_peak(_general(np.log(2.0), ts, [10.0, np.nan, 12.0]))
     assert lo < mid < hi
     with pytest.raises(WidthUnavailable):
-        sw.general_peak(_general(2.0, ts, [np.nan] * 3), 1.0)
+        _general(np.log(2.0), ts, [np.nan] * 3)
 
 
 def test_general_reduces_to_continuum_forms():
-    """With r = exp(b m) and the analytic width series the general expressions
-    reproduce the continuum peak law exactly."""
+    """With kappa = b m and the analytic width series the measured-width law
+    reproduces the continuum peak law exactly."""
     p = sw.HNOracleParams(m=1.0, b=1.0, sigma=0.25)
     ts = np.linspace(0.0, 1.2, 121)
     sigmas = np.sqrt([sw.sigma_sq_t(p, t) for t in ts])
-    g = _general(np.exp(p.b * p.m), ts, sigmas)
-    for t in ts[::10]:
-        assert sw.general_peak(g, t) == pytest.approx(sw.hn_peak(p, t), abs=1e-10)
+    peak = sw.general_peak(_general(p.b * p.m, ts, sigmas))
+    for i in range(0, 121, 10):
+        assert peak[i] == pytest.approx(sw.hn_peak(p, ts[i]), abs=1e-10)
 
 
 def test_general_velocities_and_reflected_momentum():
@@ -146,36 +157,46 @@ def test_general_velocities_and_reflected_momentum():
     p = sw.HNOracleParams(m=1.0, b=1.0, sigma=20.0)
     ts = np.linspace(0.0, 40.0, 81)
     sigmas = np.sqrt([sw.sigma_sq_t(p, t) for t in ts])
-    g = _general(r, ts, sigmas, spec=spec, k0=2.0, smoothing=5)
+    v_plus = group_velocity(spec, 2.0, band=-1)
+    g = _general(np.log(r), ts, sigmas, v0=v_plus, smoothing=5)
 
-    assert sw.reflected_momentum(g) == -2.0
-    v_plus = dispersion_velocity(g, 2.0)
-    v_minus = dispersion_velocity(g, -2.0)
+    # the reflected momentum is -k0: the counterpart band is even
+    v_minus = group_velocity(spec, -2.0, band=-1)
     assert v_plus == pytest.approx(-v_minus, rel=1e-9)
 
-    v_in, v_ref = sw.general_velocities(g, 20.0)
-    vp = general_peak_velocity(g, 20.0)
-    assert v_in == pytest.approx(v_plus + vp, rel=1e-9)
-    assert v_ref == pytest.approx(-v_plus + vp, rel=1e-9)
-
-    grid = np.linspace(0.0, 40.0, 17)
-    v_in_grid, v_ref_grid = sw.general_velocities(g, grid)
-    assert np.array_equal(v_in_grid, [sw.general_velocities(g, t)[0] for t in grid])
-    assert np.array_equal(v_ref_grid, [sw.general_velocities(g, t)[1] for t in grid])
+    v_in, v_ref = sw.general_velocities(g)
+    vp = 2.0 * np.log(r) * g.dsigma_sq_dt
+    assert v_in[40] == pytest.approx(v_plus + vp[40], rel=1e-9)
+    assert v_ref[40] == pytest.approx(-v_plus + vp[40], rel=1e-9)
 
 
 def test_general_velocities_hermitian_symmetric():
     spec = sw.NonHermitianSSH(2.0, 1.0, 0.0, 50)
     ts = np.linspace(0.0, 10.0, 11)
-    g = _general(1.0, ts, np.full(11, 20.0), spec=spec, k0=1.0)
-    v_in, v_ref = sw.general_velocities(g, 5.0)
-    assert v_ref == pytest.approx(-v_in, rel=1e-9)
+    g = _general(0.0, ts, np.full(11, 20.0), v0=group_velocity(spec, 1.0, band=-1))
+    v_in, v_ref = sw.general_velocities(g)
+    assert v_ref[5] == pytest.approx(-v_in[5], rel=1e-9)
 
 
-def test_reflected_momentum_trivial_cases():
-    g = _general(1.5, [0.0, 1.0], [5.0, 6.0], k0=0.0)
-    assert sw.reflected_momentum(g) == 0.0
-    assert sw.reflected_momentum(g, 3.0) == -3.0  # parabola is even
+def test_continuum_oracle_columns_state_the_hn_laws():
+    """On fig1c's frame grid the oracle columns are x0 + (k0/m) t + hn_peak
+    before contact and +-k0/m + b t / (m sigma^2) on their sides of it."""
+    cfg = get_preset("fig1c")
+    spec, packet = cfg.model, cfg.packet
+    times = np.linspace(0.0, cfg.times.t_max, cfg.times.frame_count)
+    ci = 35
+    blank = np.full(len(times), np.nan)
+    trajectory = TrajectorySeries(
+        times=times, x_peak=np.zeros(len(times)), v_peak=blank, sigma_measured=blank,
+        log_norm=blank, boundary_contact_time=float(times[ci]), contact_index=ci,
+        contact_boundary=spec.length, domain=(0.0, spec.length), dx=spec.dx,
+    )
+    oracle, _ = oracle_series(spec, packet, trajectory)
+    p = sw.HNOracleParams(m=spec.m, b=spec.b, sigma=packet.sigma, k0=packet.k0, x0=packet.x0)
+    drift = spec.b * times / (spec.m * packet.sigma**2)
+    assert np.array_equal(oracle.x_peak[:ci], (p.x0 + (p.k0 / p.m) * times + sw.hn_peak(p, times))[:ci])
+    assert np.array_equal(oracle.v_in[:ci], (p.k0 / p.m + drift)[:ci])
+    assert np.array_equal(oracle.v_ref[ci:], (-p.k0 / p.m + drift)[ci:])
 
 
 def test_predict_stuck_threshold():
@@ -187,12 +208,12 @@ def test_predict_stuck_threshold():
 def test_measured_sigma_smoothing_window():
     ts = np.arange(5.0)
     noisy = np.array([10.0, 12.0, 10.0, 12.0, 10.0])
-    g = _general(2.0, ts, noisy, smoothing=5)
-    assert measured_sigma_sq(g, 2.0) == pytest.approx(np.mean(noisy**2))
+    g = _general(np.log(2.0), ts, noisy, smoothing=5)
+    assert g.sigma_sq[2] == pytest.approx(np.mean(noisy**2))
 
 
 def test_general_params_validation():
     with pytest.raises(InvalidParameter):
-        _general(-1.0, [0.0], [5.0])
+        _general(np.nan, [0.0, 1.0], [5.0, 6.0])
     with pytest.raises(InvalidParameter):
         sw.HNOracleParams(m=0.0, b=1.0, sigma=0.25)

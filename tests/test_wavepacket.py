@@ -12,7 +12,7 @@ from skinwave.errors import (
 )
 from skinwave.evolve import evolve_series
 from skinwave.model import Geometry
-from skinwave.wavepacket import moving_average, top_two_peaks
+from skinwave.wavepacket import differentiate, moving_average, top_two_peaks
 
 
 def box_geometry(n=1000, dx=0.01):
@@ -180,20 +180,18 @@ def _fake_trajectory(times, x):
     )
 
 
-def test_peak_velocity_series_constant_and_quadratic():
+def test_differentiate_constant_and_quadratic():
     times = np.arange(0.0, 1.0, 0.01)
-    traj = _fake_trajectory(times, np.full_like(times, 3.3))
-    assert np.allclose(sw.peak_velocity_series(traj), 0.0, atol=1e-12)
+    assert np.allclose(differentiate(times, np.full_like(times, 3.3)), 0.0, atol=1e-12)
 
-    traj = _fake_trajectory(times, 8.0 * times**2)
-    v = sw.peak_velocity_series(traj)
+    v = differentiate(times, 8.0 * times**2)
     assert np.allclose(v[1:-1], 16.0 * times[1:-1], atol=1e-6)
 
 
-def test_peak_velocity_needs_three_samples():
+def test_differentiate_needs_three_samples():
     times = np.array([0.0, 1.0])
     with pytest.raises(InsufficientData):
-        sw.peak_velocity_series(_fake_trajectory(times, times))
+        differentiate(times, times)
 
 
 def test_moving_average_window_one_is_identity():
