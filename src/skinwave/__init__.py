@@ -50,7 +50,6 @@ from .oracle import (
     hn_width_series,
     measured_width_series,
     norm_amplification,
-    predict_stuck,
     sigma_sq_t,
 )
 from .similarity import (

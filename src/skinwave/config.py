@@ -1,6 +1,6 @@
 """Experiment configuration: dataclasses plus the JSON file format.
 
-The file mirrors the dataclass fields one-to-one:
+The file mirrors the dataclass fields one-to-one (``_build`` reads each section):
 
 {
   "model":    {"family": "continuous_hn", "m": 1.0, "b": 1.0, "length": 10.0,
@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .errors import ConfigError, InvalidGrid, SkinwaveError
+from .errors import ConfigError, InvalidGrid, InvalidParameter, SkinwaveError
 from .model import MAX_DIM, BoundarySSH, ContinuousHN, DiscreteHN, ModelSpec, NonHermitianSSH
 from .wavepacket import AnalysisOptions, GaussianParams
 
@@ -78,6 +78,10 @@ class ExperimentConfig:
     snapshot_times: tuple = ()
     name: str = "custom"
 
+    def __post_init__(self) -> None:
+        if self.method not in METHODS:
+            raise InvalidParameter(f"ExperimentConfig: method must be one of {METHODS}, got {self.method!r}")
+
     def with_overrides(self, out_dir=None, method=None, heatmap=None) -> "ExperimentConfig":
         cfg = self
         if out_dir is not None:
@@ -89,41 +93,49 @@ class ExperimentConfig:
         return cfg
 
 
-def _section(raw: dict, key: str, required: bool = False) -> dict:
-    """The mapping under ``key``; an absent or null optional section reads as empty."""
-    if key not in raw and required:
-        raise ConfigError(f"config.{key} is required")
-    v = raw.get(key)
-    if v is None and not required:
+def _mapping(section, where: str) -> dict:
+    """``section`` as a mapping; an absent or null section reads as empty."""
+    if section is None:
         return {}
-    if not isinstance(v, dict):
-        raise ConfigError(f"{key} must be a mapping, got {type(v).__name__}")
-    return v
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a mapping, got {type(section).__name__}")
+    return section
 
 
-def _field(mapping: dict, key, where: str, default=None, kind=(int, float)):
-    """``mapping[key]`` as a ``kind`` (a bool is no number); absent or null reads as ``default``."""
-    v = mapping.get(key)
+_KINDS = {"str": str, "bool": bool}   # any other annotation is a number
+
+
+def _value(v, kind: str, where: str):
+    """``v`` as a field annotated ``kind``: a str, a bool, or else a number (never a bool)."""
     if v is None:
-        if default is None:
-            raise ConfigError(f"{where}.{key} is required")
-        return default
-    if not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool):
-        noun = kind.__name__ if isinstance(kind, type) else "number"
-        raise ConfigError(f"{where}.{key} must be a {noun}, got {v!r}")
+        raise ConfigError(f"{where} is required")
+    want = _KINDS.get(kind, (int, float))
+    if not isinstance(v, want) or (isinstance(v, bool) and want is not bool):
+        raise ConfigError(f"{where} must be a {kind if kind in _KINDS else 'number'}, got {v!r}")
     return v
 
 
-def _model_from_dict(d: dict) -> ModelSpec:
-    family = d.get("family")
-    cls = _FAMILIES.get(family) if isinstance(family, str) else None
-    if cls is None:
-        raise ConfigError(f"model.family must be one of {sorted(_FAMILIES)}, got {family!r}")
-    kwargs = {k: v for k, v in d.items() if k != "family"}
+def _build(cls, section, where: str, **given):
+    """``cls`` from the mapping ``section``, each field of its annotated kind.
+
+    An absent or null field takes the dataclass default (required if it has
+    none), an unknown key is refused, and the range is ``cls``'s own check.
+    ``given`` supplies fields already built from subsections.
+    """
+    section = _mapping(section, where)
+    names = {f.name for f in fields(cls)}
+    for key in section:
+        if key not in names:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+    kwargs = dict(given)
+    for f in fields(cls):
+        v = section.get(f.name)
+        if f.name not in given and (v is not None or f.default is MISSING):
+            kwargs[f.name] = _value(v, f.type, f"{where}.{f.name}")
     try:
         return cls(**kwargs)
-    except (TypeError, SkinwaveError) as exc:
-        raise ConfigError(f"model: {exc}") from exc
+    except SkinwaveError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _model_to_dict(spec: ModelSpec) -> dict:
@@ -133,70 +145,27 @@ def _model_to_dict(spec: ModelSpec) -> dict:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    model = _model_from_dict(_section(raw, "model", required=True))
-
-    pk = _section(raw, "packet", required=True)
-    sigma = _field(pk, "sigma", "packet")
-    if sigma <= 0:
-        raise ConfigError("packet.sigma must be positive")
-    try:
-        packet = GaussianParams(
-            sigma=sigma, x0=_field(pk, "x0", "packet"), k0=_field(pk, "k0", "packet", 0.0)
-        )
-    except SkinwaveError as exc:
-        raise ConfigError(f"packet: {exc}") from exc
-
-    tm = _section(raw, "times", required=True)
-    t_max, frame_count = _field(tm, "t_max", "times"), _field(tm, "frame_count", "times")
-    try:
-        times = TimeGrid(t_max=t_max, frame_count=frame_count)
-    except SkinwaveError as exc:
-        raise ConfigError(f"times: {exc}") from exc
-
-    method = raw.get("method", "auto")
-    if method not in METHODS:
-        raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
-
-    an = _section(raw, "analysis")
-    window = an.get("classify_window")
-    knobs = dict(
-        smoothing_window=_field(an, "smoothing_window", "analysis", 1),
-        contact_threshold=_field(an, "contact_threshold", "analysis", 3.0),
-        guard_band=_field(an, "guard_band", "analysis", 5),
-        width_cutoff_fraction=_field(an, "width_cutoff_fraction", "analysis", 0.25),
-        classify_window=None if window is None else _field(an, "classify_window", "analysis"),
-        contact_wall=_field(an, "contact_wall", "analysis", "either", str),
-    )
-    try:
-        analysis = AnalysisOptions(**knobs)
-    except SkinwaveError as exc:
-        raise ConfigError(f"analysis: {exc}") from exc
-
-    out = _section(raw, "output")
-    output = OutputOptions(
-        directory=_field(out, "directory", "output", "out", str),
-        density_csv=_field(out, "density_csv", "output", True, bool),
-        trajectory_csv=_field(out, "trajectory_csv", "output", True, bool),
-        heatmap=_field(out, "heatmap", "output", True, bool),
-        oracle_csv=_field(out, "oracle_csv", "output", True, bool),
-    )
-
-    snaps = raw.get("snapshot_times", []) or []
+    raw = _mapping(raw, "config")
+    model = dict(_mapping(raw.get("model"), "model"))
+    family = model.pop("family", None)
+    cls = _FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
+        raise ConfigError(f"model.family must be one of {sorted(_FAMILIES)}, got {family!r}")
+    snaps = raw.get("snapshot_times") or []
     if not isinstance(snaps, (list, tuple)):
         raise ConfigError("snapshot_times must be a list of times")
-    snaps = dict(enumerate(snaps))
-
-    return ExperimentConfig(
-        model=model,
-        packet=packet,
-        times=times,
-        method=method,
-        analysis=analysis,
-        output=output,
-        snapshot_times=tuple(float(_field(snaps, i, "snapshot_times")) for i in snaps),
-        name=_field(raw, "name", "config", "custom", str),
+    return _build(
+        ExperimentConfig,
+        raw,
+        "config",
+        model=_build(cls, model, "model"),
+        packet=_build(GaussianParams, raw.get("packet"), "packet"),
+        times=_build(TimeGrid, raw.get("times"), "times"),
+        analysis=_build(AnalysisOptions, raw.get("analysis"), "analysis"),
+        output=_build(OutputOptions, raw.get("output"), "output"),
+        snapshot_times=tuple(
+            float(_value(v, "float", f"snapshot_times.{i}")) for i, v in enumerate(snaps)
+        ),
     )
 
 

@@ -108,8 +108,3 @@ def general_velocities(g: GeneralOracleParams) -> tuple[np.ndarray, np.ndarray]:
     """(v_in, v_ref) = (v0, -v0) + 2 kappa d sigma^2/dt; every counterpart band is even."""
     vp = 2.0 * g.kappa * g.dsigma_sq_dt
     return g.v0 + vp, -g.v0 + vp
-
-
-def predict_stuck(v0: float, r: float, dsigma_sq_dt: float) -> bool:
-    """Right-wall sticking criterion: v_ref >= 0, i.e. v0 <= 2 ln(r) d sigma^2/dt."""
-    return v0 <= 2.0 * math.log(r) * dsigma_sq_dt

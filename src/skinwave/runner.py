@@ -78,9 +78,10 @@ def oracle_series(
 ) -> tuple[OracleSeries, float | None]:
     """Closed-form trajectory for the run plus its max pre-contact deviation.
 
-    Every family with a Hermitian counterpart gets the one skin law: the
-    continuum chain with kappa = b m and its analytic width, the lattices with
-    kappa = ln r and their measured width series; the others get empty
+    Every family with a uniform skin factor gets the one skin law: the
+    continuum chain with kappa = b m and its analytic width, the uniform
+    lattices with kappa = ln r and their measured width series.
+    ``boundary_ssh`` and chains with no Hermitian counterpart get empty
     columns and a note saying why.  The oracle trajectory is blanked after
     wall contact (free-evolution validity only), incident velocities before
     contact, reflected velocities after.  The deviation skips the guard band
@@ -100,6 +101,8 @@ def oracle_series(
     if isinstance(spec, ContinuousHN):
         kappa = spec.b * spec.m
         widths = hn_width_series(HNOracleParams(m=spec.m, b=spec.b, sigma=packet.sigma), times)
+    elif isinstance(spec, BoundarySSH):  # bulk r = 1: no uniform-skin law to deviate from
+        note = "oracle: n/a (boundary_ssh has no uniform skin factor)"
     elif (r := skin_factor_per_unit_length(spec)) is None:
         note = "oracle: n/a (no Hermitian counterpart)"
     else:
@@ -117,9 +120,7 @@ def oracle_series(
     mask = pre & np.isfinite(x_o)
     if ci is not None:
         mask[max(0, ci - guard_band):] = False
-    if isinstance(spec, BoundarySSH):  # bulk r = 1: no uniform-skin law to deviate from
-        note = "oracle: n/a (boundary_ssh has no uniform skin factor)"
-    elif np.any(mask):
+    if np.any(mask):
         deviation = float(np.max(np.abs(trajectory.x_peak[mask] - x_o[mask])))
 
     x_o[~pre] = np.nan

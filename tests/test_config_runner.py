@@ -1,9 +1,12 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import skinwave as sw
+import skinwave.config
 from skinwave.cli import main
 from skinwave.config import (
     ExperimentConfig,
@@ -49,10 +52,7 @@ def test_preset_round_trips_through_files(tmp_path):
         cfg = get_preset(name)
         path = tmp_path / f"{name}.json"
         save_config(cfg, path)
-        loaded = load_config(path)
-        assert loaded.model == cfg.model
-        assert loaded.packet == cfg.packet
-        assert loaded.analysis == cfg.analysis
+        assert load_config(path) == cfg
 
 
 def test_config_validation_messages():
@@ -63,7 +63,7 @@ def test_config_validation_messages():
     }
     bad_sigma = json.loads(json.dumps(base))
     bad_sigma["packet"]["sigma"] = -0.5
-    with pytest.raises(ConfigError, match="packet.sigma"):
+    with pytest.raises(ConfigError, match="packet: .*sigma"):
         config_from_dict(bad_sigma)
 
     bad_family = json.loads(json.dumps(base))
@@ -124,6 +124,23 @@ _MALFORMED = {
     "name-int": ({"name": 3}, "config.name must be a str"),
     "threshold-nan": ({"analysis": {"contact_threshold": float("nan")}}, "analysis: .*contact_threshold"),
     "cutoff-nan": ({"analysis": {"width_cutoff_fraction": float("nan")}}, "analysis: .*width_cutoff_fraction"),
+    "packet-unknown": ({"packet": {"sigma": 1.0, "x0": 5.0, "width": 2.0}}, "packet: unknown key 'width'"),
+    "times-unknown": ({"times": {"t_max": 1.0, "frame_count": 5, "dt": 0.1}}, "times: unknown key 'dt'"),
+    "analysis-typo": ({"analysis": {"contact_treshold": 9}}, "analysis: unknown key 'contact_treshold'"),
+    "output-typo": ({"output": {"heat_map": False}}, "output: unknown key 'heat_map'"),
+    "top-level-typo": ({"snapshot_time": [1.0]}, "config: unknown key 'snapshot_time'"),
+    "model-unknown": (
+        {"model": {"family": "discrete_hn", "t1": 1.0, "t_minus1": 2.0, "n_sites": 10, "n": 3}},
+        "model: unknown key 'n'",
+    ),
+    "n_sites-bool": (
+        {"model": {"family": "discrete_hn", "t1": 1.0, "t_minus1": 2.0, "n_sites": True}},
+        "model.n_sites must be a number",
+    ),
+    "t1-bool": (
+        {"model": {"family": "discrete_hn", "t1": True, "t_minus1": 2.0, "n_sites": 10}},
+        "model.t1 must be a number",
+    ),
 }
 
 
@@ -158,6 +175,26 @@ def test_null_output_values_read_as_absent():
     assert output == OutputOptions()
     assert output.directory == "out"
     assert config_from_dict(_malformed({"name": None})).name == "custom"
+
+
+def test_config_fields_state_their_kind_and_default():
+    """The reader takes each field's kind from its annotation and its default from the field."""
+    for cls in (sw.ContinuousHN, sw.DiscreteHN, sw.NonHermitianSSH, sw.BoundarySSH,
+                sw.GaussianParams, TimeGrid, sw.AnalysisOptions, OutputOptions):
+        for f in dataclasses.fields(cls):
+            assert f.type in ("float", "int", "float | None", "str", "bool"), (cls.__name__, f.name)
+            assert f.default_factory is dataclasses.MISSING, (cls.__name__, f.name)
+
+
+def test_documented_config_examples_load():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = config_from_dict(json.loads(example))
+    assert (cfg.name, cfg.model) == ("my-run", sw.ContinuousHN(m=1.0, b=1.0, length=10.0, dx=0.01))
+    docstring = skinwave.config.__doc__
+    assert config_from_dict(json.loads(docstring[docstring.index("{"):docstring.index("\n}\n") + 2])) == (
+        dataclasses.replace(cfg, name="custom")
+    )
 
 
 def test_analysis_options_check_themselves():
@@ -405,7 +442,8 @@ def test_boundary_ssh_reports_no_oracle_deviation(tmp_path):
     text = format_report(report)
     assert "max_oracle_deviation" not in text
     assert "oracle: n/a" in text
-    assert (tmp_path / "out" / "oracle.csv").exists()
+    rows = (tmp_path / "out" / "oracle.csv").read_text().splitlines()[1:]
+    assert len(rows) == 10 and all(row.endswith(",,,") for row in rows)
 
 
 def test_strong_gamma_ssh_runs_without_oracle(tmp_path, capsys):

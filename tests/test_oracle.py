@@ -200,9 +200,12 @@ def test_continuum_oracle_columns_state_the_hn_laws():
 
 
 def test_predict_stuck_threshold():
+    """The right-wall sticking criterion is the law's v_ref >= 0: v0 <= 2 ln(r) d sigma^2/dt."""
     r = sw.skin_factor(sw.NonHermitianSSH(20.0, 1.0, -2.0, 10))
-    assert sw.predict_stuck(1.0, r, dsigma_sq_dt=11.0)
-    assert not sw.predict_stuck(1.0, r, dsigma_sq_dt=9.0)
+    g = sw.GeneralOracleParams(np.log(r), 1.0, np.array([0.0, 1.0]), np.zeros(2), np.array([11.0, 9.0]))
+    _, v_ref = sw.general_velocities(g)
+    assert v_ref[0] >= 0.0
+    assert v_ref[1] < 0.0
 
 
 def test_measured_sigma_smoothing_window():
