@@ -81,6 +81,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise InvalidParameter(f"ExperimentConfig: method must be one of {METHODS}, got {self.method!r}")
+        for t in self.snapshot_times:
+            if not 0.0 <= t <= self.times.t_max:
+                raise InvalidParameter(
+                    f"ExperimentConfig: snapshot time {t!r} outside the frame grid [0, {self.times.t_max:g}]"
+                )
 
     def with_overrides(self, out_dir=None, method=None, heatmap=None) -> "ExperimentConfig":
         cfg = self
@@ -151,7 +156,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     cls = _FAMILIES.get(family) if isinstance(family, str) else None
     if cls is None:
         raise ConfigError(f"model.family must be one of {sorted(_FAMILIES)}, got {family!r}")
-    snaps = raw.get("snapshot_times") or []
+    snaps = raw.get("snapshot_times", ())
+    if snaps is None:
+        snaps = ()
     if not isinstance(snaps, (list, tuple)):
         raise ConfigError("snapshot_times must be a list of times")
     return _build(

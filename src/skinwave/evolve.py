@@ -3,7 +3,7 @@
 Two independent routes:
 
 * spectral: biorthogonal eigen-expansion, every frame of the time grid
-  evaluated directly from the initial state in one product (no step
+  evaluated directly from the initial state in one synthesis (no step
   accumulation);
 * expm: scaling-and-squaring matrix exponential, stepped over the frame grid.
 
@@ -12,14 +12,24 @@ Both take a grid of elapsed times and return unit-normalised amplitudes
 exp(hundreds) stay representable.  A frame at zero elapsed time is the
 initial state itself.
 
-Every model family goes through its real symmetric counterpart, which
-``similarity.chain_similarity`` reads from the operator's three bands with the
-positive diagonal S (uniform or not): one real eigh, scaled by S, gives both
-bases and stays accurate far past where inverting the right-eigenvector matrix
-fails (states weighted at the small-S end lose eps * S_max / S_min).  The
-gain/loss two-band chains use their asymmetric-hop twin's bands, rotated back
-per cell.  Only a chain without a counterpart, or a bare matrix, takes the
-generic route (condition cap 1e12); it and expm are all that assemble a dense H.
+Every model family goes through its real symmetric counterpart Hbar =
+S^-1 H S, which ``similarity.chain_similarity`` reads from the operator's three
+bands with the positive diagonal S; the route is chosen from Hbar's bands and
+none solves an eigenproblem of the whole chain:
+
+* sine: a uniform Hbar (continuum and discrete chains); its modes are the
+  DST-I, so expansion and synthesis are one FFT each and only S is stored;
+* chiral: a zero-diagonal Hbar (the two-band chains); one SVD of its
+  half-size intercell block gives the modes at E = +-sigma;
+* ...+rotation: the gain/loss two-band chains use their asymmetric-hop twin,
+  rotating psi0 into it and the frames back cell by cell;
+* generic: a chain without a counterpart, or a bare matrix; eig plus a
+  polished inverse (condition cap 1e12).
+
+States are mapped through S^-1 and S, which stays accurate far past where
+inverting the right-eigenvector matrix fails (states weighted at the small-S
+end lose eps * S_max / S_min).  Only the generic and expm routes assemble a
+dense H.
 """
 
 from __future__ import annotations
@@ -73,17 +83,127 @@ class WaveState:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues with biorthonormal right/left bases: left^H @ right == I."""
+    """Generic route: eigenvalues with biorthonormal right/left bases, left^H @ right == I.
+
+    Every decomposition maps states to mode coefficients (``expand``) and
+    per-frame coefficients back to amplitudes (``synthesize``), both over the
+    last axis, and exposes ``right``/``left``.
+    """
 
     eigenvalues: np.ndarray
     right: np.ndarray    # columns R_n
     left: np.ndarray     # columns L_n
     condition: float     # max left-vector norm (diagnostic)
-    route: str           # 'chain', 'chain+rotation' or 'generic'
+    route: str           # 'generic'
 
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
+
+    def expand(self, psi: np.ndarray) -> np.ndarray:
+        """Mode coefficients L^H psi of the states ``psi`` (..., dim)."""
+        return psi @ self.left.conj()
+
+    def synthesize(self, coeff: np.ndarray) -> np.ndarray:
+        """Amplitudes R c of the mode coefficients ``coeff`` (..., dim)."""
+        return coeff @ self.right.T
+
+
+def _rotate(amps: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Apply the 2x2 matrix ``u`` to every two-site cell along the last axis."""
+    return (amps.reshape(amps.shape[:-1] + (-1, 2)) @ u.T).reshape(amps.shape)
+
+
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I over the last axis, sqrt(2/(N+1)) sum_j x_j sin(j n pi/(N+1)); its own inverse.
+
+    Bins 1..N of the FFT of the odd extension (0, x, 0, -reversed x) are -2i
+    times the sine sums.
+    """
+    n = x.shape[-1]
+    pad = np.zeros(x.shape[:-1] + (1,), dtype=x.dtype)
+    odd = np.concatenate([pad, x, pad, -x[..., ::-1]], axis=-1)
+    return np.fft.fft(odd)[..., 1 : n + 1] * (0.5j * math.sqrt(2.0 / (n + 1)))
+
+
+@dataclass(frozen=True)
+class _CounterpartModes:
+    """Modes of H = S Hbar S^-1 from the orthonormal modes Q of its real symmetric counterpart Hbar.
+
+    R = S Q and L = Q / S, kept as maps: subclasses give Q^T (``_modes``) and
+    Q (``_sites``) over the last axis.  ``rotated`` (axis 'z') conjugates both
+    by the per-cell rotation from the axis-'y' twin.  ``right`` and ``left``
+    (columns of R unit) are assembled from the maps on every access.
+    """
+
+    eigenvalues: np.ndarray
+    s: np.ndarray
+    rotated: bool
+
+    @property
+    def dim(self) -> int:
+        return len(self.eigenvalues)
+
+    @property
+    def route(self) -> str:
+        return self.name + ("+rotation" if self.rotated else "")
+
+    def expand(self, psi: np.ndarray) -> np.ndarray:
+        """Mode coefficients L^H psi = Q^T S^-1 W^H psi of the states ``psi`` (..., dim)."""
+        if self.rotated:
+            psi = _rotate(psi, _U_AXIS.conj().T)
+        return self._modes(psi / self.s)
+
+    def synthesize(self, coeff: np.ndarray) -> np.ndarray:
+        """Amplitudes R c = W S Q c of the mode coefficients ``coeff`` (..., dim)."""
+        amps = self.s * self._sites(coeff)
+        return _rotate(amps, _U_AXIS) if self.rotated else amps
+
+    def _bases(self) -> tuple[np.ndarray, np.ndarray]:
+        eye = np.eye(self.dim)
+        right = self.synthesize(eye).T
+        norms = np.linalg.norm(right, axis=0)
+        return right / norms, self.expand(eye).conj() * norms
+
+    @property
+    def right(self) -> np.ndarray:
+        return self._bases()[0]
+
+    @property
+    def left(self) -> np.ndarray:
+        return self._bases()[1]
+
+
+@dataclass(frozen=True)
+class SineModes(_CounterpartModes):
+    """Route 'sine': a uniform counterpart, whose modes are the orthonormal DST-I (one FFT per map)."""
+
+    name = "sine"
+    _modes = _sites = staticmethod(_dst1)   # the DST-I matrix is symmetric
+
+
+@dataclass(frozen=True)
+class ChiralModes(_CounterpartModes):
+    """Route 'chiral': a zero-diagonal counterpart, [[0, B], [B^T, 0]] between even and odd sites.
+
+    With B = U diag(sigma) V^T, the modes are (u_n, +-v_n) / sqrt(2) at
+    E = +-sigma_n: two half-size products per map.
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+    name = "chiral"
+
+    def _modes(self, x: np.ndarray) -> np.ndarray:
+        a, b = x[..., 0::2] @ self.u, x[..., 1::2] @ self.v
+        return np.concatenate([a + b, a - b], axis=-1) / math.sqrt(2.0)
+
+    def _sites(self, c: np.ndarray) -> np.ndarray:
+        plus, minus = np.split(c / math.sqrt(2.0), 2, axis=-1)
+        amps = np.empty(c.shape, dtype=complex)
+        amps[..., 0::2] = (plus + minus) @ self.u.T
+        amps[..., 1::2] = (plus - minus) @ self.v.T
+        return amps
 
 
 @dataclass(frozen=True)
@@ -145,48 +265,44 @@ def decompose(h) -> SpectralDecomposition:
     )
 
 
-def _decompose_chain(bands: dict[int, np.ndarray]) -> SpectralDecomposition | None:
-    """Chain route through the real symmetric counterpart; None where H has none.
+def _decompose_chain(bands: dict[int, np.ndarray]) -> SineModes | ChiralModes | None:
+    """Counterpart route chosen from the structure of the counterpart's bands; None where none fits.
 
-    The eigenvectors Q of the counterpart S^-1 H S give R = S Q and L = S^-1 Q.
+    A uniform counterpart d + c (shift + shift^T) takes 'sine', E_n = d + 2 c
+    cos(n pi / (N+1)); a zero-diagonal one on an even number of sites takes
+    'chiral', one SVD of the half-size B.  No eigensolve of the whole chain.
     """
     sim = chain_similarity(bands)
     if sim is None:
         return None
     s, diag, off = sim
-    energies, q = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    right = s[:, None] * q
-    norms = np.linalg.norm(right, axis=0)
-    if not np.all(np.isfinite(norms)) or np.any(norms == 0):
-        raise NumericalOverflow("similarity-scaled eigenbasis overflowed")
-    right /= norms
-    left = (q / s[:, None]) * norms
-    if not np.all(np.isfinite(left)):
-        raise NumericalOverflow("similarity-scaled left basis overflowed")
-    condition = float(np.max(np.linalg.norm(left, axis=0)))
-    return SpectralDecomposition(energies.astype(complex), right, left, condition, "chain")
+    if s.min() < np.finfo(float).tiny:
+        raise NumericalOverflow("similarity S underflows: S^-1 is not representable")
+    n = len(s)
+    if np.all(diag == diag[0]) and np.all(off == off[0]):
+        energies = diag[0] + 2.0 * off[0] * np.cos(np.arange(1, n + 1) * (math.pi / (n + 1)))
+        return SineModes(energies.astype(complex), s, False)
+    if n % 2 == 0 and not np.any(diag):
+        u, sigma, vt = np.linalg.svd(np.diag(off[0::2]) + np.diag(off[1::2], -1))
+        return ChiralModes(np.concatenate([sigma, -sigma]).astype(complex), s, False, u, vt.T)
+    return None
 
 
-def decompose_model(h: HamiltonianMatrix, spec: ModelSpec | None) -> SpectralDecomposition:
+def decompose_model(
+    h: HamiltonianMatrix, spec: ModelSpec | None
+) -> SineModes | ChiralModes | SpectralDecomposition:
     """Best decomposition route for a model spec.
 
     Every spec goes through ``_decompose_chain`` on its bands; a gain/loss
-    two-band chain goes through the bands of its asymmetric-hop twin, whose
-    bases are rotated back cell by cell.  A chain that route refuses, and a
-    bare matrix (no spec), go through ``decompose``.
+    two-band chain goes through the bands of its asymmetric-hop twin, rotated
+    back cell by cell.  A chain that route refuses, and a bare matrix (no
+    spec), go through ``decompose``.
     """
     if spec is not None:
         twin = axis_y_twin(spec)
         dec = _decompose_chain(h.bands if twin is spec else build_hamiltonian(twin).bands)
         if dec is not None:
-            if twin is not spec:
-                cells = (h.dim // 2, 2, h.dim)
-                right, left = (
-                    np.einsum("ij,cjk->cik", _U_AXIS, b.reshape(cells)).reshape(b.shape)
-                    for b in (dec.right, dec.left)
-                )
-                dec = replace(dec, right=right, left=left, route="chain+rotation")
-            return dec
+            return dec if twin is spec else replace(dec, rotated=True)
     return decompose(h)
 
 
@@ -206,7 +322,11 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
         result += term
         if np.linalg.norm(term, 1) <= 1e-18 * np.linalg.norm(result, 1):
             break
+    # entries below sqrt(tiny) * max(1, max|R|) are zeroed before each squaring,
+    # so no product in it underflows into (slow) subnormal arithmetic
+    floor = math.sqrt(np.finfo(float).tiny)
     for _ in range(squarings):
+        result[np.abs(result) < floor * max(1.0, float(np.abs(result).max()))] = 0.0
         result = result @ result
     if not np.all(np.isfinite(result)):
         raise NumericalOverflow("matrix_exp: overflow during squaring")
@@ -243,22 +363,23 @@ def _check_frames(log_norms: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return log_norms
 
 
-def propagate_spectral(dec: SpectralDecomposition, psi0: WaveState, times):
+def propagate_spectral(dec: SineModes | ChiralModes | SpectralDecomposition, psi0: WaveState, times):
     """Evolve psi0 to every elapsed time in ``times`` through the eigenbasis.
 
     The expansion c = L^H psi0 is formed once and all frames come from one
-    product R (c * phases).  The largest Im(E_n) t of each frame is factored
-    into its log-norm before exponentiating, so growing modes never overflow.
+    synthesis R (c * phases) over the whole grid.  The largest Im(E_n) t of
+    each frame is factored into its log-norm before exponentiating, so growing
+    modes never overflow.
     Returns unit-normalised amplitudes (frames x dim) and the total log-norm
     per frame; frames at zero elapsed time are psi0's amplitudes and log-norm
     unchanged.
     """
     ts = _check_times(times, psi0, dec.dim)
-    coeff = dec.left.conj().T @ psi0.amplitudes
+    coeff = dec.expand(psi0.amplitudes)
     growth = np.outer(ts, dec.eigenvalues.imag)
     mu = growth.max(axis=1)
     phases = np.exp(np.outer(ts, -1j * dec.eigenvalues.real) + (growth - mu[:, None]))
-    amps = (phases * coeff) @ dec.right.T
+    amps = dec.synthesize(phases * coeff)
     amps, log_nrm = _normalise(amps)
     log_norms = _check_frames(psi0.log_norm_offset + mu + log_nrm, ts)
     at_start = ts == 0

@@ -58,7 +58,7 @@ class OracleSeries:
 class ExperimentReport:
     name: str
     classification: str
-    route: str   # 'chain', 'chain+rotation', 'generic' or 'expm'
+    route: str   # 'sine', 'chiral', either '+rotation', 'generic' or 'expm'
     v_in_fit: LinearFit | None
     v_ref_fit: LinearFit | None
     v_p_slope: float | None

@@ -99,6 +99,12 @@ _MALFORMED = {
     "family-list": ({"model": {"family": []}}, "model.family"),
     "snapshot-str": ({"snapshot_times": ["a"]}, "snapshot_times.0 must be a number"),
     "snapshot-null": ({"snapshot_times": [1.0, None]}, "snapshot_times.1 is required"),
+    "snapshots-false": ({"snapshot_times": False}, "snapshot_times must be a list"),
+    "snapshots-zero": ({"snapshot_times": 0}, "snapshot_times must be a list"),
+    "snapshots-empty-str": ({"snapshot_times": ""}, "snapshot_times must be a list"),
+    "snapshots-empty-map": ({"snapshot_times": {}}, "snapshot_times must be a list"),
+    "snapshot-late": ({"snapshot_times": [0.5, 99.0]}, "config: .*snapshot time 99.0 outside"),
+    "snapshot-negative": ({"snapshot_times": [-5.0]}, "config: .*snapshot time -5.0 outside"),
     "t_max-nan": ({"times": {"t_max": float("nan"), "frame_count": 5}}, "times: .*t_max"),
     "frame_count-huge": ({"times": {"t_max": 1.0, "frame_count": 1e12}}, "times: .*frame_count"),
     "n_sites-fraction": (
@@ -175,6 +181,16 @@ def test_null_output_values_read_as_absent():
     assert output == OutputOptions()
     assert output.directory == "out"
     assert config_from_dict(_malformed({"name": None})).name == "custom"
+    assert config_from_dict(_malformed({"snapshot_times": None})).snapshot_times == ()
+
+
+def test_experiment_config_refuses_snapshots_off_the_grid():
+    cfg = get_preset("sm-meet")
+    for t in (cfg.times.t_max + 1.0, -1e-9, float("nan")):
+        with pytest.raises(InvalidParameter, match="snapshot time"):
+            dataclasses.replace(cfg, snapshot_times=(t,))
+    ends = (0.0, cfg.times.t_max)
+    assert dataclasses.replace(cfg, snapshot_times=ends).snapshot_times == ends
 
 
 def test_config_fields_state_their_kind_and_default():
@@ -258,7 +274,7 @@ def test_emit_outputs_golden_two_band(tmp_path):
         site_densities=np.array([[0.1, 0.2, 0.3, 0.4], [0.0, 0.0, 0.0, 0.0]]),
         log_norms=log_norms,
         geometry=geometry,
-        route="chain",
+        route="chiral",
     )
     trajectory = TrajectorySeries(
         times=times,
@@ -466,7 +482,7 @@ def test_strong_gamma_ssh_runs_without_oracle(tmp_path, capsys):
 
 
 def test_report_names_the_route(tmp_path):
-    assert "method: spectral\nroute: chain\n" in format_report(run_experiment(small_config(tmp_path / "a")))
+    assert "method: spectral\nroute: sine\n" in format_report(run_experiment(small_config(tmp_path / "a")))
     expm = run_experiment(small_config(tmp_path / "b", method="expm"))
     assert (expm.method, expm.route) == ("expm", "expm")
     assert "method: expm\nroute: expm\n" in format_report(expm)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import skinwave as sw
-from skinwave.errors import DefectiveMatrix, InvalidParameter
+from skinwave.errors import DefectiveMatrix, InvalidParameter, NumericalOverflow
 from skinwave.evolve import decompose, decompose_model, evolve_series, matrix_exp
 from skinwave.model import axis_y_twin
 from skinwave.presets import get_preset, preset_names
@@ -59,6 +60,12 @@ def test_structured_route_survives_extreme_conditioning():
     dec = decompose_model(h, spec)
     gram = dec.left.conj().T @ dec.right
     assert np.max(np.abs(gram - np.eye(100))) < 1e-12
+
+
+def test_similarity_underflow_is_refused():
+    spec = sw.DiscreteHN(100.0, 0.01, 200)   # S falls as 1e-2 per site, below the smallest float
+    with pytest.raises(NumericalOverflow):
+        decompose_model(sw.build_hamiltonian(spec), spec)
 
 
 def test_propagate_spectral_t0_is_identity():
@@ -392,6 +399,10 @@ def small_specs(draw):
     return spec
 
 
+# a two-band twin with one cell, or with equal hops, is uniform: 'sine+rotation'
+_COUNTERPART_ROUTES = ("sine", "chiral", "sine+rotation", "chiral+rotation")
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_specs(), st.floats(min_value=0.1, max_value=3.0), st.integers(0, 2**32 - 1))
 # exceptional point at finite size: eig accepts it at condition 1e8, but the
@@ -404,6 +415,8 @@ def test_auto_matches_expm_on_small_specs(spec, t_max, seed):
     times = np.linspace(0.0, t_max, 5)
     auto = evolve_series(h, psi0, times, method="auto", spec=spec)
     ref = evolve_series(h, psi0, times, method="expm", spec=spec)
+    if chain_similarity(sw.build_hamiltonian(axis_y_twin(spec)).bands) is not None:
+        assert auto.route in _COUNTERPART_ROUTES
     assert np.max(np.abs(auto.site_densities - ref.site_densities)) <= 1e-7
     assert np.max(np.abs(auto.log_norms - ref.log_norms)) <= 1e-7
     for res in (auto, ref):
@@ -416,11 +429,31 @@ def test_every_preset_has_a_chain_similarity():
         assert chain_similarity(sw.build_hamiltonian(axis_y_twin(spec)).bands) is not None, name
 
 
+def _no_eigensolve(*args, **kwargs):
+    raise AssertionError("eigensolve of the whole chain")
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_preset_decomposition_holds_no_full_size_basis(name, monkeypatch):
+    """sine holds vectors of dim entries and solves nothing; chiral holds (dim/2)^2 SVD factors."""
+    spec = get_preset(name).model
+    h = sw.build_hamiltonian(spec)
+    monkeypatch.setattr(np.linalg, "eigh", _no_eigensolve)
+    monkeypatch.setattr(np.linalg, "eig", _no_eigensolve)
+    if isinstance(spec, (sw.ContinuousHN, sw.DiscreteHN)):
+        monkeypatch.setattr(np.linalg, "svd", _no_eigensolve)
+    dec = decompose_model(h, spec)
+    assert dec.route in _COUNTERPART_ROUTES
+    largest = h.dim if dec.route.startswith("sine") else (h.dim // 2) ** 2
+    fields = [getattr(dec, f.name) for f in dataclasses.fields(dec)]
+    assert max(a.size for a in fields if isinstance(a, np.ndarray)) <= largest
+
+
 @pytest.mark.parametrize(
     "spec, method, route",
     [
-        (sw.DiscreteHN(1.0, 2.0, 12), "auto", "chain"),
-        (sw.BoundarySSH(2.0, 1.0, -0.8, 8, 3, axis="z"), "auto", "chain+rotation"),
+        (sw.DiscreteHN(1.0, 2.0, 12), "auto", "sine"),
+        (sw.BoundarySSH(2.0, 1.0, -0.8, 8, 3, axis="z"), "auto", "chiral+rotation"),
         (sw.NonHermitianSSH(0.5, 1.0, 2.0, 8, axis="y"), "auto", "generic"),
         (sw.DiscreteHN(1.0, 2.0, 12), "expm", "expm"),
     ],
