@@ -121,8 +121,9 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     times the sine sums.
     """
     n = x.shape[-1]
-    pad = np.zeros(x.shape[:-1] + (1,), dtype=x.dtype)
-    odd = np.concatenate([pad, x, pad, -x[..., ::-1]], axis=-1)
+    odd = np.zeros(x.shape[:-1] + (2 * n + 2,), dtype=x.dtype)
+    odd[..., 1 : n + 1] = x
+    np.negative(x[..., ::-1], out=odd[..., n + 2 :])
     return np.fft.fft(odd)[..., 1 : n + 1] * (0.5j * math.sqrt(2.0 / (n + 1)))
 
 
@@ -318,15 +319,19 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     result = np.eye(n, dtype=complex)
     term = np.eye(n, dtype=complex)
     for k in range(1, 60):
-        term = term @ a / k
+        term = term @ a
+        term /= k
         result += term
         if np.linalg.norm(term, 1) <= 1e-18 * np.linalg.norm(result, 1):
             break
+    del term, a   # only result and its square are alive through the squarings
     # entries below sqrt(tiny) * max(1, max|R|) are zeroed before each squaring,
     # so no product in it underflows into (slow) subnormal arithmetic
     floor = math.sqrt(np.finfo(float).tiny)
     for _ in range(squarings):
-        result[np.abs(result) < floor * max(1.0, float(np.abs(result).max()))] = 0.0
+        mag = np.abs(result)
+        result[mag < floor * max(1.0, float(mag.max()))] = 0.0
+        del mag
         result = result @ result
     if not np.all(np.isfinite(result)):
         raise NumericalOverflow("matrix_exp: overflow during squaring")
@@ -410,7 +415,9 @@ def propagate_expm(h, psi0: WaveState, times):
             if gap not in cache:
                 gen = -1j * m * gap
                 shift = float(np.mean(gen.diagonal().real))
-                cache[gap] = (matrix_exp(gen - shift * np.eye(dim)), shift)
+                gen.flat[:: dim + 1] -= shift
+                cache[gap] = (matrix_exp(gen), shift)
+                del gen
             prop, shift = cache[gap]
             state, log_nrm = _normalise(prop @ state)
             log_norm = log_norm + shift + log_nrm

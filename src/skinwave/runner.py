@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
+import os
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -163,12 +166,100 @@ def _rows(*columns):
     return zip(*map(_column, columns))
 
 
-def _density_rows(result: EvolutionResult, dens: np.ndarray):
-    """t-major (t, x, density, log_norm) rows; each distinct t, x and log_norm formatted once."""
-    xs = _column(result.geometry.density_positions)
-    for t, ln, frame in zip(_column(result.times), _column(result.log_norms), dens):
-        for x, d in zip(xs, _column(frame)):
-            yield t, x, d, ln
+_MAX_BLOCKS = 8
+# a smaller block of density cells is not worth its fork and part file (a few ms each)
+_MIN_BLOCK_CELLS = 20_000
+
+
+def _cpu_count() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _frame_blocks(frames: int, sites: int) -> list[slice]:
+    """Contiguous frame blocks, one per allowed CPU, but no more than keep each worth a fork."""
+    count = 1
+    if hasattr(os, "fork"):
+        count = max(1, min(_cpu_count(), _MAX_BLOCKS, frames, frames * sites // _MIN_BLOCK_CELLS))
+    edges = [frames * k // count for k in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _density_frames(xs: list[str], ts: list[str], lns: list[str], dens: np.ndarray):
+    """One string of (t, x, density, log_norm) rows per frame, built with a single join.
+
+    ``xs`` are the formatted positions, each with its trailing comma; ``ts``
+    and ``lns`` the formatted time and log-norm of each frame of ``dens``.
+    """
+    for t, ln, frame in zip(ts, lns, dens):
+        yield f"{t}," + f",{ln}\n{t},".join(map(operator.add, xs, _column(frame))) + f",{ln}\n"
+
+
+def _fork_block(part: Path, *block) -> int | None:
+    """Format one block of frames into ``part`` in a forked worker; its pid, or None if no fork."""
+    try:
+        pid = os.fork()
+    except OSError:
+        return None
+    if pid == 0:   # the worker: no BLAS, no imports, and it never returns
+        code = 1
+        try:
+            with open(part, "w") as fh:
+                fh.writelines(_density_frames(*block))
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
+
+
+def _joined(pid: int | None) -> bool:
+    """Wait for a worker; True if it wrote its whole part and exited cleanly."""
+    if pid is None:
+        return False
+    try:
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    except ChildProcessError:   # reaped elsewhere (SIGCHLD ignored): its part is not trusted
+        return False
+
+
+def _write_density(path: Path, result: EvolutionResult, dens: np.ndarray) -> Path:
+    """Stream density.csv, its contiguous frame blocks formatted on every CPU the run may use.
+
+    The parent writes the header and block 0 itself, then appends each
+    worker's part file in frame order; a block whose fork or worker failed
+    is formatted by the parent instead.  The bytes never depend on the count.
+    """
+    xs = [x + "," for x in _column(result.geometry.density_positions)]
+    ts, lns = _column(result.times), _column(result.log_norms)
+
+    def block(frames: slice):
+        return xs, ts[frames], lns[frames], dens[frames]
+
+    first, *rest = _frame_blocks(*dens.shape)
+    parts = [path.with_name(f".{path.name}.part{k}") for k in range(1, len(rest) + 1)]
+    pids = {}
+    try:
+        for part, frames in zip(parts, rest):
+            pids[part] = _fork_block(part, *block(frames))
+        with path.open("w") as fh:
+            fh.write("t,x,density,log_norm\n")
+            fh.writelines(_density_frames(*block(first)))
+            for part, frames in zip(parts, rest):
+                if _joined(pids.pop(part)):
+                    fh.flush()
+                    with open(part, "rb") as src:
+                        shutil.copyfileobj(src, fh.buffer)
+                else:
+                    fh.writelines(_density_frames(*block(frames)))
+    finally:
+        for pid in pids.values():
+            _joined(pid)
+        for part in parts:
+            part.unlink(missing_ok=True)
+    return path
 
 
 def _write_heatmap_pgm(path: Path, dens: np.ndarray) -> Path:
@@ -193,14 +284,14 @@ def emit_outputs(
     out_dir.mkdir(parents=True, exist_ok=True)
     dens = aggregate_density(result.site_densities, result.geometry)
     tr = trajectory
+    written = [_write_density(out_dir / "density.csv", result, dens)] if opts.density_csv else []
     tables = (
-        (opts.density_csv, "density.csv", "t,x,density,log_norm", _density_rows(result, dens)),
         (opts.trajectory_csv, "trajectory.csv", "t,x_peak,v_peak,sigma_measured,log_norm",
          _rows(tr.times, tr.x_peak, tr.v_peak, tr.sigma_measured, tr.log_norm)),
         (opts.oracle_csv, "oracle.csv", "t,x_peak_oracle,v_in_oracle,v_ref_oracle",
          _rows(oracle.times, oracle.x_peak, oracle.v_in, oracle.v_ref)),
     )
-    written = [_write_table(out_dir / name, head, rows) for on, name, head, rows in tables if on]
+    written += [_write_table(out_dir / name, head, rows) for on, name, head, rows in tables if on]
     if opts.heatmap:
         written.append(_write_heatmap_pgm(out_dir / "heatmap.pgm", dens))
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import skinwave as sw
 import skinwave.config
+import skinwave.runner as runner
 from skinwave.cli import main
 from skinwave.config import (
     ExperimentConfig,
@@ -316,6 +318,98 @@ def test_emit_outputs_golden_two_band(tmp_path):
         "0.5,,,-2.0\n"
     )
     assert (out / "heatmap.pgm").read_bytes() == b"P5\n2 2\n255\n" + bytes([109, 255, 0, 0])
+
+
+GOLDEN_DENSITY = (
+    "t,x,density,log_norm\n"
+    "0.0,0.0,0.30000000000000004,0.1\n"
+    "0.0,1.0,0.7,0.1\n"
+    "0.5,0.0,0.0,-1.5\n"
+    "0.5,1.0,0.0,-1.5\n"
+).encode()
+
+
+@pytest.fixture(scope="module")
+def golden_two_band():
+    """The 2-frame, 2-cell emit inputs of the golden test, fewer frames than most CPU counts."""
+    geometry = Geometry(positions=np.array([0.0, 0.0, 1.0, 1.0]), dx=1.0, sites_per_cell=2)
+    times, log_norms = np.array([0.0, 0.5]), np.array([0.1, -1.5])
+    result = EvolutionResult(
+        times=times,
+        site_densities=np.array([[0.1, 0.2, 0.3, 0.4], [0.0, 0.0, 0.0, 0.0]]),
+        log_norms=log_norms,
+        geometry=geometry,
+        route="chiral",
+    )
+    trajectory = TrajectorySeries(
+        times=times, x_peak=np.array([0.7, 1.0]), v_peak=np.array([0.5, 0.5]),
+        sigma_measured=np.array([0.4, np.nan]), log_norm=log_norms, boundary_contact_time=0.5,
+        contact_index=1, contact_boundary=1.0, domain=(0.0, 1.0), dx=1.0,
+    )
+    oracle = OracleSeries(times=times, x_peak=times, v_in=times, v_ref=times)
+    return result, trajectory, oracle, small_config("unused")
+
+
+@pytest.fixture(scope="module")
+def fig1a_full():
+    """The emit inputs of a full fig1a run: 200 frames x 1000 sites."""
+    captured = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "emit_outputs", lambda *args: captured.append(args) or {})
+        run_preset("fig1a")
+    return captured[0]
+
+
+def _emit_density(args, out_dir: Path) -> bytes:
+    """Emit every output of ``args`` into ``out_dir``; density.csv's bytes, no part file left."""
+    result, trajectory, oracle, config = args
+    manifest = emit_outputs(result, trajectory, oracle, config.with_overrides(out_dir=out_dir))
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(manifest) == [
+        "density.csv", "heatmap.pgm", "oracle.csv", "trajectory.csv"]
+    return (out_dir / "density.csv").read_bytes()
+
+
+@pytest.mark.parametrize("case, blocks", [
+    ("golden_two_band", {1: 1, 2: 2, 3: 2, 7: 2}),
+    ("fig1a_full", {1: 1, 2: 2, 3: 3, 7: 7}),
+])
+def test_density_csv_same_bytes_for_any_cpu_count(case, blocks, request, tmp_path, monkeypatch):
+    args = request.getfixturevalue(case)
+    monkeypatch.setattr(runner, "_MIN_BLOCK_CELLS", 1)   # fork even for the 4-cell table
+    forks = []
+    fork_block = runner._fork_block
+    monkeypatch.setattr(runner, "_fork_block", lambda *a: forks.append(a[0]) or fork_block(*a))
+    written = set()
+    for cpus, count in blocks.items():
+        forks.clear()
+        monkeypatch.setattr(runner, "_cpu_count", lambda: cpus)
+        written.add(_emit_density(args, tmp_path / f"cpus{cpus}"))
+        assert len(forks) == count - 1
+    assert len(written) == 1
+    if case == "golden_two_band":
+        assert written == {GOLDEN_DENSITY}
+
+
+@pytest.mark.parametrize("failure", ["worker_raises", "fork_fails"])
+def test_failed_worker_block_written_by_parent(failure, fig1a_full, tmp_path, monkeypatch):
+    monkeypatch.setattr(runner, "_cpu_count", lambda: 1)
+    serial = _emit_density(fig1a_full, tmp_path / "serial")
+    monkeypatch.setattr(runner, "_cpu_count", lambda: 3)
+    if failure == "worker_raises":
+        parent, frames = os.getpid(), runner._density_frames
+
+        def failing_in_worker(*block):
+            if os.getpid() != parent:
+                raise RuntimeError("worker fails")
+            return frames(*block)
+
+        monkeypatch.setattr(runner, "_density_frames", failing_in_worker)
+    else:
+        def no_fork():
+            raise OSError("no fork")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+    assert _emit_density(fig1a_full, tmp_path / "failed") == serial
 
 
 def test_rerun_is_byte_identical(tmp_path):
