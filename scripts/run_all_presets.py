@@ -5,14 +5,17 @@ Usage:
     python scripts/run_all_presets.py [--out DIR] [--method spectral|expm|auto]
 
 Writes each preset's CSV/heatmap outputs under DIR/<preset>/ (default out/).
+A preset that is another one under a second name (fig3 is fig1c) is listed
+as its alias and not run again.
 """
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
 
-from skinwave.presets import preset_names
+from skinwave.presets import get_preset, preset_names
 from skinwave.runner import run_preset
 
 
@@ -28,7 +31,14 @@ def main() -> int:
     print(f"{'preset':16s} {'method':8s} {'route':14s} {'class':10s} {'contact':>9s} {'v_in(mid)':>10s} "
           f"{'v_ref(mid)':>10s} {'oracle_dev':>10s} {'secs':>6s}")
     failures = 0
+    first_of = {}   # a run's config, with its name and directory blanked -> the preset that ran it
     for name in preset_names():
+        cfg = get_preset(name)
+        run = dataclasses.replace(cfg, name="", output=dataclasses.replace(cfg.output, directory=""))
+        if run in first_of:
+            print(f"{name:16s} alias of {first_of[run]}")
+            continue
+        first_of[run] = name
         start = time.time()
         try:
             report = run_preset(name, out_dir=base / name, method=args.method)

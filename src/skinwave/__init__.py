@@ -68,8 +68,7 @@ from .wavepacket import (
     density,
     extract_trajectory,
     gaussian_state,
-    peak_position,
-    sigma_from_halfwidth,
+    measure_frames,
     top_two_peaks,
 )
 

@@ -34,7 +34,7 @@ class DegenerateDensity(SkinwaveError):
 
 
 class WidthUnavailable(SkinwaveError):
-    """Half-maximum crossings not bracketed inside the domain."""
+    """Too few measured widths to form a width series."""
 
 
 class InsufficientData(SkinwaveError):

@@ -36,11 +36,10 @@ from .wavepacket import (
     LinearFit,
     ReflectionOutcome,
     TrajectorySeries,
-    _fit_line,
-    _width_ok,
     aggregate_density,
     classify_reflection,
     extract_trajectory,
+    fit_peak_velocity_slope,
     gaussian_state,
     top_two_peaks,
 )
@@ -91,14 +90,9 @@ def oracle_series(
     before contact, where the peak is already transitioning onto the wall.
     """
     times = trajectory.times
-    ci = trajectory.contact_index
-    pre = np.ones(len(times), dtype=bool)
-    if ci is not None:
-        pre[ci:] = False
+    pre = trajectory.approach()
 
-    x_o = np.full(len(times), np.nan)
-    v_in = np.full(len(times), np.nan)
-    v_ref = np.full(len(times), np.nan)
+    x_o, v_in, v_ref = np.full((3, len(times)), np.nan)
     deviation, note, widths = None, None, None
 
     if isinstance(spec, ContinuousHN):
@@ -120,32 +114,14 @@ def oracle_series(
         x_o = general_peak(g)
         v_in, v_ref = general_velocities(g)
 
-    mask = pre & np.isfinite(x_o)
-    if ci is not None:
-        mask[max(0, ci - guard_band):] = False
+    mask = trajectory.approach(guard_band) & np.isfinite(x_o)
     if np.any(mask):
         deviation = float(np.max(np.abs(trajectory.x_peak[mask] - x_o[mask])))
 
     x_o[~pre] = np.nan
     v_in[~pre] = np.nan
-    if ci is None:
-        v_ref[:] = np.nan
-    else:
-        v_ref[pre] = np.nan
+    v_ref[pre] = np.nan   # every frame when there is no contact
     return OracleSeries(times=times, x_peak=x_o, v_in=v_in, v_ref=v_ref, note=note), deviation
-
-
-def fit_peak_velocity_slope(trajectory: TrajectorySeries, options) -> float | None:
-    """Least-squares slope of v(t) over clean pre-contact samples."""
-    times, v = trajectory.times, trajectory.v_peak
-    end = len(times) if trajectory.contact_index is None else max(
-        0, trajectory.contact_index - options.guard_band
-    )
-    keep = _width_ok(trajectory, options) & np.isfinite(v)
-    keep[end:] = False
-    if keep.sum() < 3:
-        return None
-    return _fit_line(times[keep], v[keep]).slope
 
 
 def _column(values) -> list[str]:
@@ -294,7 +270,16 @@ def emit_outputs(
     written += [_write_table(out_dir / name, head, rows) for on, name, head, rows in tables if on]
     if opts.heatmap:
         written.append(_write_heatmap_pgm(out_dir / "heatmap.pgm", dens))
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
+    return {p.name: _sha256(p) for p in written}
+
+
+def _sha256(path: Path, chunk: int = 1 << 20) -> str:
+    """sha256 of a file read in fixed-size chunks, so a large table is never held whole."""
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        for block in iter(lambda: fh.read(chunk), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _snapshot_notes(result: EvolutionResult, config: ExperimentConfig) -> tuple[str, ...]:

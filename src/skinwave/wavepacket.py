@@ -1,9 +1,10 @@
 """Gaussian initial states and trajectory observables.
 
-Observables extracted from density frames: the density maximum (refined by a
-3-point parabola), the packet width from the full width at half maximum, the
-peak velocity from finite differences of the peak series, and the
-stuck/reflected classification of a boundary encounter.
+Observables measured on the whole (frames, positions) density stack in one
+pass: the density maximum (refined by a 3-point parabola) and the packet
+width from the full width at half maximum.  From those series come the peak
+velocity (finite differences), the wall contact, and the stuck/reflected
+classification of a boundary encounter.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import (
     DimensionMismatch,
     InsufficientData,
     InvalidParameter,
-    WidthUnavailable,
 )
 from .evolve import EvolutionResult, WaveState
 from .model import Geometry
@@ -39,6 +39,16 @@ class GaussianParams:
             raise InvalidParameter("GaussianParams: sigma must be positive")
         if not (math.isfinite(self.x0) and math.isfinite(self.k0)):
             raise InvalidParameter("GaussianParams: x0 and k0 must be finite")
+        if not self.amplitude > 0:
+            raise InvalidParameter(f"GaussianParams: sigma {self.sigma!r} gives no representable amplitude")
+
+    @property
+    def amplitude(self) -> float:
+        """(2 pi sigma^2)^-1/4, the peak of the normalised profile; 0 where it is not representable."""
+        try:
+            return (2.0 * math.pi * self.sigma**2) ** -0.25
+        except ArithmeticError:   # sigma^2 overflows, or underflows to zero
+            return 0.0
 
 
 @dataclass(frozen=True)
@@ -85,6 +95,13 @@ class TrajectorySeries:
     def __len__(self) -> int:
         return len(self.times)
 
+    def approach(self, guard_band: int = 0) -> np.ndarray:
+        """Mask of the frames before ``contact_index - guard_band``; every frame without contact."""
+        keep = np.ones(len(self.times), dtype=bool)
+        if self.contact_index is not None:
+            keep[max(0, self.contact_index - guard_band) :] = False
+        return keep
+
 
 @dataclass(frozen=True)
 class LinearFit:
@@ -119,9 +136,10 @@ def gaussian_state(geometry: Geometry, params: GaussianParams) -> WaveState:
             stacklevel=2,
         )
     rel = xs - params.x0
-    profile = (2.0 * math.pi * params.sigma**2) ** -0.25 * np.exp(
-        -rel * rel / (4.0 * params.sigma**2) + 1j * params.k0 * rel
-    )
+    with np.errstate(over="ignore"):   # a sigma far below the spacing: exp(-inf) = 0
+        profile = params.amplitude * np.exp(-rel * rel / (4.0 * params.sigma**2) + 1j * params.k0 * rel)
+    if not np.any(profile):
+        raise InvalidParameter(f"GaussianParams: sigma {params.sigma!r} leaves no sample on the grid")
     if geometry.sites_per_cell == 1:
         amps = profile
     else:
@@ -144,58 +162,54 @@ def aggregate_density(site_density: np.ndarray, geometry: Geometry) -> np.ndarra
     return d if n == 1 else d.reshape(d.shape[:-1] + (d.shape[-1] // n, n)).sum(axis=-1)
 
 
-def peak_position(dens: np.ndarray, geometry: Geometry) -> float:
-    """Position of the density maximum, refined by a 3-point parabola and clamped."""
-    dens = np.asarray(dens, dtype=float)
-    xs = geometry.density_positions
-    if len(dens) != len(xs):
-        raise DimensionMismatch("peak_position: density length != position grid")
-    if not np.any(dens > 0):
-        raise DegenerateDensity("peak_position: all-zero density")
-    x = _refine_peak(dens, xs, int(np.argmax(dens)), geometry.dx)
-    return float(min(xs[-1], max(xs[0], x)))
+def measure_frames(dens: np.ndarray, geometry: Geometry) -> tuple[np.ndarray, np.ndarray]:
+    """Peak position and half-maximum width sigma of every row of a (frames, positions) stack.
 
-
-def _refine_peak(dens: np.ndarray, xs: np.ndarray, i: int, spacing: float) -> float:
-    """Vertex of the 3-point parabola through sample i, at most half a spacing away."""
-    if 0 < i < len(dens) - 1:
-        dm, d0, dp = dens[i - 1], dens[i], dens[i + 1]
-        denom = dm - 2.0 * d0 + dp
-        offset = 0.0 if denom == 0 else 0.5 * (dm - dp) / denom
-        return float(xs[i] + min(0.5, max(-0.5, offset)) * spacing)
-    return float(xs[i])
-
-
-def sigma_from_halfwidth(dens: np.ndarray, geometry: Geometry) -> float:
-    """Width sigma from the full width at half maximum of the dominant peak.
-
-    Crossings are located by linear interpolation between bracketing grid
-    points; a crossing that runs off the domain raises WidthUnavailable.
+    The peak is each row's first maximum moved to the vertex of the 3-point
+    parabola through it, then clamped to the domain.  Each half-maximum
+    crossing is interpolated linearly between the last sample at or above
+    half the maximum and the first one below it; sigma is nan where a
+    crossing runs off the domain.
     """
     dens = np.asarray(dens, dtype=float)
     xs = geometry.density_positions
-    if len(dens) != len(xs):
-        raise DimensionMismatch("sigma_from_halfwidth: density length != position grid")
-    if not np.any(dens > 0):
-        raise DegenerateDensity("sigma_from_halfwidth: all-zero density")
-    i = int(np.argmax(dens))
-    half = dens[i] / 2.0
+    if dens.ndim != 2 or dens.shape[1] != len(xs):
+        raise DimensionMismatch(f"measure_frames: density stack {dens.shape} != (frames, {len(xs)})")
+    empty = ~np.any(dens > 0, axis=1)
+    if empty.any():
+        raise DegenerateDensity(f"measure_frames: frame {int(np.argmax(empty))} has no positive density")
+    n, i = dens.shape[1], np.argmax(dens, axis=1)
+    x_peak = np.clip(_parabola_peaks(dens, i, xs, geometry.dx), xs[0], xs[-1])
 
-    j = i
-    while j < len(dens) - 1 and dens[j + 1] >= half:
-        j += 1
-    if j >= len(dens) - 1:
-        raise WidthUnavailable("right half-maximum crossing outside the domain")
-    x_right = xs[j] + (xs[j + 1] - xs[j]) * (dens[j] - half) / (dens[j] - dens[j + 1])
+    rows, cols = np.arange(len(dens)), np.arange(n)
+    half = dens[rows, i] / 2.0
+    below = dens < half[:, None]
+    right = below & (cols > i[:, None])
+    left = below & (cols < i[:, None])
+    out_r = np.argmax(right, axis=1)                   # first sample below half right of the peak
+    out_l = n - 1 - np.argmax(left[:, ::-1], axis=1)   # and left of it
 
-    j = i
-    while j > 0 and dens[j - 1] >= half:
-        j -= 1
-    if j <= 0:
-        raise WidthUnavailable("left half-maximum crossing outside the domain")
-    x_left = xs[j] - (xs[j] - xs[j - 1]) * (dens[j] - half) / (dens[j] - dens[j - 1])
+    def crossing(outer, inner):
+        d_in, d_out = dens[rows, inner], dens[rows, outer]
+        return xs[inner] + (xs[outer] - xs[inner]) * (d_in - half) / (d_in - d_out)
 
-    return float((x_right - x_left) / HALF_WIDTH_FACTOR)
+    with np.errstate(all="ignore"):   # rows without a crossing divide garbage and are dropped
+        width = crossing(out_r, out_r - 1) - crossing(out_l, np.minimum(out_l + 1, n - 1))
+        sigma = np.where(right.any(axis=1) & left.any(axis=1), width / HALF_WIDTH_FACTOR, np.nan)
+    return x_peak, sigma
+
+
+def _parabola_peaks(dens: np.ndarray, i: np.ndarray, xs: np.ndarray, spacing: float) -> np.ndarray:
+    """Vertex of the 3-point parabola through sample i[r] of each row r, at most half a spacing away.
+
+    A maximum at either end of its row, or on a flat top, stays on its sample.
+    """
+    rows, n = np.arange(len(i)), dens.shape[1]
+    dm, d0, dp = dens[rows, np.maximum(i - 1, 0)], dens[rows, i], dens[rows, np.minimum(i + 1, n - 1)]
+    denom = dm - 2.0 * d0 + dp
+    with np.errstate(all="ignore"):
+        offset = np.where(denom == 0, 0.0, 0.5 * (dm - dp) / denom)
+    return np.where((i > 0) & (i < n - 1), xs[i] + np.clip(offset, -0.5, 0.5) * spacing, xs[i])
 
 
 def top_two_peaks(
@@ -210,22 +224,18 @@ def top_two_peaks(
     and are not reported.
     """
     dens = np.asarray(dens, dtype=float)
-    xs = geometry.density_positions
-    peaks = [
-        (float(dens[j]), j)
-        for j in range(1, len(dens) - 1)
-        if dens[j] >= dens[j - 1] and dens[j] >= dens[j + 1]
-    ]
-    peaks.sort(reverse=True)
+    maxima = np.flatnonzero((dens[1:-1] >= dens[:-2]) & (dens[1:-1] >= dens[2:])) + 1
     chosen: list[int] = []
-    for height, j in peaks:
+    for height, j in sorted(zip(dens[maxima].tolist(), maxima.tolist()), reverse=True):
         if chosen and height < min_height_fraction * dens[chosen[0]]:
             break
         if all(abs(j - c) >= min_separation for c in chosen):
             chosen.append(j)
         if len(chosen) == 2:
             break
-    return [(_refine_peak(dens, xs, j, geometry.dx), float(dens[j])) for j in chosen]
+    rows = np.broadcast_to(dens, (len(chosen), len(dens)))
+    x = _parabola_peaks(rows, np.array(chosen, dtype=int), geometry.density_positions, geometry.dx)
+    return [(float(xj), float(dens[j])) for xj, j in zip(x, chosen)]
 
 
 def moving_average(values: np.ndarray, window: int) -> np.ndarray:
@@ -260,14 +270,7 @@ def extract_trajectory(result: EvolutionResult, options: AnalysisOptions) -> Tra
     geometry = result.geometry
     xs = geometry.density_positions
     frames = len(result.times)
-    x_raw = np.empty(frames)
-    sigma = np.full(frames, np.nan)
-    for k, dens in enumerate(aggregate_density(result.site_densities, geometry)):
-        x_raw[k] = peak_position(dens, geometry)
-        try:
-            sigma[k] = sigma_from_halfwidth(dens, geometry)
-        except WidthUnavailable:
-            pass
+    x_raw, sigma = measure_frames(aggregate_density(result.site_densities, geometry), geometry)
     x = moving_average(x_raw, options.smoothing_window)
     v = differentiate(result.times, x) if frames >= 3 else np.zeros(frames)
 
@@ -347,10 +350,8 @@ def classify_reflection(
         return ReflectionOutcome(kind="stuck", window_truncated=truncated)
 
     guard = options.guard_band
-    ci = trajectory.contact_index
     keep = _width_ok(trajectory, options)
-    pre = np.zeros(len(times), dtype=bool)
-    pre[: max(0, ci - guard)] = True
+    pre = trajectory.approach(guard)
 
     detached = (times > t_contact) & (dist > threshold)
     detach_idx = int(np.argmax(detached))          # first detached frame (exists: not stuck)
@@ -363,3 +364,12 @@ def classify_reflection(
         v_ref_fit=_fit_line(times[post & keep], v[post & keep]),
         window_truncated=truncated,
     )
+
+
+def fit_peak_velocity_slope(trajectory: TrajectorySeries, options: AnalysisOptions) -> float | None:
+    """Least-squares slope of v(t) over the clean samples of the approach window."""
+    v = trajectory.v_peak
+    keep = trajectory.approach(options.guard_band) & _width_ok(trajectory, options) & np.isfinite(v)
+    if keep.sum() < 3:
+        return None
+    return _fit_line(trajectory.times[keep], v[keep]).slope

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -149,6 +150,9 @@ _MALFORMED = {
         {"model": {"family": "discrete_hn", "t1": True, "t_minus1": 2.0, "n_sites": 10}},
         "model.t1 must be a number",
     ),
+    # (2 pi sigma^2)^-1/4 underflows or overflows: no representable packet amplitude
+    "sigma-tiny": ({"packet": {"sigma": 1e-300, "x0": 5.0}}, "packet: .*sigma 1e-300"),
+    "sigma-huge": ({"packet": {"sigma": 1e300, "x0": 5.0}}, r"packet: .*sigma 1e\+300"),
 }
 
 
@@ -410,6 +414,20 @@ def test_failed_worker_block_written_by_parent(failure, fig1a_full, tmp_path, mo
 
         monkeypatch.setattr(os, "fork", no_fork)
     assert _emit_density(fig1a_full, tmp_path / "failed") == serial
+
+
+def test_manifest_hashes_files_in_chunks(golden_two_band, tmp_path, monkeypatch):
+    """Read in chunks smaller than every golden file, the manifest is still each file's sha256."""
+    sizes = []
+    sha256 = runner._sha256
+    monkeypatch.setattr(
+        runner, "_sha256", lambda path: sizes.append(path.stat().st_size) or sha256(path, chunk=7)
+    )
+    result, trajectory, oracle, config = golden_two_band
+    out = tmp_path / "out"
+    manifest = emit_outputs(result, trajectory, oracle, config.with_overrides(out_dir=out))
+    assert len(sizes) == 4 and min(sizes) > 7
+    assert manifest == {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
 
 
 def test_rerun_is_byte_identical(tmp_path):
