@@ -33,12 +33,8 @@ from .model import (
     HamiltonianMatrix,
     ModelSpec,
     NonHermitianSSH,
-    bloch_dispersion,
-    build_gradient_forward,
     build_hamiltonian,
-    build_laplacian,
     group_velocity,
-    hermitian_dispersion,
 )
 from .oracle import (
     GeneralOracleParams,
@@ -54,7 +50,6 @@ from .oracle import (
 )
 from .similarity import (
     chain_similarity,
-    hermiticity_residual,
     skin_factor,
     skin_factor_per_unit_length,
 )

@@ -19,8 +19,10 @@ none solves an eigenproblem of the whole chain:
 
 * sine: a uniform Hbar (continuum and discrete chains); its modes are the
   DST-I, so expansion and synthesis are one FFT each and only S is stored;
-* chiral: a zero-diagonal Hbar (the two-band chains); one SVD of its
-  half-size intercell block gives the modes at E = +-sigma;
+* chiral: a zero-diagonal Hbar (the two-band chains); the singular modes of
+  its half-size intercell block give the modes at E = +-sigma, in closed form
+  (standing waves) for a uniform block without an edge mode, from one dense
+  SVD otherwise;
 * ...+rotation: the gain/loss two-band chains use their asymmetric-hop twin,
   rotating psi0 into it and the frames back cell by cell;
 * generic: a chain without a counterpart, or a bare matrix; eig plus a
@@ -29,7 +31,7 @@ none solves an eigenproblem of the whole chain:
 States are mapped through S^-1 and S, which stays accurate far past where
 inverting the right-eigenvector matrix fails (states weighted at the small-S
 end lose eps * S_max / S_min).  Only the generic and expm routes assemble a
-dense H.
+dense H, and only the chiral SVD fallback a dense half-size block.
 """
 
 from __future__ import annotations
@@ -271,7 +273,8 @@ def _decompose_chain(bands: dict[int, np.ndarray]) -> SineModes | ChiralModes | 
 
     A uniform counterpart d + c (shift + shift^T) takes 'sine', E_n = d + 2 c
     cos(n pi / (N+1)); a zero-diagonal one on an even number of sites takes
-    'chiral', one SVD of the half-size B.  No eigensolve of the whole chain.
+    'chiral', the singular modes of the half-size B (``_bidiagonal_svd``).
+    No eigensolve of the whole chain.
     """
     sim = chain_similarity(bands)
     if sim is None:
@@ -284,9 +287,46 @@ def _decompose_chain(bands: dict[int, np.ndarray]) -> SineModes | ChiralModes | 
         energies = diag[0] + 2.0 * off[0] * np.cos(np.arange(1, n + 1) * (math.pi / (n + 1)))
         return SineModes(energies.astype(complex), s, False)
     if n % 2 == 0 and not np.any(diag):
-        u, sigma, vt = np.linalg.svd(np.diag(off[0::2]) + np.diag(off[1::2], -1))
-        return ChiralModes(np.concatenate([sigma, -sigma]).astype(complex), s, False, u, vt.T)
+        u, sigma, v = _bidiagonal_svd(off[0::2], off[1::2])
+        return ChiralModes(np.concatenate([sigma, -sigma]).astype(complex), s, False, u, v)
     return None
+
+
+def _bidiagonal_svd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U, descending sigma and V of the n x n B = diag(a) + diag(b, -1), B = U diag(sigma) V^T.
+
+    A uniform B with |b| <= |a| has no edge mode and its modes are standing
+    waves: k_m = m pi/(n+1) + delta_m, with delta_m in (0, m pi/(n(n+1)))
+    bisected from |a| sin((n+1) delta) = |b| sin(m pi/(n+1) - n delta);
+    sigma_m^2 = a^2 + b^2 + 2|ab| cos k_m; u_c ~ sin(k_m (n-c)), its phase
+    reduced exactly as (m (n-c) mod 2(n+1)) pi/(n+1) + delta_m (n-c); v is u
+    reversed (B^T is B reversed) with the sign (-1)^(m+1) that gives
+    B v = sigma u.  The signs of a and b go on as alternating row signs.  Any
+    other B takes one dense SVD.
+    """
+    n = len(a)
+    b0 = b[0] if n > 1 else 0.0
+    if np.any(a != a[0]) or np.any(b != b0) or abs(b0) > abs(a[0]):
+        u, sigma, vt = np.linalg.svd(np.diag(a) + np.diag(b, -1))
+        return u, sigma, vt.T
+    pa, pb = abs(a[0]), abs(b0)
+    m = np.arange(1, n + 1)
+    step = math.pi / (n + 1)
+    lo, hi = np.zeros(n), m * (step / n)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = pa * np.sin((n + 1) * mid) < pb * np.sin(m * step - n * mid)
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    delta = 0.5 * (lo + hi)
+    # (|a| - |b|)^2 + 4|ab| cos^2(k/2), free of the cancellation near k = pi
+    sigma = np.sqrt((pa - pb) ** 2 + 4.0 * pa * pb * np.sin(0.5 * ((n + 1 - m) * step - delta)) ** 2)
+    j = np.arange(n, 0, -1)
+    u = np.sin(np.multiply.outer(j, m) % (2 * (n + 1)) * step + np.outer(j, delta))
+    u /= np.linalg.norm(u, axis=0)
+    rows = math.copysign(1.0, a[0] * b0) ** np.arange(n)
+    v = u[::-1] * np.outer(rows, (-1.0) ** (m + 1))
+    u *= (math.copysign(1.0, a[0]) * rows)[:, None]
+    return u, sigma, v
 
 
 def decompose_model(

@@ -191,34 +191,14 @@ class HamiltonianMatrix:
             m[i, i + k] = band
         return m
 
-
-def build_laplacian(dx: float, n: int) -> np.ndarray:
-    """Second-difference matrix with hard-wall closure: diag -2/dx^2, off-diag 1/dx^2."""
-    if n < 3:
-        raise InvalidGrid(f"build_laplacian: need n >= 3, got {n}")
-    if dx <= 0:
-        raise InvalidGrid("build_laplacian: dx must be positive")
-    inv2 = 1.0 / (dx * dx)
-    lap = np.zeros((n, n))
-    np.fill_diagonal(lap, -2.0 * inv2)
-    idx = np.arange(n - 1)
-    lap[idx, idx + 1] = inv2
-    lap[idx + 1, idx] = inv2
-    return lap
-
-
-def build_gradient_forward(dx: float, n: int) -> np.ndarray:
-    """Two-point forward difference: diag -1/dx, superdiagonal 1/dx."""
-    if n < 2:
-        raise InvalidGrid(f"build_gradient_forward: need n >= 2, got {n}")
-    if dx <= 0:
-        raise InvalidGrid("build_gradient_forward: dx must be positive")
-    inv = 1.0 / dx
-    grad = np.zeros((n, n))
-    np.fill_diagonal(grad, -inv)
-    idx = np.arange(n - 1)
-    grad[idx, idx + 1] = inv
-    return grad
+    @property
+    def energy_bound(self) -> float:
+        """Largest Gershgorin row sum of |H|, a bound on every |E|, read from the bands in O(N)."""
+        rows = np.zeros(self.dim)
+        with np.errstate(over="ignore"):   # a sum past the float range is an infinite bound
+            for k, band in self.bands.items():
+                rows[max(-k, 0) : max(-k, 0) + len(band)] += np.abs(band)
+        return float(rows.max())
 
 
 def _band(length: int, even, odd=0.0) -> np.ndarray:
@@ -280,17 +260,6 @@ def build_hamiltonian(spec: ModelSpec) -> HamiltonianMatrix:
     return HamiltonianMatrix(bands=bands, geometry=geom)
 
 
-def bloch_matrix(spec: NonHermitianSSH | BoundarySSH, k: float) -> np.ndarray:
-    """2x2 momentum-space block of the two-band chain (bulk gamma)."""
-    gamma = spec.gamma if isinstance(spec, NonHermitianSSH) else 0.0
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    hx = spec.t1 + spec.t2 * math.cos(k)
-    hyz = spec.t2 * math.sin(k) + 0.5j * gamma
-    return hx * sx + hyz * (sy if spec.axis == "y" else sz)
-
-
 def counterpart_t1(spec: NonHermitianSSH | BoundarySSH) -> float:
     """Intracell hop of the Hermitian counterpart, sqrt((t1-g/2)(t1+g/2))."""
     gamma = spec.gamma if isinstance(spec, NonHermitianSSH) else 0.0
@@ -298,32 +267,6 @@ def counterpart_t1(spec: NonHermitianSSH | BoundarySSH) -> float:
     if prod <= 0:
         raise InvalidParameter("counterpart_t1: no Hermitian counterpart for |gamma/2| > |t1|")
     return _SQ(prod)
-
-
-def bloch_dispersion(spec: ModelSpec, k: float):
-    """Periodic-boundary dispersion.
-
-    Chains return the (complex) single-band energy; two-band chains return the
-    Hermitian-counterpart pair ``array([E_minus, E_plus])``.
-    """
-    if isinstance(spec, ContinuousHN):
-        return k * k / (2.0 * spec.m) + 1j * spec.b * k + spec.e0
-    if isinstance(spec, DiscreteHN):
-        return spec.t1 * np.exp(1j * k) + spec.t_minus1 * np.exp(-1j * k)
-    tbar = counterpart_t1(spec)
-    e = _SQ((tbar + spec.t2 * math.cos(k)) ** 2 + (spec.t2 * math.sin(k)) ** 2)
-    return np.array([-e, e])
-
-
-def hermitian_dispersion(spec: ModelSpec, k: float, band: int = 1) -> float:
-    """Real dispersion of the Hermitian counterpart; ``band`` = +1/-1 for two-band chains."""
-    if isinstance(spec, ContinuousHN):
-        return k * k / (2.0 * spec.m) + spec.e0
-    if isinstance(spec, DiscreteHN):
-        return 2.0 * _SQ(spec.t1 * spec.t_minus1) * math.cos(k)
-    if band not in (1, -1):
-        raise InvalidParameter("hermitian_dispersion: band must be +1 or -1")
-    return float(bloch_dispersion(spec, k)[1 if band == 1 else 0])
 
 
 def group_velocity(spec: ModelSpec, k, band: int = 1):

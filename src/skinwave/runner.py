@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, load_config
-from .errors import WidthUnavailable
+from .errors import InvalidParameter, WidthUnavailable
 from .evolve import EvolutionResult, evolve_series
-from .model import BoundarySSH, ContinuousHN, ModelSpec, build_hamiltonian, group_velocity
+from .model import BoundarySSH, ContinuousHN, HamiltonianMatrix, ModelSpec, build_hamiltonian, group_velocity
 from .oracle import (
     GeneralOracleParams,
     HNOracleParams,
@@ -83,6 +83,7 @@ def oracle_series(
     Every family with a uniform skin factor gets the one skin law: the
     continuum chain with kappa = b m and its analytic width, the uniform
     lattices with kappa = ln r and their measured width series.
+    A packet narrower than one grid spacing (not a Gaussian on the grid),
     ``boundary_ssh`` and chains with no Hermitian counterpart get empty
     columns and a note saying why.  The oracle trajectory is blanked after
     wall contact (free-evolution validity only), incident velocities before
@@ -95,7 +96,9 @@ def oracle_series(
     x_o, v_in, v_ref = np.full((3, len(times)), np.nan)
     deviation, note, widths = None, None, None
 
-    if isinstance(spec, ContinuousHN):
+    if packet.sigma < getattr(spec, "dx", 1.0):   # one spacing; a cell on the lattices
+        note = "oracle: n/a (packet narrower than the grid)"
+    elif isinstance(spec, ContinuousHN):
         kappa = spec.b * spec.m
         widths = hn_width_series(HNOracleParams(m=spec.m, b=spec.b, sigma=packet.sigma), times)
     elif isinstance(spec, BoundarySSH):  # bulk r = 1: no uniform-skin law to deviate from
@@ -292,10 +295,27 @@ def _snapshot_notes(result: EvolutionResult, config: ExperimentConfig) -> tuple[
     return tuple(notes)
 
 
+# eps * max|E| * t_max above this leaves the phases E t too few digits for
+# the 1e-7 agreement of the routes; every preset stays 1,895x inside it
+PHASE_LIMIT = 1e-8
+
+
+def _check_phase_resolution(h: HamiltonianMatrix, t_max: float) -> None:
+    """Refuse a run whose phases E t lose their digits before anything is decomposed."""
+    bound = h.energy_bound
+    phase = float(np.finfo(float).eps) * bound * t_max   # a Python float overflows to inf silently
+    if phase > PHASE_LIMIT:
+        raise InvalidParameter(
+            f"times.t_max: {t_max:g} with |E| <= {bound:.6g} (Gershgorin) gives "
+            f"eps |E| t_max = {phase:.3g} > {PHASE_LIMIT:g}: the phases E t have lost their digits"
+        )
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Full pipeline for one configuration."""
     spec = config.model
     h = build_hamiltonian(spec)
+    _check_phase_resolution(h, config.times.t_max)
     psi0 = gaussian_state(h.geometry, config.packet)
     times = np.linspace(0.0, config.times.t_max, config.times.frame_count)
     result = evolve_series(h, psi0, times, method=config.method, spec=spec)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .model import ContinuousHN, ModelSpec, axis_y_twin, build_hamiltonian
 
 
@@ -55,10 +54,3 @@ def skin_factor_per_unit_length(spec: ModelSpec) -> float | None:
     if r is not None and isinstance(spec, ContinuousHN):
         return r ** (1.0 / spec.dx)
     return r
-
-
-def hermiticity_residual(m: np.ndarray) -> float:
-    """max_ij |M_ij - conj(M_ji)|."""
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch("hermiticity_residual: matrix must be square")
-    return float(np.max(np.abs(m - m.conj().T)))

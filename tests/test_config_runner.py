@@ -598,3 +598,56 @@ def test_report_names_the_route(tmp_path):
     expm = run_experiment(small_config(tmp_path / "b", method="expm"))
     assert (expm.method, expm.route) == ("expm", "expm")
     assert "method: expm\nroute: expm\n" in format_report(expm)
+
+
+# the probes whose every phase E t has lost its digits (eps max|E| t_max > 1e-8)
+_CONTINUUM = {"family": "continuous_hn", "m": 1.0, "b": 1.0, "length": 10.0, "dx": 0.01}
+_LOST_PHASES = {
+    "continuum-e0": dict(
+        model={**_CONTINUUM, "e0": 1e300}, packet={"sigma": 0.25, "x0": 5.0, "k0": 0.0},
+        times={"t_max": 1.2, "frame_count": 200},
+    ),
+    "continuum-m": dict(
+        model={**_CONTINUUM, "m": 1e-12}, packet={"sigma": 0.25, "x0": 5.0, "k0": 0.0},
+        times={"t_max": 1.2, "frame_count": 200},
+    ),
+    "two-band-t_max": dict(
+        model={"family": "non_hermitian_ssh", "t1": 2.0, "t2": 1.0, "gamma": -0.2, "n_cells": 500},
+        packet={"sigma": 20.0, "x0": 250.0, "k0": 0.0}, times={"t_max": 1e17, "frame_count": 240},
+    ),
+    "discrete-t_max": dict(times={"t_max": 1e300, "frame_count": 12}),
+}
+
+
+def _never_evolved(*args, **kwargs):
+    raise AssertionError("evolved a run whose phases have lost their digits")
+
+
+@pytest.mark.parametrize("case", sorted(_LOST_PHASES))
+def test_runs_whose_phases_lost_their_digits_exit_2(case, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(runner, "evolve_series", _never_evolved)
+    path = tmp_path / "cfg.json"
+    save_config(small_config(tmp_path / "out", **_LOST_PHASES[case]), path)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "times.t_max" in err and "|E| <=" in err and "lost their digits" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_preset_resolves_its_phases():
+    """fig1a-d come closest: eps max|E| t_max = 5.3e-12, 1,895x inside the limit."""
+    for name in preset_names():
+        cfg = get_preset(name)
+        phase = np.finfo(float).eps * sw.build_hamiltonian(cfg.model).energy_bound * cfg.times.t_max
+        assert runner.PHASE_LIMIT / phase >= 1895, name
+
+
+@pytest.mark.parametrize("name, sigma", [("fig5c", 0.001), ("fig1a", 0.005)])
+def test_packet_narrower_than_the_grid_has_no_oracle_deviation(name, sigma, tmp_path):
+    """sigma below one spacing (a cell, or dx = 0.01) runs, but reports no deviation."""
+    cfg = get_preset(name).with_overrides(out_dir=tmp_path / "out")
+    report = run_experiment(dataclasses.replace(cfg, packet=dataclasses.replace(cfg.packet, sigma=sigma)))
+    assert report.max_oracle_deviation is None
+    assert "oracle: n/a (packet narrower than the grid)" in report.notes
+    rows = (tmp_path / "out" / "oracle.csv").read_text().splitlines()[1:]
+    assert len(rows) == cfg.times.frame_count and all(row.endswith(",,,") for row in rows)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import skinwave as sw
 from skinwave.errors import DefectiveMatrix, InvalidParameter, NumericalOverflow
-from skinwave.evolve import decompose, decompose_model, evolve_series, matrix_exp
+from skinwave.evolve import _bidiagonal_svd, decompose, decompose_model, evolve_series, matrix_exp
 from skinwave.model import axis_y_twin
 from skinwave.presets import get_preset, preset_names
 from skinwave.similarity import chain_similarity
@@ -466,3 +466,61 @@ def test_evolve_series_names_its_route(spec, method, route):
     assert res.method == ("expm" if route == "expm" else "spectral")
     if route != "expm":
         assert decompose_model(h, spec).route == route
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 500])
+@pytest.mark.parametrize("ratio", [0.05, 0.5, 1.0])
+@pytest.mark.parametrize("sign_a, sign_b", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_uniform_bidiagonal_modes_in_closed_form(n, ratio, sign_a, sign_b, monkeypatch):
+    """A uniform B with |b| <= |a| is decomposed without an SVD, to roundoff."""
+    a, b = 1.5 * sign_a, 1.5 * ratio * sign_b
+    diag, sub = np.full(n, a), np.full(n - 1, b)
+    dense = np.diag(diag) + np.diag(sub, -1)
+    expected = np.linalg.svd(dense, compute_uv=False)
+    monkeypatch.setattr(np.linalg, "svd", _no_eigensolve)
+    u, sigma, v = _bidiagonal_svd(diag, sub)
+    bound = 1e-13 * max(abs(a), abs(b))
+    assert np.max(np.abs(dense @ v - u * sigma)) <= bound
+    assert np.max(np.abs(u.T @ u - np.eye(n))) <= bound
+    assert np.max(np.abs(v.T @ v - np.eye(n))) <= bound
+    assert np.max(np.abs(sigma - expected)) <= bound
+
+
+def _count_svd(monkeypatch) -> list:
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["fig4", "fig5b", "fig5c", "sm-meet", "sm-spread-slow", "sm-spread-fast"])
+def test_uniform_two_band_presets_skip_the_svd(name, monkeypatch):
+    spec = get_preset(name).model
+    calls = _count_svd(monkeypatch)
+    assert decompose_model(sw.build_hamiltonian(spec), spec).route == "chiral"
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [get_preset("sm-boundary").model, sw.NonHermitianSSH(1.0, 2.0, -0.2, 40)],
+    ids=["sm-boundary", "edge-mode"],
+)
+def test_non_uniform_or_edge_mode_chains_take_one_svd(spec, monkeypatch):
+    """A non-uniform B, or a uniform one with |b| > |a| (t1 < t2: an edge mode), keeps the SVD."""
+    calls = _count_svd(monkeypatch)
+    assert decompose_model(sw.build_hamiltonian(spec), spec).route.startswith("chiral")
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("axis", ["y", "z"])
+def test_closed_form_chiral_route_matches_expm(axis):
+    """100 cells with S_max / S_min = 4e6: the closed-form modes agree with expm within 1e-7."""
+    spec = sw.NonHermitianSSH(2.0, 1.0, -0.6, 100, axis=axis)
+    h = sw.build_hamiltonian(spec)
+    psi0 = sw.gaussian_state(h.geometry, sw.GaussianParams(sigma=6.0, x0=50.0, k0=1.0))
+    times = np.linspace(0.0, 60.0, 13)
+    a = evolve_series(h, psi0, times, method="spectral", spec=spec)
+    b = evolve_series(h, psi0, times, method="expm")
+    assert a.route == "chiral" + ("+rotation" if axis == "z" else "")
+    assert np.max(np.abs(a.site_densities - b.site_densities)) <= 1e-7
+    assert np.max(np.abs(a.log_norms - b.log_norms)) <= 1e-7

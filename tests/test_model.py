@@ -5,50 +5,59 @@ from hypothesis import strategies as st
 
 import skinwave as sw
 from skinwave.errors import ExceptionalParameter, InvalidGrid, InvalidParameter
-from skinwave.model import MAX_DIM, bloch_matrix, group_velocity, solve_momentum_for_velocity
+from skinwave.model import MAX_DIM, group_velocity, solve_momentum_for_velocity
+
+from reference import (
+    bloch_dispersion,
+    bloch_matrix,
+    build_gradient_forward,
+    build_laplacian,
+    hermitian_dispersion,
+    hermiticity_residual,
+)
 
 
 def test_laplacian_3x3_exact():
     expected = np.array([[-2.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -2.0]])
-    assert np.array_equal(sw.build_laplacian(1.0, 3), expected)
+    assert np.array_equal(build_laplacian(1.0, 3), expected)
 
 
 def test_laplacian_dx_scaling():
-    assert np.array_equal(sw.build_laplacian(0.5, 3), 4.0 * sw.build_laplacian(1.0, 3))
+    assert np.array_equal(build_laplacian(0.5, 3), 4.0 * build_laplacian(1.0, 3))
 
 
 @given(st.integers(min_value=3, max_value=60), st.floats(min_value=0.05, max_value=3.0))
 def test_laplacian_interior_row_sums_vanish(n, dx):
-    lap = sw.build_laplacian(dx, n)
+    lap = build_laplacian(dx, n)
     sums = lap.sum(axis=1)
     assert np.all(sums[1:-1] == 0.0)
 
 
 def test_gradient_3x3_exact():
     expected = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]])
-    assert np.array_equal(sw.build_gradient_forward(1.0, 3), expected)
+    assert np.array_equal(build_gradient_forward(1.0, 3), expected)
 
 
 def test_gradient_annihilates_constant():
-    g = sw.build_gradient_forward(1.0, 8)
+    g = build_gradient_forward(1.0, 8)
     out = g @ np.ones(8)
     assert np.all(out[:-1] == 0.0)
 
 
 def test_gradient_of_linear_samples_is_one():
     n, dx = 12, 1.0
-    g = sw.build_gradient_forward(dx, n)
+    g = build_gradient_forward(dx, n)
     out = g @ (np.arange(n) * dx)
     assert np.allclose(out[:-1], 1.0, atol=1e-12)
 
 
 def test_grid_errors():
     with pytest.raises(InvalidGrid):
-        sw.build_laplacian(1.0, 2)
+        build_laplacian(1.0, 2)
     with pytest.raises(InvalidGrid):
-        sw.build_gradient_forward(1.0, 1)
+        build_gradient_forward(1.0, 1)
     with pytest.raises(InvalidGrid):
-        sw.build_laplacian(-0.1, 5)
+        build_laplacian(-0.1, 5)
 
 
 def test_oversized_grids_refused_at_construction():
@@ -82,8 +91,8 @@ def test_continuous_assembles_from_stencils():
     h = sw.build_hamiltonian(spec).matrix
     n = spec.n_sites
     expected = (
-        -sw.build_laplacian(0.5, n) / 4.0
-        - 0.7 * sw.build_gradient_forward(0.5, n)
+        -build_laplacian(0.5, n) / 4.0
+        - 0.7 * build_gradient_forward(0.5, n)
         + 0.3 * np.eye(n)
     )
     assert np.allclose(h, expected, atol=1e-14)
@@ -100,7 +109,7 @@ def test_discrete_tridiagonal_layout():
 
 def test_discrete_equal_hops_is_hermitian():
     h = sw.build_hamiltonian(sw.DiscreteHN(1.3, 1.3, 6)).matrix
-    assert sw.hermiticity_residual(h) < 1e-12
+    assert hermiticity_residual(h) < 1e-12
 
 
 def _ring_from_bloch(spec, n_cells):
@@ -172,16 +181,16 @@ def test_boundary_ssh_endpoints(axis):
 )
 def test_hermiticity_toggle(t1, t2, n_cells):
     chain = sw.build_hamiltonian(sw.DiscreteHN(t1, t1, n_cells + 1)).matrix
-    assert sw.hermiticity_residual(chain) < 1e-12
+    assert hermiticity_residual(chain) < 1e-12
     for axis in ("y", "z"):
         ssh = sw.build_hamiltonian(
             sw.NonHermitianSSH(t1, t2, 0.0, n_cells, axis=axis)
         ).matrix
-        assert sw.hermiticity_residual(ssh) < 1e-12
+        assert hermiticity_residual(ssh) < 1e-12
     cont = sw.build_hamiltonian(
         sw.ContinuousHN(m=1.0, b=0.0, length=float(n_cells), dx=0.25)
     ).matrix
-    assert sw.hermiticity_residual(cont) < 1e-12
+    assert hermiticity_residual(cont) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -221,14 +230,14 @@ def test_discrete_pbc_dispersion_matches_circulant():
 
 def test_dispersion_continuous():
     spec = sw.ContinuousHN(m=1.0, b=1.0, length=10.0, dx=0.01)
-    assert sw.bloch_dispersion(spec, 0.0) == pytest.approx(-0.5)
-    assert sw.bloch_dispersion(spec, 20.0) == pytest.approx(200.0 + 20.0j - 0.5)
+    assert bloch_dispersion(spec, 0.0) == pytest.approx(-0.5)
+    assert bloch_dispersion(spec, 20.0) == pytest.approx(200.0 + 20.0j - 0.5)
 
 
 def test_dispersion_ssh_pair():
     spec = sw.NonHermitianSSH(2.0, 1.0, -0.2, 10, axis="y")
     tbar = np.sqrt(2.1 * 1.9)
-    pair = sw.bloch_dispersion(spec, 0.0)
+    pair = bloch_dispersion(spec, 0.0)
     assert pair == pytest.approx([-(tbar + 1.0), tbar + 1.0])
     assert tbar == pytest.approx(1.997498, abs=1e-6)
 
@@ -236,10 +245,10 @@ def test_dispersion_ssh_pair():
 def test_dispersion_discrete():
     spec = sw.DiscreteHN(1.0, 2.0, 10)
     k = 0.7
-    assert sw.bloch_dispersion(spec, k) == pytest.approx(
+    assert bloch_dispersion(spec, k) == pytest.approx(
         np.exp(1j * k) + 2.0 * np.exp(-1j * k)
     )
-    assert sw.hermitian_dispersion(spec, k) == pytest.approx(
+    assert hermitian_dispersion(spec, k) == pytest.approx(
         2.0 * np.sqrt(2.0) * np.cos(k)
     )
 
@@ -282,8 +291,8 @@ def test_group_velocity_matches_dispersion_derivative():
     for spec in _VELOCITY_SPECS:
         for band in (1, -1):
             for k in (-2.9, -1.3, -0.4, 0.3, 1.0, 2.0, 2.8):
-                e_up = sw.hermitian_dispersion(spec, k + h, band)
-                e_down = sw.hermitian_dispersion(spec, k - h, band)
+                e_up = hermitian_dispersion(spec, k + h, band)
+                e_down = hermitian_dispersion(spec, k - h, band)
                 numeric = (e_up - e_down) / (2.0 * h)
                 assert group_velocity(spec, k, band) == pytest.approx(numeric, rel=1e-7)
 
@@ -326,3 +335,20 @@ def test_geometry_labels_and_density_grid():
     assert [ssh.sublattice(i) for i in range(6)] == ["A", "B", "A", "B", "A", "B"]
     assert np.array_equal(ssh.density_positions, [0.0, 1.0, 2.0])
     assert ssh.positions[0] == ssh.positions[1] == 0.0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        sw.ContinuousHN(1.0, 1.0, 2.0, 0.1, e0=3.0),
+        sw.DiscreteHN(1.0, 2.0, 12),
+        sw.NonHermitianSSH(2.0, 1.0, -0.2, 8, axis="z"),
+        sw.BoundarySSH(2.0, 1.0, -0.8, 8, 3, axis="z"),
+    ],
+    ids=["continuous", "discrete", "ssh-z", "boundary-z"],
+)
+def test_energy_bound_is_the_largest_gershgorin_row_sum(spec):
+    h = sw.build_hamiltonian(spec)
+    rows = np.abs(h.matrix).sum(axis=1)
+    assert h.energy_bound == pytest.approx(rows.max(), rel=1e-15)
+    assert np.max(np.abs(np.linalg.eigvals(h.matrix))) <= h.energy_bound
