@@ -15,6 +15,7 @@ import sys
 import time
 from pathlib import Path
 
+from skinwave.evolve import METHODS
 from skinwave.presets import get_preset, preset_names
 from skinwave.runner import run_preset
 
@@ -22,9 +23,7 @@ from skinwave.runner import run_preset
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out", help="base output directory")
-    parser.add_argument(
-        "--method", default=None, choices=("spectral", "expm", "auto"), help="override method"
-    )
+    parser.add_argument("--method", default=None, choices=METHODS, help="override method")
     args = parser.parse_args()
 
     base = Path(args.out)

@@ -12,7 +12,6 @@ from .errors import (
     NumericalOverflow,
     SkinwaveError,
     UnknownPreset,
-    WidthUnavailable,
 )
 from .evolve import (
     EvolutionResult,
@@ -33,6 +32,7 @@ from .model import (
     HamiltonianMatrix,
     ModelSpec,
     NonHermitianSSH,
+    band_curvature,
     build_hamiltonian,
     group_velocity,
 )
@@ -43,10 +43,9 @@ from .oracle import (
     general_velocities,
     hn_density,
     hn_peak,
-    hn_width_series,
-    measured_width_series,
     norm_amplification,
     sigma_sq_t,
+    width_series,
 )
 from .similarity import (
     chain_similarity,

@@ -12,6 +12,7 @@ import argparse
 import sys
 
 from .errors import SkinwaveError
+from .evolve import METHODS
 from .presets import get_preset, preset_names
 from .runner import format_report, run_config, run_preset
 
@@ -21,7 +22,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--method",
         default=None,
-        choices=("spectral", "expm", "auto"),
+        choices=METHODS,
         help="propagation method (overrides the config)",
     )
     parser.add_argument(

@@ -25,6 +25,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError, InvalidGrid, InvalidParameter, SkinwaveError
+from .evolve import METHODS
 from .model import MAX_DIM, BoundarySSH, ContinuousHN, DiscreteHN, ModelSpec, NonHermitianSSH
 from .wavepacket import AnalysisOptions, GaussianParams
 
@@ -35,8 +36,6 @@ _FAMILIES = {
     "boundary_ssh": BoundarySSH,
 }
 _FAMILY_NAMES = {cls: name for name, cls in _FAMILIES.items()}
-
-METHODS = ("spectral", "expm", "auto")
 
 
 @dataclass(frozen=True)

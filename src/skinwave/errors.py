@@ -33,10 +33,6 @@ class DegenerateDensity(SkinwaveError):
     """All-zero density frame; no peak can be located."""
 
 
-class WidthUnavailable(SkinwaveError):
-    """Too few measured widths to form a width series."""
-
-
 class InsufficientData(SkinwaveError):
     """Too few samples for the requested series operation."""
 

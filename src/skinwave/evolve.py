@@ -47,6 +47,8 @@ from .similarity import chain_similarity
 
 CONDITION_LIMIT = 1e12
 
+METHODS = ("spectral", "expm", "auto")
+
 # per-cell rotation taking the gain/loss two-band variant to the asymmetric-hop one
 _U_AXIS = np.array([[1.0, -1.0j], [-1.0j, 1.0]], dtype=complex) / math.sqrt(2.0)
 
@@ -219,6 +221,7 @@ class EvolutionResult:
     geometry: Geometry
     route: str                   # a decomposition route, or 'expm'
     spec: ModelSpec | None = None
+    fallback: str | None = None  # why 'auto' refused the decomposition and took expm
 
     @property
     def method(self) -> str:
@@ -477,18 +480,19 @@ def evolve_series(
 
     spectral evaluates every frame directly from psi0; expm steps frame to
     frame; auto falls back to expm when the decomposition is refused as
-    defective.
+    defective, and keeps the refusal in ``fallback``.
     """
-    if method not in ("spectral", "expm", "auto"):
+    if method not in METHODS:
         raise InvalidParameter(f"evolve_series: unknown method {method!r}")
-    route = "expm"
+    route, fallback = "expm", None
     if method != "expm":
         try:
             dec = decompose_model(h, spec)
             route = dec.route
-        except DefectiveMatrix:
+        except DefectiveMatrix as exc:
             if method == "spectral":
                 raise
+            fallback = str(exc)
     if route == "expm":
         amps, log_norms = propagate_expm(h, psi0, times)
     else:
@@ -500,4 +504,5 @@ def evolve_series(
         geometry=h.geometry,
         route=route,
         spec=spec,
+        fallback=fallback,
     )

@@ -284,6 +284,21 @@ def group_velocity(spec: ModelSpec, k, band: int = 1):
     return -band * tbar * spec.t2 * np.sin(k) / np.abs(tbar + spec.t2 * np.exp(1j * k))
 
 
+def band_curvature(spec: ModelSpec, k, band: int = 1):
+    """d^2E/dk^2 of the Hermitian counterpart in closed form, for scalar or array ``k``.
+
+    The effective inverse mass that sets a packet's spreading; ``band`` as in
+    ``group_velocity``.
+    """
+    if isinstance(spec, ContinuousHN):
+        return 1.0 / spec.m
+    if isinstance(spec, DiscreteHN):
+        return -2.0 * _SQ(spec.t1 * spec.t_minus1) * np.cos(k)
+    v = group_velocity(spec, k, band)   # checks the band
+    tbar = counterpart_t1(spec)
+    return -band * (tbar * spec.t2 * np.cos(k) + v * v) / np.abs(tbar + spec.t2 * np.exp(1j * k))
+
+
 def solve_momentum_for_velocity(
     spec: ModelSpec, target: float, band: int = 1, k_hi: float = math.pi
 ) -> float:

@@ -3,9 +3,10 @@
 One law gives the peak of every family with a Hermitian counterpart:
 x(t) = x0 + v0 t + 2 kappa [sigma(t)^2 - sigma(0)^2], with kappa = ln r per
 unit length, v0 the counterpart's group velocity at k0, and sigma(t) the
-packet width.  The continuum chain supplies kappa = b m and its analytic
-width; the lattices supply ln r of their similarity and the *measured*
-width series.
+width of the counterpart packet, spreading at the band curvature E''(k0):
+sigma(t)^2 = sigma^2 + (E'' t)^2 / (4 sigma^2).  The continuum chain supplies
+kappa = b m and E'' = 1/m; the lattices supply ln r of their similarity and
+the curvature of their counterpart band.  Nothing is read from the run.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, WidthUnavailable
-from .wavepacket import moving_average
+from .errors import InvalidParameter
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,20 @@ class HNOracleParams:
             raise InvalidParameter("HNOracleParams: m and sigma must be positive")
 
 
+def width_series(sigma: float, curvature: float, t) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma(t)^2, d sigma(t)^2/dt) of a Gaussian packet on a band of curvature c = E''(k0).
+
+    sigma^2 + (c t)^2 / (4 sigma^2) and c^2 t / (2 sigma^2), with ``sigma`` the
+    width at t = 0 and c from ``model.band_curvature``; the continuum's
+    c = 1/m gives ``sigma_sq_t``.
+    """
+    ct = curvature * t
+    return sigma**2 + ct * ct / (4.0 * sigma**2), curvature * curvature * t / (2.0 * sigma**2)
+
+
 def sigma_sq_t(p: HNOracleParams, t) -> float | np.ndarray:
     """sigma(t)^2 = sigma^2 + t^2 / (4 sigma^2 m^2)."""
-    return p.sigma**2 + t * t / (4.0 * p.sigma**2 * p.m**2)
+    return width_series(p.sigma, 1.0 / p.m, t)[0]
 
 
 def hn_peak(p: HNOracleParams, t) -> float | np.ndarray:
@@ -60,27 +71,6 @@ def hn_density(p: HNOracleParams, x, t: float):
     amp = norm_amplification(p, t) / math.sqrt(2.0 * math.pi * s2)
     x = np.asarray(x, dtype=float)
     return amp * np.exp(-((x - center) ** 2) / (2.0 * s2))
-
-
-def hn_width_series(p: HNOracleParams, t) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma(t)^2, d sigma(t)^2/dt = t / (2 sigma^2 m^2)) of the free continuum packet."""
-    return sigma_sq_t(p, t), t / (2.0 * p.sigma**2 * p.m**2)
-
-
-def measured_width_series(
-    times: np.ndarray, sigma_values: np.ndarray, smoothing_window: int = 5
-) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma^2, d sigma^2/dt) on ``times`` from measured widths (nan where unavailable).
-
-    sigma^2 of the measured samples is smoothed, differentiated, and both are
-    interpolated linearly onto ``times``.
-    """
-    mask = np.isfinite(sigma_values)
-    if np.count_nonzero(mask) < 2:
-        raise WidthUnavailable("need at least two measured widths")
-    ts = np.asarray(times, dtype=float)[mask]
-    s2 = moving_average(np.asarray(sigma_values, dtype=float)[mask] ** 2, smoothing_window)
-    return np.interp(times, ts, s2), np.interp(times, ts, np.gradient(s2, ts))
 
 
 @dataclass(frozen=True)

@@ -19,19 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, load_config
-from .errors import InvalidParameter, WidthUnavailable
+from .errors import InvalidParameter
 from .evolve import EvolutionResult, evolve_series
-from .model import BoundarySSH, ContinuousHN, HamiltonianMatrix, ModelSpec, build_hamiltonian, group_velocity
-from .oracle import (
-    GeneralOracleParams,
-    HNOracleParams,
-    general_peak,
-    general_velocities,
-    hn_width_series,
-    measured_width_series,
-)
+from .model import BoundarySSH, ContinuousHN, HamiltonianMatrix, ModelSpec, build_hamiltonian
+from .model import band_curvature, group_velocity
+from .oracle import GeneralOracleParams, general_peak, general_velocities, width_series
 from .presets import get_preset
-from .similarity import skin_factor_per_unit_length
+from .similarity import skin_factor
 from .wavepacket import (
     LinearFit,
     ReflectionOutcome,
@@ -80,13 +74,15 @@ def oracle_series(
 ) -> tuple[OracleSeries, float | None]:
     """Closed-form trajectory for the run plus its max pre-contact deviation.
 
-    Every family with a uniform skin factor gets the one skin law: the
-    continuum chain with kappa = b m and its analytic width, the uniform
-    lattices with kappa = ln r and their measured width series.
+    Every family with a uniform skin factor gets the one skin law, with the
+    width of the counterpart packet spreading at the curvature of its band
+    (``band_curvature``): the continuum chain with kappa = b m, the uniform
+    lattices with kappa = ln r.  Nothing is read from the run but its times.
     A packet narrower than one grid spacing (not a Gaussian on the grid),
-    ``boundary_ssh`` and chains with no Hermitian counterpart get empty
-    columns and a note saying why.  The oracle trajectory is blanked after
-    wall contact (free-evolution validity only), incident velocities before
+    ``boundary_ssh`` and chains with no Hermitian counterpart (a lattice with
+    |gamma/2| > |t1|, a continuum grid with 2 m b dx >= 1) get empty columns
+    and a note saying why.  The oracle trajectory is blanked after wall
+    contact (free-evolution validity only), incident velocities before
     contact, reflected velocities after.  The deviation skips the guard band
     before contact, where the peak is already transitioning onto the wall.
     """
@@ -94,26 +90,19 @@ def oracle_series(
     pre = trajectory.approach()
 
     x_o, v_in, v_ref = np.full((3, len(times)), np.nan)
-    deviation, note, widths = None, None, None
+    deviation, note = None, None
 
     if packet.sigma < getattr(spec, "dx", 1.0):   # one spacing; a cell on the lattices
         note = "oracle: n/a (packet narrower than the grid)"
-    elif isinstance(spec, ContinuousHN):
-        kappa = spec.b * spec.m
-        widths = hn_width_series(HNOracleParams(m=spec.m, b=spec.b, sigma=packet.sigma), times)
     elif isinstance(spec, BoundarySSH):  # bulk r = 1: no uniform-skin law to deviate from
         note = "oracle: n/a (boundary_ssh has no uniform skin factor)"
-    elif (r := skin_factor_per_unit_length(spec)) is None:
+    elif (r := skin_factor(spec)) is None:   # per site, so a continuum r^(1/dx) cannot overflow
         note = "oracle: n/a (no Hermitian counterpart)"
     else:
-        kappa = math.log(r)
-        try:
-            widths = measured_width_series(times, trajectory.sigma_measured)
-        except WidthUnavailable:
-            pass
-    if widths is not None:
-        v0 = group_velocity(spec, packet.k0, band=-1)  # lower band of two-band chains
-        g = GeneralOracleParams(kappa, v0, times, *widths, x0=packet.x0)
+        kappa = spec.b * spec.m if isinstance(spec, ContinuousHN) else math.log(r)   # per site or cell
+        # the lower band of two-band chains; chains ignore the band
+        widths = width_series(packet.sigma, band_curvature(spec, packet.k0, band=-1), times)
+        g = GeneralOracleParams(kappa, group_velocity(spec, packet.k0, band=-1), times, *widths, x0=packet.x0)
         x_o = general_peak(g)
         v_in, v_ref = general_velocities(g)
 
@@ -325,6 +314,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         spec, config.packet, trajectory, guard_band=config.analysis.guard_band
     )
     manifest = emit_outputs(result, trajectory, oracle, config)
+    fallback = result.fallback and f"fallback: expm ({result.fallback})"
     return ExperimentReport(
         name=config.name,
         classification=outcome.kind,
@@ -335,7 +325,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         max_oracle_deviation=deviation,
         contact_time=trajectory.boundary_contact_time,
         manifest=manifest,
-        notes=((oracle.note,) if oracle.note else ()) + _snapshot_notes(result, config),
+        notes=tuple(n for n in (fallback, oracle.note) if n) + _snapshot_notes(result, config),
         window_truncated=outcome.window_truncated,
     )
 

@@ -192,7 +192,7 @@ def test_criterion_9_structure_suites():
     p = sw.HNOracleParams(m=1.0, b=1.0, sigma=0.25)
     step = 1e-6
     ts = np.array([0.1, 0.4, 0.9])
-    law = sw.GeneralOracleParams(p.b * p.m, 0.0, ts, *sw.hn_width_series(p, ts))
+    law = sw.GeneralOracleParams(p.b * p.m, 0.0, ts, *sw.width_series(p.sigma, 1 / p.m, ts))
     numeric = (sw.hn_peak(p, ts + step) - sw.hn_peak(p, ts - step)) / (2 * step)
     grad_err = float(np.max(np.abs(numeric - sw.general_velocities(law)[0])))
     assert grad_err < 1e-8

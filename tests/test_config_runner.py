@@ -651,3 +651,40 @@ def test_packet_narrower_than_the_grid_has_no_oracle_deviation(name, sigma, tmp_
     assert "oracle: n/a (packet narrower than the grid)" in report.notes
     rows = (tmp_path / "out" / "oracle.csv").read_text().splitlines()[1:]
     assert len(rows) == cfg.times.frame_count and all(row.endswith(",,,") for row in rows)
+
+
+def test_continuum_without_counterpart_has_no_oracle_deviation(tmp_path, capsys):
+    """2 m b dx = 1.2 >= 1: the grid has no Hermitian counterpart, so no skin law either."""
+    cfg = small_config(
+        tmp_path / "out",
+        model={"family": "continuous_hn", "m": 1.0, "b": 60.0, "length": 1.0, "dx": 0.01},
+        packet={"sigma": 0.1, "x0": 0.5, "k0": 0.0},
+        times={"t_max": 0.01, "frame_count": 20},
+    )
+    assert sw.skin_factor_per_unit_length(cfg.model) is None
+    path = tmp_path / "cfg.json"
+    save_config(cfg, path)
+    assert main(["run", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "oracle: n/a (no Hermitian counterpart)" in out
+    assert "max_oracle_deviation" not in out
+    rows = (tmp_path / "out" / "oracle.csv").read_text().splitlines()[1:]
+    assert len(rows) == 20 and all(row.endswith(",,,") for row in rows)
+
+
+def test_auto_fallback_names_its_reason(tmp_path):
+    """A refused decomposition says why the run took expm, in the result and the report."""
+    cfg = small_config(
+        tmp_path / "out",
+        model={"family": "non_hermitian_ssh", "t1": 1.0, "t2": 1.0, "gamma": 3.0, "n_cells": 60},
+        packet={"sigma": 4.0, "x0": 30.0, "k0": 0.0},
+        times={"t_max": 5.0, "frame_count": 10},
+    )
+    report = run_experiment(cfg)
+    assert report.route == "expm"
+    fallback = [note for note in report.notes if note.startswith("fallback: expm (")]
+    assert len(fallback) == 1 and "exceeds 1e+12" in fallback[0]
+    assert fallback[0] in format_report(report)
+    # no fallback note where the decomposition was not refused
+    assert not any(n.startswith("fallback") for n in run_experiment(small_config(tmp_path / "a")).notes)
+    assert not any(n.startswith("fallback") for n in run_experiment(cfg.with_overrides(method="expm")).notes)

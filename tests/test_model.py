@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import skinwave as sw
 from skinwave.errors import ExceptionalParameter, InvalidGrid, InvalidParameter
-from skinwave.model import MAX_DIM, group_velocity, solve_momentum_for_velocity
+from skinwave.model import MAX_DIM, band_curvature, group_velocity, solve_momentum_for_velocity
 
 from reference import (
     bloch_dispersion,
@@ -318,6 +318,22 @@ def test_group_velocity_band_must_be_plus_or_minus_one():
         for band in (0, 2):
             with pytest.raises(InvalidParameter, match="band"):
                 group_velocity(spec, 0.5, band)
+
+
+def test_band_curvature_is_derivative_of_group_velocity():
+    """d^2E/dk^2 against a central difference of dE/dk, on every family, both bands
+    and axes, plus a two-band chain with t1 < t2; an array k gives the scalar values."""
+    h = 1e-5
+    ks = np.array([-2.9, -1.3, -0.4, 0.3, 1.0, 2.0, 2.8])
+    for spec in _VELOCITY_SPECS + (sw.NonHermitianSSH(1.0, 2.0, 0.4, 10, axis="z"),):
+        for band in (1, -1):
+            numeric = (group_velocity(spec, ks + h, band) - group_velocity(spec, ks - h, band)) / (2.0 * h)
+            curvature = np.broadcast_to(band_curvature(spec, ks, band), ks.shape)
+            assert np.all(np.abs(curvature - numeric) <= 1e-6 * np.abs(curvature)), (spec, band)
+            assert np.array_equal(curvature, [band_curvature(spec, k, band) for k in ks])
+        if isinstance(spec, (sw.NonHermitianSSH, sw.BoundarySSH)):
+            with pytest.raises(InvalidParameter, match="band"):
+                band_curvature(spec, 0.5, 0)
 
 
 def test_momentum_solver_hits_target_velocity():

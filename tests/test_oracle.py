@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skinwave as sw
-from skinwave.errors import InvalidParameter, WidthUnavailable
+from skinwave.errors import InvalidParameter
 from skinwave.model import group_velocity
 from skinwave.presets import get_preset
 from skinwave.runner import oracle_series
@@ -16,7 +16,7 @@ FIG1 = sw.HNOracleParams(m=1.0, b=1.0, sigma=0.25, x0=5.0)
 def _hn_law(p, t):
     """The continuum's skin law on the time grid ``t`` (kappa = b m, v0 = k0/m)."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    return sw.GeneralOracleParams(p.b * p.m, p.k0 / p.m, ts, *sw.hn_width_series(p, ts), x0=p.x0)
+    return sw.GeneralOracleParams(p.b * p.m, p.k0 / p.m, ts, *sw.width_series(p.sigma, 1 / p.m, ts), x0=p.x0)
 
 
 def _v_in(p, t):
@@ -116,10 +116,10 @@ def test_norm_amplification_monotone():
     assert sw.norm_amplification(still, 2.0) == 1.0
 
 
-def _general(kappa, times, sigmas, v0=0.0, smoothing=1):
+def _general(kappa, times, sigmas, v0=0.0):
     times = np.asarray(times, dtype=float)
-    widths = sw.measured_width_series(times, np.asarray(sigmas, dtype=float), smoothing)
-    return sw.GeneralOracleParams(kappa, v0, times, *widths)
+    sigma_sq = np.asarray(sigmas, dtype=float) ** 2
+    return sw.GeneralOracleParams(kappa, v0, times, sigma_sq, np.gradient(sigma_sq, times))
 
 
 def test_general_peak_trivial_and_ssh_value():
@@ -130,14 +130,6 @@ def test_general_peak_trivial_and_ssh_value():
     r = sw.skin_factor(sw.NonHermitianSSH(2.0, 1.0, -0.2, 10))
     g = _general(np.log(r), ts, [20.0, 25.0])
     assert sw.general_peak(g)[1] == pytest.approx(22.52, abs=0.01)
-
-
-def test_general_peak_interpolates_missing_widths():
-    ts = np.array([0.0, 1.0, 2.0])
-    lo, mid, hi = sw.general_peak(_general(np.log(2.0), ts, [10.0, np.nan, 12.0]))
-    assert lo < mid < hi
-    with pytest.raises(WidthUnavailable):
-        _general(np.log(2.0), ts, [np.nan] * 3)
 
 
 def test_general_reduces_to_continuum_forms():
@@ -158,7 +150,7 @@ def test_general_velocities_and_reflected_momentum():
     ts = np.linspace(0.0, 40.0, 81)
     sigmas = np.sqrt([sw.sigma_sq_t(p, t) for t in ts])
     v_plus = group_velocity(spec, 2.0, band=-1)
-    g = _general(np.log(r), ts, sigmas, v0=v_plus, smoothing=5)
+    g = _general(np.log(r), ts, sigmas, v0=v_plus)
 
     # the reflected momentum is -k0: the counterpart band is even
     v_minus = group_velocity(spec, -2.0, band=-1)
@@ -199,6 +191,36 @@ def test_continuum_oracle_columns_state_the_hn_laws():
     assert np.array_equal(oracle.v_ref[ci:], (-p.k0 / p.m + drift)[ci:])
 
 
+def test_lattice_oracle_columns_state_the_band_curvature_law():
+    """On fig4's frame grid the oracle columns are x0 + v0 t + 2 ln r (E'' t)^2 / (4 sigma^2)
+    before contact and +-v0 + ln r E''^2 t / sigma^2 on their sides of it, with the
+    lower band E(k) = -sqrt(A + B cos k) of the counterpart written out here."""
+    cfg = get_preset("fig4")
+    spec, packet = cfg.model, cfg.packet
+    times = np.linspace(0.0, cfg.times.t_max, cfg.times.frame_count)
+    ci = 150
+    blank = np.full(len(times), np.nan)
+    trajectory = TrajectorySeries(
+        times=times, x_peak=np.zeros(len(times)), v_peak=blank, sigma_measured=blank,
+        log_norm=blank, boundary_contact_time=float(times[ci]), contact_index=ci,
+        contact_boundary=float(spec.n_cells - 1), domain=(0.0, float(spec.n_cells - 1)), dx=1.0,
+    )
+    oracle, _ = oracle_series(spec, packet, trajectory)
+    lo, hi = spec.t1 - spec.gamma / 2.0, spec.t1 + spec.gamma / 2.0
+    ln_r = 0.5 * np.log(lo / hi)   # intracell hops t1 -/+ gamma/2 below/above the diagonal
+    a, b, k = lo * hi + spec.t2**2, 2.0 * np.sqrt(lo * hi) * spec.t2, packet.k0
+    root = np.sqrt(a + b * np.cos(k))
+    v0 = b * np.sin(k) / (2.0 * root)
+    curvature = b * np.cos(k) / (2.0 * root) + (b * np.sin(k)) ** 2 / (4.0 * root**3)
+    spread = 2.0 * ln_r * (curvature * times) ** 2 / (4.0 * packet.sigma**2)
+    drift = ln_r * curvature**2 * times / packet.sigma**2
+    assert ln_r > 0 and abs(spread[ci]) > 1.0
+    np.testing.assert_allclose(oracle.x_peak[:ci], (packet.x0 + v0 * times + spread)[:ci], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(oracle.v_in[:ci], (v0 + drift)[:ci], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(oracle.v_ref[ci:], (-v0 + drift)[ci:], rtol=1e-12, atol=0)
+    assert np.all(np.isnan(oracle.x_peak[ci:])) and np.all(np.isnan(oracle.v_ref[:ci]))
+
+
 def test_predict_stuck_threshold():
     """The right-wall sticking criterion is the law's v_ref >= 0: v0 <= 2 ln(r) d sigma^2/dt."""
     r = sw.skin_factor(sw.NonHermitianSSH(20.0, 1.0, -2.0, 10))
@@ -206,13 +228,6 @@ def test_predict_stuck_threshold():
     _, v_ref = sw.general_velocities(g)
     assert v_ref[0] >= 0.0
     assert v_ref[1] < 0.0
-
-
-def test_measured_sigma_smoothing_window():
-    ts = np.arange(5.0)
-    noisy = np.array([10.0, 12.0, 10.0, 12.0, 10.0])
-    g = _general(np.log(2.0), ts, noisy, smoothing=5)
-    assert g.sigma_sq[2] == pytest.approx(np.mean(noisy**2))
 
 
 def test_general_params_validation():

@@ -8,7 +8,21 @@ from skinwave.presets import get_preset
 from skinwave.runner import format_report, run_preset
 
 
-@pytest.mark.parametrize("name", ["fig1d", "fig3", "fig5b", "fig5c", "sm-meet"])
+# each uniform lattice preset's oracle deviation (cells) when the law read
+# the run's own measured width; the band-curvature width must not do worse
+MEASURED_WIDTH_DEVIATION = {
+    "fig4": 2.1620604503343657,
+    "fig5b": 11.869900344036523,
+    "fig5c": 4.0689436334291145,
+    "sm-meet": 9.47868852013903,
+    "sm-spread-slow": 4.80021103129684,
+    "sm-spread-fast": 5.156137084864099,
+}
+
+
+@pytest.mark.parametrize(
+    "name", ["fig1d", "fig3", "fig5b", "fig5c", "sm-meet", "fig4", "sm-spread-slow", "sm-spread-fast"]
+)
 def test_preset_completes_with_finite_report(name, tmp_path):
     report = run_preset(name, out_dir=tmp_path / name, heatmap=False)
     assert report.classification in ("stuck", "reflected", "no_contact")
@@ -17,6 +31,8 @@ def test_preset_completes_with_finite_report(name, tmp_path):
             assert math.isfinite(fit.slope) and math.isfinite(fit.intercept)
     if report.max_oracle_deviation is not None:
         assert math.isfinite(report.max_oracle_deviation)
+    if name in MEASURED_WIDTH_DEVIATION:
+        assert report.max_oracle_deviation <= MEASURED_WIDTH_DEVIATION[name]
     assert set(report.manifest) == {"density.csv", "trajectory.csv", "oracle.csv"}
     text = format_report(report)
     assert f"experiment: {name}" in text
