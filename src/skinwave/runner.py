@@ -1,16 +1,17 @@
 """Experiment pipeline: evolve, measure, compare to the closed forms, emit files.
 
-Output files are byte-deterministic: numbers are written with Python's
-shortest round-trip repr and no timestamps or environment data enter the
-files.  The report (returned and printed by the CLI) carries classification,
-velocity fits, oracle deviations, and a sha256 manifest of everything written.
+Output files are byte-deterministic: every number is written as ``repr``
+writes it, by the whole-array formatter of ``shortest`` (which hands the few
+values it cannot decide to ``repr`` itself), and no timestamps or
+environment data enter the files.  The report (returned and printed by the
+CLI) carries classification, velocity fits, oracle deviations, and a sha256
+manifest of everything written.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import operator
 import os
 import shutil
 from dataclasses import dataclass, field
@@ -25,6 +26,7 @@ from .model import BoundarySSH, ContinuousHN, HamiltonianMatrix, ModelSpec, buil
 from .model import band_curvature, group_velocity
 from .oracle import GeneralOracleParams, general_peak, general_velocities, width_series
 from .presets import get_preset
+from .shortest import shortest_repr
 from .similarity import skin_factor
 from .wavepacket import (
     LinearFit,
@@ -116,27 +118,35 @@ def oracle_series(
     return OracleSeries(times=times, x_peak=x_o, v_in=v_in, v_ref=v_ref, note=note), deviation
 
 
-def _column(values) -> list[str]:
-    """Shortest round-trip decimal of each value; empty for nan."""
-    return ["" if v != v else repr(v) for v in np.asarray(values, dtype=float).tolist()]
+def _lines(*cells: np.ndarray) -> bytes:
+    """CSV lines of formatted cells, broadcast against each other over all but their last axis.
+
+    Each cell is a row of bytes from ``shortest_repr``; its NUL padding is dropped.
+    """
+    shape = np.broadcast_shapes(*(c.shape[:-1] for c in cells))
+    parts = []
+    for c, sep in zip(cells, b"," * (len(cells) - 1) + b"\n"):
+        parts += [np.broadcast_to(c, shape + c.shape[-1:]), np.full(shape + (1,), sep, dtype=np.uint8)]
+    rows = np.concatenate(parts, axis=-1)
+    return rows[rows != 0].tobytes()
 
 
-def _write_table(path: Path, header: str, rows) -> Path:
-    """Stream rows of formatted cells to a CSV file below its header line."""
-    with path.open("w") as fh:
-        fh.write(header + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+def _write_table(path: Path, header: str, *columns) -> Path:
+    """A CSV file of equally long columns below its header line."""
+    with path.open("wb") as fh:
+        fh.write(header.encode() + b"\n")
+        fh.write(_lines(*map(shortest_repr, columns)))
     return path
 
 
-def _rows(*columns):
-    """One row of formatted cells per sample of equally long columns."""
-    return zip(*map(_column, columns))
-
-
 _MAX_BLOCKS = 8
-# a smaller block of density cells is not worth its fork and part file (a few ms each)
-_MIN_BLOCK_CELLS = 20_000
+# a smaller block of density cells is not worth its fork and part file: on a
+# 2-vCPU VM these cost 10-20 ms against about 0.5 us a cell, and two blocks
+# first beat one at 40,000-50,000 cells after a continuum run and at 60,000
+# after a two-band run (a larger process forks slower)
+_MIN_BLOCK_CELLS = 25_000
+# density cells formatted per chunk: a few frames, so the formatter's arrays stay small
+_CHUNK_CELLS = 16384
 
 
 def _cpu_count() -> int:
@@ -156,14 +166,17 @@ def _frame_blocks(frames: int, sites: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _density_frames(xs: list[str], ts: list[str], lns: list[str], dens: np.ndarray):
-    """One string of (t, x, density, log_norm) rows per frame, built with a single join.
+def _density_frames(xs: np.ndarray, ts: np.ndarray, lns: np.ndarray, dens: np.ndarray):
+    """The (t, x, density, log_norm) rows of the frames of ``dens``, as bytes a few frames at a time.
 
-    ``xs`` are the formatted positions, each with its trailing comma; ``ts``
-    and ``lns`` the formatted time and log-norm of each frame of ``dens``.
+    ``xs`` are the formatted positions, ``ts`` and ``lns`` the formatted time
+    and log-norm of each frame (``shortest_repr`` rows).
     """
-    for t, ln, frame in zip(ts, lns, dens):
-        yield f"{t}," + f",{ln}\n{t},".join(map(operator.add, xs, _column(frame))) + f",{ln}\n"
+    step = max(1, _CHUNK_CELLS // dens.shape[1])
+    for a in range(0, len(dens), step):
+        frames = dens[a:a + step]
+        cells = shortest_repr(frames).reshape(frames.shape + (-1,))
+        yield _lines(ts[a:a + step, None], xs[None], cells, lns[a:a + step, None])
 
 
 def _fork_block(part: Path, *block) -> int | None:
@@ -172,10 +185,10 @@ def _fork_block(part: Path, *block) -> int | None:
         pid = os.fork()
     except OSError:
         return None
-    if pid == 0:   # the worker: no BLAS, no imports, and it never returns
+    if pid == 0:   # the worker: numpy ufuncs but no BLAS, no imports, and it never returns
         code = 1
         try:
-            with open(part, "w") as fh:
+            with open(part, "wb") as fh:
                 fh.writelines(_density_frames(*block))
             code = 0
         finally:
@@ -200,8 +213,7 @@ def _write_density(path: Path, result: EvolutionResult, dens: np.ndarray) -> Pat
     worker's part file in frame order; a block whose fork or worker failed
     is formatted by the parent instead.  The bytes never depend on the count.
     """
-    xs = [x + "," for x in _column(result.geometry.density_positions)]
-    ts, lns = _column(result.times), _column(result.log_norms)
+    xs, ts, lns = map(shortest_repr, (result.geometry.density_positions, result.times, result.log_norms))
 
     def block(frames: slice):
         return xs, ts[frames], lns[frames], dens[frames]
@@ -212,14 +224,13 @@ def _write_density(path: Path, result: EvolutionResult, dens: np.ndarray) -> Pat
     try:
         for part, frames in zip(parts, rest):
             pids[part] = _fork_block(part, *block(frames))
-        with path.open("w") as fh:
-            fh.write("t,x,density,log_norm\n")
+        with path.open("wb") as fh:
+            fh.write(b"t,x,density,log_norm\n")
             fh.writelines(_density_frames(*block(first)))
             for part, frames in zip(parts, rest):
                 if _joined(pids.pop(part)):
-                    fh.flush()
                     with open(part, "rb") as src:
-                        shutil.copyfileobj(src, fh.buffer)
+                        shutil.copyfileobj(src, fh)
                 else:
                     fh.writelines(_density_frames(*block(frames)))
     finally:
@@ -255,11 +266,11 @@ def emit_outputs(
     written = [_write_density(out_dir / "density.csv", result, dens)] if opts.density_csv else []
     tables = (
         (opts.trajectory_csv, "trajectory.csv", "t,x_peak,v_peak,sigma_measured,log_norm",
-         _rows(tr.times, tr.x_peak, tr.v_peak, tr.sigma_measured, tr.log_norm)),
+         (tr.times, tr.x_peak, tr.v_peak, tr.sigma_measured, tr.log_norm)),
         (opts.oracle_csv, "oracle.csv", "t,x_peak_oracle,v_in_oracle,v_ref_oracle",
-         _rows(oracle.times, oracle.x_peak, oracle.v_in, oracle.v_ref)),
+         (oracle.times, oracle.x_peak, oracle.v_in, oracle.v_ref)),
     )
-    written += [_write_table(out_dir / name, head, rows) for on, name, head, rows in tables if on]
+    written += [_write_table(out_dir / name, head, *cols) for on, name, head, cols in tables if on]
     if opts.heatmap:
         written.append(_write_heatmap_pgm(out_dir / "heatmap.pgm", dens))
     return {p.name: _sha256(p) for p in written}

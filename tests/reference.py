@@ -1,14 +1,19 @@
-"""Reference operators and dispersions that only the tests use.
+"""Reference operators, dispersions and writers that only the tests use.
 
 Dense finite-difference stencils, the two-band Bloch block, the
 periodic-boundary dispersions and a hermiticity residual: independent
 statements of what the banded Hamiltonians and the closed-form velocities
-in ``skinwave.model`` must agree with.
+in ``skinwave.model`` must agree with.  The per-cell ``repr`` writer of
+density.csv states what ``skinwave.shortest`` must write byte for byte, and
+``script`` imports a script under ``scripts/`` whose checks a test reuses.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import operator
+from pathlib import Path
 
 import numpy as np
 
@@ -89,3 +94,25 @@ def hermiticity_residual(m: np.ndarray) -> float:
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch("hermiticity_residual: matrix must be square")
     return float(np.max(np.abs(m - m.conj().T)))
+
+
+def repr_column(values) -> list[str]:
+    """``repr`` of each value; empty for nan."""
+    return ["" if v != v else repr(v) for v in np.asarray(values, dtype=float).tolist()]
+
+
+def repr_density_csv(positions, times, log_norms, dens) -> bytes:
+    """density.csv with one ``repr`` call per cell: the header, then (t, x, density, log_norm) rows."""
+    xs = [x + "," for x in repr_column(positions)]
+    lines = ["t,x,density,log_norm\n"]
+    for t, ln, frame in zip(repr_column(times), repr_column(log_norms), dens):
+        lines.append(f"{t}," + f",{ln}\n{t},".join(map(operator.add, xs, repr_column(frame))) + f",{ln}\n")
+    return "".join(lines).encode()
+
+
+def script(name: str):
+    """``scripts/<name>.py`` of this repository, imported as a module."""
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,10 @@ from skinwave.evolve import EvolutionResult
 from skinwave.model import Geometry
 from skinwave.presets import get_preset, preset_names
 from skinwave.runner import OracleSeries, emit_outputs, format_report, run_experiment, run_preset
+from skinwave.shortest import _decide
 from skinwave.wavepacket import TrajectorySeries
+
+from reference import repr_density_csv, script
 
 
 def small_config(out_dir, **overrides) -> ExperimentConfig:
@@ -364,6 +369,16 @@ def fig1a_full():
     return captured[0]
 
 
+@pytest.fixture(scope="module")
+def fig4_full():
+    """The emit inputs of a full fig4 run: 240 frames x 500 two-site cells."""
+    captured = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "emit_outputs", lambda *args: captured.append(args) or {})
+        run_preset("fig4")
+    return captured[0]
+
+
 def _emit_density(args, out_dir: Path) -> bytes:
     """Emit every output of ``args`` into ``out_dir``; density.csv's bytes, no part file left."""
     result, trajectory, oracle, config = args
@@ -414,6 +429,56 @@ def test_failed_worker_block_written_by_parent(failure, fig1a_full, tmp_path, mo
 
         monkeypatch.setattr(os, "fork", no_fork)
     assert _emit_density(fig1a_full, tmp_path / "failed") == serial
+
+
+def _adversarial_run():
+    """A 3-frame run whose densities, times and log-norms are the formatter's hard cases."""
+    values = script("check_shortest_repr").adversarial()
+    sites = len(values) // 3
+    dens = values[:3 * sites].reshape(3, sites)
+    geometry = Geometry(positions=values[-sites:], dx=1.0, sites_per_cell=1)
+    result = EvolutionResult(times=values[:3], site_densities=dens, log_norms=values[-3:],
+                             geometry=geometry, route="sine")
+    return result, dens
+
+
+@pytest.mark.parametrize("case", ["fig1a_full", "fig4_full", "adversarial"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_density_csv_matches_the_per_cell_repr_writer(case, cpus, request, tmp_path, monkeypatch):
+    monkeypatch.setattr(runner, "_cpu_count", lambda: cpus)
+    if case == "adversarial":
+        monkeypatch.setattr(runner, "_MIN_BLOCK_CELLS", 1)
+        result, dens = _adversarial_run()
+        written = runner._write_density(tmp_path / "density.csv", result, dens).read_bytes()
+    else:
+        result = request.getfixturevalue(case)[0]
+        dens = sw.wavepacket.aggregate_density(result.site_densities, result.geometry)
+        written = _emit_density(request.getfixturevalue(case), tmp_path)
+    assert written == repr_density_csv(result.geometry.density_positions, result.times, result.log_norms, dens)
+
+
+def test_formatter_decides_nearly_every_density_cell(fig1a_full):
+    """A silent fall-back to repr() would keep the bytes but lose the speed."""
+    result = fig1a_full[0]
+    decided = _decide(np.abs(result.site_densities.ravel()))[3]
+    assert decided.size == 200 * 1000 and decided.mean() >= 0.999
+
+
+def test_density_frames_import_nothing_once_the_columns_are_formatted():
+    """A forked worker must import nothing; it formats frames after the parent formatted the columns."""
+    code = (
+        "import sys, numpy as np\n"
+        "from skinwave import runner\n"
+        "xs, ts, lns = map(runner.shortest_repr, (np.arange(50) * 0.5, np.arange(3.0), -np.arange(3.0)))\n"
+        "dens = np.random.default_rng(0).random((3, 50))\n"
+        "dens[0, :4] = np.nan, np.inf, 5e-324, 0.5   # repr() fallbacks too\n"
+        "before = set(sys.modules)\n"
+        "b''.join(runner._density_frames(xs, ts, lns, dens))\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout.strip()) == (0, "[]"), done.stderr
 
 
 def test_manifest_hashes_files_in_chunks(golden_two_band, tmp_path, monkeypatch):

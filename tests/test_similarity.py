@@ -58,6 +58,14 @@ def test_skin_factor_per_unit_length_continuous():
     assert sw.skin_factor_per_unit_length(spec) == pytest.approx(0.88 ** -10.0)
 
 
+def test_skin_factor_per_unit_length_overflow_names_the_spec():
+    # r = 35.36 per site is finite, r^(1/dx) = r^200 is not
+    spec = sw.ContinuousHN(m=1.0, b=99.92, length=0.5, dx=0.005)
+    assert sw.skin_factor(spec) == pytest.approx(35.36, rel=1e-3)
+    with pytest.raises(sw.NumericalOverflow, match=r"ContinuousHN\(m=1.0, b=99.92.*overflows"):
+        sw.skin_factor_per_unit_length(spec)
+
+
 def test_skin_factor_none_without_counterpart():
     assert sw.skin_factor(sw.NonHermitianSSH(1.0, 1.0, 3.0, 8)) is None
     assert sw.skin_factor(sw.NonHermitianSSH(1.0, 1.0, 3.0, 8, axis="z")) is None
