@@ -3,8 +3,10 @@
 Output files are byte-deterministic: every number is written as ``repr``
 writes it, by the whole-array formatter of ``shortest`` (which hands the few
 values it cannot decide to ``repr`` itself), and no timestamps or
-environment data enter the files.  The report (returned and printed by the
-CLI) carries classification, velocity fits, oracle deviations, and a sha256
+environment data enter the files.  One serial writer streams each file in
+chunks (``density.csv`` a few frames at a time) and hashes every chunk as it
+writes it, so no file is read back.  The report (returned and printed by the
+CLI) carries classification, velocity fits, oracle deviations, and that sha256
 manifest of everything written.
 """
 
@@ -12,8 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
-import shutil
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -131,47 +132,17 @@ def _lines(*cells: np.ndarray) -> bytes:
     return rows[rows != 0].tobytes()
 
 
-def _write_table(path: Path, header: str, *columns) -> Path:
-    """A CSV file of equally long columns below its header line."""
-    with path.open("wb") as fh:
-        fh.write(header.encode() + b"\n")
-        fh.write(_lines(*map(shortest_repr, columns)))
-    return path
-
-
-_MAX_BLOCKS = 8
-# a smaller block of density cells is not worth its fork and part file: on a
-# 2-vCPU VM these cost 10-20 ms against about 0.5 us a cell, and two blocks
-# first beat one at 40,000-50,000 cells after a continuum run and at 60,000
-# after a two-band run (a larger process forks slower)
-_MIN_BLOCK_CELLS = 25_000
 # density cells formatted per chunk: a few frames, so the formatter's arrays stay small
 _CHUNK_CELLS = 16384
 
 
-def _cpu_count() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        return os.cpu_count() or 1
+def _density_frames(result: EvolutionResult, dens: np.ndarray):
+    """density.csv as bytes: its header, then the (t, x, density, log_norm) rows a few frames at a time.
 
-
-def _frame_blocks(frames: int, sites: int) -> list[slice]:
-    """Contiguous frame blocks, one per allowed CPU, but no more than keep each worth a fork."""
-    count = 1
-    if hasattr(os, "fork"):
-        count = max(1, min(_cpu_count(), _MAX_BLOCKS, frames, frames * sites // _MIN_BLOCK_CELLS))
-    edges = [frames * k // count for k in range(count + 1)]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
-
-
-def _density_frames(xs: np.ndarray, ts: np.ndarray, lns: np.ndarray, dens: np.ndarray):
-    """The (t, x, density, log_norm) rows of the frames of ``dens``, as bytes a few frames at a time.
-
-    ``xs`` are the formatted positions, ``ts`` and ``lns`` the formatted time
-    and log-norm of each frame (``shortest_repr`` rows).
+    The table is never held whole; ``_CHUNK_CELLS`` sets how many cells a chunk formats.
     """
+    xs, ts, lns = map(shortest_repr, (result.geometry.density_positions, result.times, result.log_norms))
+    yield b"t,x,density,log_norm\n"
     step = max(1, _CHUNK_CELLS // dens.shape[1])
     for a in range(0, len(dens), step):
         frames = dens[a:a + step]
@@ -179,76 +150,23 @@ def _density_frames(xs: np.ndarray, ts: np.ndarray, lns: np.ndarray, dens: np.nd
         yield _lines(ts[a:a + step, None], xs[None], cells, lns[a:a + step, None])
 
 
-def _fork_block(part: Path, *block) -> int | None:
-    """Format one block of frames into ``part`` in a forked worker; its pid, or None if no fork."""
-    try:
-        pid = os.fork()
-    except OSError:
-        return None
-    if pid == 0:   # the worker: numpy ufuncs but no BLAS, no imports, and it never returns
-        code = 1
-        try:
-            with open(part, "wb") as fh:
-                fh.writelines(_density_frames(*block))
-            code = 0
-        finally:
-            os._exit(code)
-    return pid
-
-
-def _joined(pid: int | None) -> bool:
-    """Wait for a worker; True if it wrote its whole part and exited cleanly."""
-    if pid is None:
-        return False
-    try:
-        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-    except ChildProcessError:   # reaped elsewhere (SIGCHLD ignored): its part is not trusted
-        return False
-
-
-def _write_density(path: Path, result: EvolutionResult, dens: np.ndarray) -> Path:
-    """Stream density.csv, its contiguous frame blocks formatted on every CPU the run may use.
-
-    The parent writes the header and block 0 itself, then appends each
-    worker's part file in frame order; a block whose fork or worker failed
-    is formatted by the parent instead.  The bytes never depend on the count.
-    """
-    xs, ts, lns = map(shortest_repr, (result.geometry.density_positions, result.times, result.log_norms))
-
-    def block(frames: slice):
-        return xs, ts[frames], lns[frames], dens[frames]
-
-    first, *rest = _frame_blocks(*dens.shape)
-    parts = [path.with_name(f".{path.name}.part{k}") for k in range(1, len(rest) + 1)]
-    pids = {}
-    try:
-        for part, frames in zip(parts, rest):
-            pids[part] = _fork_block(part, *block(frames))
-        with path.open("wb") as fh:
-            fh.write(b"t,x,density,log_norm\n")
-            fh.writelines(_density_frames(*block(first)))
-            for part, frames in zip(parts, rest):
-                if _joined(pids.pop(part)):
-                    with open(part, "rb") as src:
-                        shutil.copyfileobj(src, fh)
-                else:
-                    fh.writelines(_density_frames(*block(frames)))
-    finally:
-        for pid in pids.values():
-            _joined(pid)
-        for part in parts:
-            part.unlink(missing_ok=True)
-    return path
-
-
-def _write_heatmap_pgm(path: Path, dens: np.ndarray) -> Path:
+def _heatmap_pgm(dens: np.ndarray) -> tuple[bytes, bytes]:
     """Binary graymap, one row per frame, each row scaled to its own maximum."""
     peak = dens.max(axis=1, keepdims=True)
     # a row with no positive density divides by inf and is written as zeros
     pixels = np.round(255.0 * dens / np.where(peak > 0, peak, np.inf)).astype(np.uint8)
     frames, width = dens.shape
-    path.write_bytes(f"P5\n{width} {frames}\n255\n".encode("ascii") + pixels.tobytes())
-    return path
+    return f"P5\n{width} {frames}\n255\n".encode("ascii"), pixels.tobytes()
+
+
+def _write(path: Path, chunks: Iterable[bytes]) -> str:
+    """Stream ``chunks`` to ``path``, hashing each as it is written; the file's sha256 hex."""
+    digest = hashlib.sha256()
+    with path.open("wb") as fh:
+        for chunk in chunks:
+            digest.update(chunk)
+            fh.write(chunk)
+    return digest.hexdigest()
 
 
 def emit_outputs(
@@ -263,26 +181,19 @@ def emit_outputs(
     out_dir.mkdir(parents=True, exist_ok=True)
     dens = aggregate_density(result.site_densities, result.geometry)
     tr = trajectory
-    written = [_write_density(out_dir / "density.csv", result, dens)] if opts.density_csv else []
+    files = {"density.csv": _density_frames(result, dens)} if opts.density_csv else {}
     tables = (
         (opts.trajectory_csv, "trajectory.csv", "t,x_peak,v_peak,sigma_measured,log_norm",
          (tr.times, tr.x_peak, tr.v_peak, tr.sigma_measured, tr.log_norm)),
         (opts.oracle_csv, "oracle.csv", "t,x_peak_oracle,v_in_oracle,v_ref_oracle",
          (oracle.times, oracle.x_peak, oracle.v_in, oracle.v_ref)),
     )
-    written += [_write_table(out_dir / name, head, *cols) for on, name, head, cols in tables if on]
+    for on, name, head, cols in tables:
+        if on:
+            files[name] = head.encode() + b"\n", _lines(*map(shortest_repr, cols))
     if opts.heatmap:
-        written.append(_write_heatmap_pgm(out_dir / "heatmap.pgm", dens))
-    return {p.name: _sha256(p) for p in written}
-
-
-def _sha256(path: Path, chunk: int = 1 << 20) -> str:
-    """sha256 of a file read in fixed-size chunks, so a large table is never held whole."""
-    digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        for block in iter(lambda: fh.read(chunk), b""):
-            digest.update(block)
-    return digest.hexdigest()
+        files["heatmap.pgm"] = _heatmap_pgm(dens)
+    return {name: _write(out_dir / name, chunks) for name, chunks in files.items()}
 
 
 def _snapshot_notes(result: EvolutionResult, config: ExperimentConfig) -> tuple[str, ...]:

@@ -1,9 +1,6 @@
 import dataclasses
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -329,18 +326,9 @@ def test_emit_outputs_golden_two_band(tmp_path):
     assert (out / "heatmap.pgm").read_bytes() == b"P5\n2 2\n255\n" + bytes([109, 255, 0, 0])
 
 
-GOLDEN_DENSITY = (
-    "t,x,density,log_norm\n"
-    "0.0,0.0,0.30000000000000004,0.1\n"
-    "0.0,1.0,0.7,0.1\n"
-    "0.5,0.0,0.0,-1.5\n"
-    "0.5,1.0,0.0,-1.5\n"
-).encode()
-
-
 @pytest.fixture(scope="module")
 def golden_two_band():
-    """The 2-frame, 2-cell emit inputs of the golden test, fewer frames than most CPU counts."""
+    """The 2-frame, 2-cell emit inputs of the golden test."""
     geometry = Geometry(positions=np.array([0.0, 0.0, 1.0, 1.0]), dx=1.0, sites_per_cell=2)
     times, log_norms = np.array([0.0, 0.5]), np.array([0.1, -1.5])
     result = EvolutionResult(
@@ -380,55 +368,12 @@ def fig4_full():
 
 
 def _emit_density(args, out_dir: Path) -> bytes:
-    """Emit every output of ``args`` into ``out_dir``; density.csv's bytes, no part file left."""
+    """Emit every output of ``args`` into ``out_dir``; density.csv's bytes, no other file left."""
     result, trajectory, oracle, config = args
     manifest = emit_outputs(result, trajectory, oracle, config.with_overrides(out_dir=out_dir))
     assert sorted(p.name for p in out_dir.iterdir()) == sorted(manifest) == [
         "density.csv", "heatmap.pgm", "oracle.csv", "trajectory.csv"]
     return (out_dir / "density.csv").read_bytes()
-
-
-@pytest.mark.parametrize("case, blocks", [
-    ("golden_two_band", {1: 1, 2: 2, 3: 2, 7: 2}),
-    ("fig1a_full", {1: 1, 2: 2, 3: 3, 7: 7}),
-])
-def test_density_csv_same_bytes_for_any_cpu_count(case, blocks, request, tmp_path, monkeypatch):
-    args = request.getfixturevalue(case)
-    monkeypatch.setattr(runner, "_MIN_BLOCK_CELLS", 1)   # fork even for the 4-cell table
-    forks = []
-    fork_block = runner._fork_block
-    monkeypatch.setattr(runner, "_fork_block", lambda *a: forks.append(a[0]) or fork_block(*a))
-    written = set()
-    for cpus, count in blocks.items():
-        forks.clear()
-        monkeypatch.setattr(runner, "_cpu_count", lambda: cpus)
-        written.add(_emit_density(args, tmp_path / f"cpus{cpus}"))
-        assert len(forks) == count - 1
-    assert len(written) == 1
-    if case == "golden_two_band":
-        assert written == {GOLDEN_DENSITY}
-
-
-@pytest.mark.parametrize("failure", ["worker_raises", "fork_fails"])
-def test_failed_worker_block_written_by_parent(failure, fig1a_full, tmp_path, monkeypatch):
-    monkeypatch.setattr(runner, "_cpu_count", lambda: 1)
-    serial = _emit_density(fig1a_full, tmp_path / "serial")
-    monkeypatch.setattr(runner, "_cpu_count", lambda: 3)
-    if failure == "worker_raises":
-        parent, frames = os.getpid(), runner._density_frames
-
-        def failing_in_worker(*block):
-            if os.getpid() != parent:
-                raise RuntimeError("worker fails")
-            return frames(*block)
-
-        monkeypatch.setattr(runner, "_density_frames", failing_in_worker)
-    else:
-        def no_fork():
-            raise OSError("no fork")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-    assert _emit_density(fig1a_full, tmp_path / "failed") == serial
 
 
 def _adversarial_run():
@@ -443,13 +388,12 @@ def _adversarial_run():
 
 
 @pytest.mark.parametrize("case", ["fig1a_full", "fig4_full", "adversarial"])
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_density_csv_matches_the_per_cell_repr_writer(case, cpus, request, tmp_path, monkeypatch):
-    monkeypatch.setattr(runner, "_cpu_count", lambda: cpus)
+def test_density_csv_matches_the_per_cell_repr_writer(case, request, tmp_path, monkeypatch):
     if case == "adversarial":
-        monkeypatch.setattr(runner, "_MIN_BLOCK_CELLS", 1)
+        monkeypatch.setattr(runner, "_CHUNK_CELLS", 1)   # one frame per chunk: every frame ends a chunk
         result, dens = _adversarial_run()
-        written = runner._write_density(tmp_path / "density.csv", result, dens).read_bytes()
+        runner._write(tmp_path / "density.csv", runner._density_frames(result, dens))
+        written = (tmp_path / "density.csv").read_bytes()
     else:
         result = request.getfixturevalue(case)[0]
         dens = sw.wavepacket.aggregate_density(result.site_densities, result.geometry)
@@ -464,34 +408,22 @@ def test_formatter_decides_nearly_every_density_cell(fig1a_full):
     assert decided.size == 200 * 1000 and decided.mean() >= 0.999
 
 
-def test_density_frames_import_nothing_once_the_columns_are_formatted():
-    """A forked worker must import nothing; it formats frames after the parent formatted the columns."""
-    code = (
-        "import sys, numpy as np\n"
-        "from skinwave import runner\n"
-        "xs, ts, lns = map(runner.shortest_repr, (np.arange(50) * 0.5, np.arange(3.0), -np.arange(3.0)))\n"
-        "dens = np.random.default_rng(0).random((3, 50))\n"
-        "dens[0, :4] = np.nan, np.inf, 5e-324, 0.5   # repr() fallbacks too\n"
-        "before = set(sys.modules)\n"
-        "b''.join(runner._density_frames(xs, ts, lns, dens))\n"
-        "print(sorted(set(sys.modules) - before))\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert (done.returncode, done.stdout.strip()) == (0, "[]"), done.stderr
+def test_manifest_hashes_files_as_it_writes_them(golden_two_band, tmp_path, monkeypatch):
+    """No file is opened for reading during emit; the manifest is still each file's sha256."""
+    def write_only(open_):
+        def opener(file, mode="r", *args, **kwargs):
+            if "r" in mode:
+                raise AssertionError(f"emit_outputs read {file}")
+            return open_(file, mode, *args, **kwargs)
+        return opener
 
-
-def test_manifest_hashes_files_in_chunks(golden_two_band, tmp_path, monkeypatch):
-    """Read in chunks smaller than every golden file, the manifest is still each file's sha256."""
-    sizes = []
-    sha256 = runner._sha256
-    monkeypatch.setattr(
-        runner, "_sha256", lambda path: sizes.append(path.stat().st_size) or sha256(path, chunk=7)
-    )
     result, trajectory, oracle, config = golden_two_band
     out = tmp_path / "out"
-    manifest = emit_outputs(result, trajectory, oracle, config.with_overrides(out_dir=out))
-    assert len(sizes) == 4 and min(sizes) > 7
+    with monkeypatch.context() as mp:
+        mp.setattr(Path, "open", write_only(Path.open))
+        mp.setattr("builtins.open", write_only(open))
+        manifest = emit_outputs(result, trajectory, oracle, config.with_overrides(out_dir=out))
+    assert sorted(manifest) == ["density.csv", "heatmap.pgm", "oracle.csv", "trajectory.csv"]
     assert manifest == {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
 
 
