@@ -38,19 +38,13 @@ from .model import (
 )
 from .oracle import (
     GeneralOracleParams,
-    HNOracleParams,
     general_peak,
     general_velocities,
-    hn_density,
-    hn_peak,
-    norm_amplification,
-    sigma_sq_t,
     width_series,
 )
 from .similarity import (
     chain_similarity,
     skin_factor,
-    skin_factor_per_unit_length,
 )
 from .wavepacket import (
     AnalysisOptions,

@@ -220,7 +220,6 @@ class EvolutionResult:
     log_norms: np.ndarray        # total log norm per frame
     geometry: Geometry
     route: str                   # a decomposition route, or 'expm'
-    spec: ModelSpec | None = None
     fallback: str | None = None  # why 'auto' refused the decomposition and took expm
 
     @property
@@ -503,6 +502,5 @@ def evolve_series(
         log_norms=log_norms,
         geometry=h.geometry,
         route=route,
-        spec=spec,
         fallback=fallback,
     )

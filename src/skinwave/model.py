@@ -150,7 +150,7 @@ def axis_y_twin(spec: ModelSpec) -> ModelSpec:
 
 @dataclass(frozen=True)
 class Geometry:
-    """Map from matrix index to physical coordinate and sublattice label."""
+    """Map from matrix index to physical coordinate."""
 
     positions: np.ndarray          # coordinate of each matrix index
     dx: float                      # grid spacing (1 for lattice models)
@@ -164,11 +164,6 @@ class Geometry:
     def density_positions(self) -> np.ndarray:
         """Coordinates of density bins (one per cell for two-band chains)."""
         return self.positions[:: self.sites_per_cell]
-
-    def sublattice(self, i: int) -> str:
-        if self.sites_per_cell == 1:
-            return "none"
-        return "A" if i % 2 == 0 else "B"
 
 
 @dataclass(frozen=True)
@@ -233,17 +228,21 @@ def _build_ssh(spec: NonHermitianSSH | BoundarySSH) -> dict[int, np.ndarray]:
     }
 
 
+def _chain_stencil(spec: ContinuousHN | DiscreteHN) -> tuple[float, float, float, float]:
+    """(dx, diagonal, superdiagonal, subdiagonal) of a single-band chain's uniform three-point stencil."""
+    if isinstance(spec, ContinuousHN):
+        # -(1/2m) Laplacian + b forward gradient + e0, in the stencils' order
+        dx, inv = spec.dx, 1.0 / spec.dx
+        kin = -(1.0 / (2.0 * spec.m)) * (1.0 / (dx * dx))
+        return dx, -2.0 * kin - spec.b * inv + spec.e0, kin + spec.b * inv, kin
+    return 1.0, 0.0, spec.t1, spec.t_minus1
+
+
 def build_hamiltonian(spec: ModelSpec) -> HamiltonianMatrix:
     """Open-boundary Hamiltonian of any model family, stored as its bands."""
     if isinstance(spec, (ContinuousHN, DiscreteHN)):
         n = spec.n_sites
-        if isinstance(spec, ContinuousHN):
-            # -(1/2m) Laplacian + b forward gradient + e0, in the stencils' order
-            dx, inv = spec.dx, 1.0 / spec.dx
-            kin = -(1.0 / (2.0 * spec.m)) * (1.0 / (dx * dx))
-            diag, sup, sub = -2.0 * kin - spec.b * inv + spec.e0, kin + spec.b * inv, kin
-        else:
-            dx, diag, sup, sub = 1.0, 0.0, spec.t1, spec.t_minus1
+        dx, diag, sup, sub = _chain_stencil(spec)
         bands = {k: np.full(n - abs(k), v, dtype=complex) for k, v in ((0, diag), (1, sup), (-1, sub))}
         geom = Geometry(positions=np.arange(n) * dx, dx=dx)
     elif isinstance(spec, (NonHermitianSSH, BoundarySSH)):
@@ -269,15 +268,24 @@ def counterpart_t1(spec: NonHermitianSSH | BoundarySSH) -> float:
     return _SQ(prod)
 
 
+def _counterpart_hop(spec: ContinuousHN | DiscreteHN) -> tuple[float, float]:
+    """(c, dx): the counterpart hop c = sign(sup) sqrt(sup sub) of a single-band chain, and its spacing."""
+    dx, _, sup, sub = _chain_stencil(spec)
+    if not 0.0 < sup * sub < math.inf:
+        raise InvalidParameter(f"{type(spec).__name__}: no Hermitian counterpart (hops {sup:.6g}, {sub:.6g})")
+    return math.copysign(_SQ(sup * sub), sup), dx
+
+
 def group_velocity(spec: ModelSpec, k, band: int = 1):
     """dE/dk of the Hermitian counterpart in closed form, for scalar or array ``k``.
 
+    A single-band chain's counterpart band is E = d + 2 c cos(k dx), read from
+    its own stencil (the continuum's grid band, not its dx -> 0 limit k^2/2m).
     ``band`` = +1/-1 picks the band of two-band chains; chains ignore it.
     """
-    if isinstance(spec, ContinuousHN):
-        return k / spec.m
-    if isinstance(spec, DiscreteHN):
-        return -2.0 * _SQ(spec.t1 * spec.t_minus1) * np.sin(k)
+    if isinstance(spec, (ContinuousHN, DiscreteHN)):
+        c, dx = _counterpart_hop(spec)
+        return -2.0 * c * dx * np.sin(k * dx)
     if band not in (1, -1):
         raise InvalidParameter("group_velocity: band must be +1 or -1")
     tbar = counterpart_t1(spec)
@@ -290,10 +298,9 @@ def band_curvature(spec: ModelSpec, k, band: int = 1):
     The effective inverse mass that sets a packet's spreading; ``band`` as in
     ``group_velocity``.
     """
-    if isinstance(spec, ContinuousHN):
-        return 1.0 / spec.m
-    if isinstance(spec, DiscreteHN):
-        return -2.0 * _SQ(spec.t1 * spec.t_minus1) * np.cos(k)
+    if isinstance(spec, (ContinuousHN, DiscreteHN)):
+        c, dx = _counterpart_hop(spec)
+        return -2.0 * c * dx * dx * np.cos(k * dx)
     v = group_velocity(spec, k, band)   # checks the band
     tbar = counterpart_t1(spec)
     return -band * (tbar * spec.t2 * np.cos(k) + v * v) / np.abs(tbar + spec.t2 * np.exp(1j * k))

@@ -23,7 +23,7 @@ import numpy as np
 from .config import ExperimentConfig, load_config
 from .errors import InvalidParameter
 from .evolve import EvolutionResult, evolve_series
-from .model import BoundarySSH, ContinuousHN, HamiltonianMatrix, ModelSpec, build_hamiltonian
+from .model import BoundarySSH, HamiltonianMatrix, ModelSpec, build_hamiltonian
 from .model import band_curvature, group_velocity
 from .oracle import GeneralOracleParams, general_peak, general_velocities, width_series
 from .presets import get_preset
@@ -77,17 +77,17 @@ def oracle_series(
 ) -> tuple[OracleSeries, float | None]:
     """Closed-form trajectory for the run plus its max pre-contact deviation.
 
-    Every family with a uniform skin factor gets the one skin law, with the
-    width of the counterpart packet spreading at the curvature of its band
-    (``band_curvature``): the continuum chain with kappa = b m, the uniform
-    lattices with kappa = ln r.  Nothing is read from the run but its times.
-    A packet narrower than one grid spacing (not a Gaussian on the grid),
-    ``boundary_ssh`` and chains with no Hermitian counterpart (a lattice with
-    |gamma/2| > |t1|, a continuum grid with 2 m b dx >= 1) get empty columns
-    and a note saying why.  The oracle trajectory is blanked after wall
-    contact (free-evolution validity only), incident velocities before
-    contact, reflected velocities after.  The deviation skips the guard band
-    before contact, where the peak is already transitioning onto the wall.
+    Every family with a uniform skin factor gets the one skin law: kappa =
+    ln r per unit length, and the width of the counterpart packet spreading
+    at the curvature of its band (``band_curvature``).  Nothing is read from
+    the run but its times and domain.  A packet narrower than one grid
+    spacing (not a Gaussian on the grid), ``boundary_ssh`` and chains with
+    no Hermitian counterpart (a lattice with |gamma/2| > |t1|, a continuum
+    grid with 2 m b dx >= 1) get empty columns and a note saying why.  The
+    oracle trajectory is blanked after wall contact (free-evolution validity
+    only), incident velocities before contact, reflected velocities after.
+    The deviation stops the guard band before the measured contact or the
+    law's own wall contact (its peak leaving the domain), whichever is first.
     """
     times = trajectory.times
     pre = trajectory.approach()
@@ -102,7 +102,7 @@ def oracle_series(
     elif (r := skin_factor(spec)) is None:   # per site, so a continuum r^(1/dx) cannot overflow
         note = "oracle: n/a (no Hermitian counterpart)"
     else:
-        kappa = spec.b * spec.m if isinstance(spec, ContinuousHN) else math.log(r)   # per site or cell
+        kappa = math.log(r) / getattr(spec, "dx", 1.0)   # per unit length: per site over dx, or per cell
         # the lower band of two-band chains; chains ignore the band
         widths = width_series(packet.sigma, band_curvature(spec, packet.k0, band=-1), times)
         g = GeneralOracleParams(kappa, group_velocity(spec, packet.k0, band=-1), times, *widths, x0=packet.x0)
@@ -110,6 +110,9 @@ def oracle_series(
         v_in, v_ref = general_velocities(g)
 
     mask = trajectory.approach(guard_band) & np.isfinite(x_o)
+    outside = np.flatnonzero((x_o < trajectory.domain[0]) | (x_o > trajectory.domain[1]))
+    if len(outside):
+        mask[max(0, outside[0] - guard_band) :] = False
     if np.any(mask):
         deviation = float(np.max(np.abs(trajectory.x_peak[mask] - x_o[mask])))
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalOverflow
-from .model import ContinuousHN, ModelSpec, axis_y_twin, build_hamiltonian
+from .model import ModelSpec, axis_y_twin, build_hamiltonian
 
 
 def chain_similarity(bands: dict[int, np.ndarray]):
@@ -47,20 +46,3 @@ def skin_factor(spec: ModelSpec) -> float | None:
         return None
     s = sim[0]
     return float(s[min(h.geometry.sites_per_cell, len(s) - 1)] / s[0])
-
-
-def skin_factor_per_unit_length(spec: ModelSpec) -> float | None:
-    """r re-expressed per unit coordinate (equals skin_factor for lattice models).
-
-    Raises ``NumericalOverflow`` where r**(1/dx) leaves the float range.
-    """
-    r = skin_factor(spec)
-    if r is not None and isinstance(spec, ContinuousHN):
-        try:
-            return r ** (1.0 / spec.dx)
-        except OverflowError:
-            raise NumericalOverflow(
-                f"skin factor per unit length of {spec}: {r:.6g} per site to the power 1/dx = {1.0 / spec.dx:g} "
-                "overflows"
-            ) from None
-    return r

@@ -1,11 +1,14 @@
-"""Reference operators, dispersions and writers that only the tests use.
+"""Reference operators, dispersions, closed forms and writers that only the tests use.
 
 Dense finite-difference stencils, the two-band Bloch block, the
 periodic-boundary dispersions and a hermiticity residual: independent
 statements of what the banded Hamiltonians and the closed-form velocities
-in ``skinwave.model`` must agree with.  The per-cell ``repr`` writer of
-density.csv states what ``skinwave.shortest`` must write byte for byte, and
-``script`` imports a script under ``scripts/`` whose checks a test reuses.
+in ``skinwave.model`` must agree with.  The paper's dx -> 0 closed forms of
+the continuum chain (``HNOracleParams`` and the laws on it) are what the
+acceptance criteria check the runs against, and what the grid's own band
+law tends to on a fine grid.  The per-cell ``repr`` writer of density.csv
+states what ``skinwave.shortest`` must write byte for byte, and ``script``
+imports a script under ``scripts/`` whose checks a test reuses.
 """
 
 from __future__ import annotations
@@ -13,12 +16,15 @@ from __future__ import annotations
 import importlib.util
 import math
 import operator
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from skinwave.errors import DimensionMismatch, InvalidGrid, InvalidParameter
+from skinwave.errors import DimensionMismatch, InvalidGrid, InvalidParameter, NumericalOverflow
 from skinwave.model import BoundarySSH, ContinuousHN, DiscreteHN, ModelSpec, NonHermitianSSH, counterpart_t1
+from skinwave.oracle import width_series
+from skinwave.similarity import skin_factor
 
 _SQ = math.sqrt
 
@@ -78,15 +84,94 @@ def bloch_dispersion(spec: ModelSpec, k: float):
     return np.array([-e, e])
 
 
+def continuum_grid_matrix(spec: ContinuousHN, n: int) -> np.ndarray:
+    """Dense -(1/2m) Laplacian + b forward gradient + e0 on ``n`` points of the spec's grid."""
+    return (
+        -(1.0 / (2.0 * spec.m)) * build_laplacian(spec.dx, n)
+        + spec.b * build_gradient_forward(spec.dx, n)
+        + spec.e0 * np.eye(n)
+    )
+
+
 def hermitian_dispersion(spec: ModelSpec, k: float, band: int = 1) -> float:
-    """Real dispersion of the Hermitian counterpart; ``band`` = +1/-1 for two-band chains."""
+    """Real dispersion of the Hermitian counterpart; ``band`` = +1/-1 for two-band chains.
+
+    The continuum chain's is the band of its grid, d + 2 c cos(k dx) with
+    c = sign(a) sqrt(a b), read off an interior row of the dense stencils
+    (diagonal d, super a, sub b).  It is written from its k = 0 value,
+    (d + 2 c) - 4 c sin^2(k dx / 2), so that a difference quotient is not
+    swamped by the 1/dx^2 size of d and c.
+    """
     if isinstance(spec, ContinuousHN):
-        return k * k / (2.0 * spec.m) + spec.e0
+        h = continuum_grid_matrix(spec, 3)
+        d, a, b = h[1, 1], h[1, 2], h[1, 0]
+        c = math.copysign(_SQ(a * b), a)
+        return (d + 2.0 * c) - 4.0 * c * math.sin(0.5 * k * spec.dx) ** 2
     if isinstance(spec, DiscreteHN):
         return 2.0 * _SQ(spec.t1 * spec.t_minus1) * math.cos(k)
     if band not in (1, -1):
         raise InvalidParameter("hermitian_dispersion: band must be +1 or -1")
     return float(bloch_dispersion(spec, k)[1 if band == 1 else 0])
+
+
+def skin_factor_per_unit_length(spec: ModelSpec) -> float | None:
+    """``skin_factor`` re-expressed per unit coordinate, r**(1/dx) on the continuum grid.
+
+    Raises ``NumericalOverflow`` where r**(1/dx) leaves the float range.
+    """
+    r = skin_factor(spec)
+    if r is not None and isinstance(spec, ContinuousHN):
+        try:
+            return r ** (1.0 / spec.dx)
+        except OverflowError:
+            raise NumericalOverflow(
+                f"skin factor per unit length of {spec}: {r:.6g} per site to the power 1/dx = {1.0 / spec.dx:g} "
+                "overflows"
+            ) from None
+    return r
+
+
+@dataclass(frozen=True)
+class HNOracleParams:
+    """Symbols of the continuum chain's dx -> 0 closed forms."""
+
+    m: float
+    b: float
+    sigma: float
+    k0: float = 0.0
+    x0: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.m <= 0 or self.sigma <= 0:
+            raise InvalidParameter("HNOracleParams: m and sigma must be positive")
+
+
+def sigma_sq_t(p: HNOracleParams, t) -> float | np.ndarray:
+    """sigma(t)^2 = sigma^2 + t^2 / (4 sigma^2 m^2)."""
+    return width_series(p.sigma, 1.0 / p.m, t)[0]
+
+
+def hn_peak(p: HNOracleParams, t) -> float | np.ndarray:
+    """Peak displacement 2 b m [sigma(t)^2 - sigma^2], relative to x0 (drift excluded)."""
+    return 2.0 * p.b * p.m * (sigma_sq_t(p, t) - p.sigma**2)
+
+
+def norm_amplification(p: HNOracleParams, t: float) -> float:
+    """exp(2 b^2 m^2 [sigma(t)^2 - sigma^2])."""
+    return math.exp(2.0 * p.b**2 * p.m**2 * (sigma_sq_t(p, t) - p.sigma**2))
+
+
+def hn_density(p: HNOracleParams, x, t: float):
+    """Free-evolution probability density; valid before boundary contact.
+
+    Amplitude A / sqrt(2 pi sigma(t)^2) centered at
+    x0 + (k0/m) t + 2 b m [sigma(t)^2 - sigma^2].
+    """
+    s2 = sigma_sq_t(p, t)
+    center = p.x0 + (p.k0 / p.m) * t + hn_peak(p, t)
+    amp = norm_amplification(p, t) / math.sqrt(2.0 * math.pi * s2)
+    x = np.asarray(x, dtype=float)
+    return amp * np.exp(-((x - center) ** 2) / (2.0 * s2))
 
 
 def hermiticity_residual(m: np.ndarray) -> float:

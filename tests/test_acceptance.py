@@ -15,6 +15,8 @@ from skinwave.runner import run_preset
 from skinwave.similarity import chain_similarity
 from skinwave.wavepacket import extract_trajectory, gaussian_state
 
+from reference import HNOracleParams, hn_peak
+
 
 def _ok(num, text):
     print(f"ACCEPTANCE {num} PASS: {text}")
@@ -189,11 +191,11 @@ def test_criterion_9_structure_suites():
     assert drift < 1e-9
 
     # closed-form gradient check: the skin law's peak velocity 2 kappa d sigma^2/dt
-    p = sw.HNOracleParams(m=1.0, b=1.0, sigma=0.25)
+    p = HNOracleParams(m=1.0, b=1.0, sigma=0.25)
     step = 1e-6
     ts = np.array([0.1, 0.4, 0.9])
     law = sw.GeneralOracleParams(p.b * p.m, 0.0, ts, *sw.width_series(p.sigma, 1 / p.m, ts))
-    numeric = (sw.hn_peak(p, ts + step) - sw.hn_peak(p, ts - step)) / (2 * step)
+    numeric = (hn_peak(p, ts + step) - hn_peak(p, ts - step)) / (2 * step)
     grad_err = float(np.max(np.abs(numeric - sw.general_velocities(law)[0])))
     assert grad_err < 1e-8
     _ok(

@@ -658,7 +658,7 @@ def test_continuum_without_counterpart_has_no_oracle_deviation(tmp_path, capsys)
         packet={"sigma": 0.1, "x0": 0.5, "k0": 0.0},
         times={"t_max": 0.01, "frame_count": 20},
     )
-    assert sw.skin_factor_per_unit_length(cfg.model) is None
+    assert sw.skin_factor(cfg.model) is None
     path = tmp_path / "cfg.json"
     save_config(cfg, path)
     assert main(["run", str(path)]) == 0

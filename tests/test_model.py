@@ -344,11 +344,9 @@ def test_momentum_solver_hits_target_velocity():
 
 def test_geometry_labels_and_density_grid():
     chain = sw.build_hamiltonian(sw.DiscreteHN(1.0, 2.0, 5)).geometry
-    assert chain.sublattice(0) == "none"
     assert np.array_equal(chain.density_positions, chain.positions)
 
     ssh = sw.build_hamiltonian(sw.NonHermitianSSH(2.0, 1.0, -0.2, 3)).geometry
-    assert [ssh.sublattice(i) for i in range(6)] == ["A", "B", "A", "B", "A", "B"]
     assert np.array_equal(ssh.density_positions, [0.0, 1.0, 2.0])
     assert ssh.positions[0] == ssh.positions[1] == 0.0
 

@@ -10,7 +10,9 @@ from skinwave.presets import get_preset
 from skinwave.runner import oracle_series
 from skinwave.wavepacket import TrajectorySeries
 
-FIG1 = sw.HNOracleParams(m=1.0, b=1.0, sigma=0.25, x0=5.0)
+from reference import HNOracleParams, hn_density, hn_peak, norm_amplification, sigma_sq_t
+
+FIG1 = HNOracleParams(m=1.0, b=1.0, sigma=0.25, x0=5.0)
 
 
 def _hn_law(p, t):
@@ -28,17 +30,17 @@ def _v_ref(p, t):
 
 
 def test_sigma_sq_t_values():
-    assert sw.sigma_sq_t(FIG1, 0.0) == pytest.approx(0.0625)
-    assert sw.sigma_sq_t(FIG1, 0.5) == pytest.approx(1.0625)
-    wide = sw.HNOracleParams(m=1.0, b=1.0, sigma=20.0)
-    assert sw.sigma_sq_t(wide, 40.0) == pytest.approx(401.0)
+    assert sigma_sq_t(FIG1, 0.0) == pytest.approx(0.0625)
+    assert sigma_sq_t(FIG1, 0.5) == pytest.approx(1.0625)
+    wide = HNOracleParams(m=1.0, b=1.0, sigma=20.0)
+    assert sigma_sq_t(wide, 40.0) == pytest.approx(401.0)
 
 
 def test_hn_peak_and_velocity_values():
-    still = sw.HNOracleParams(m=1.0, b=0.0, sigma=0.25)
-    assert sw.hn_peak(still, 3.0) == 0.0
+    still = HNOracleParams(m=1.0, b=0.0, sigma=0.25)
+    assert hn_peak(still, 3.0) == 0.0
     assert _v_in(still, 3.0) == 0.0
-    assert sw.hn_peak(FIG1, 0.5) == pytest.approx(2.0)
+    assert hn_peak(FIG1, 0.5) == pytest.approx(2.0)
     # at rest the incident velocity is the peak velocity 2 b m d sigma^2/dt
     assert _v_in(FIG1, 0.5) == pytest.approx(8.0)
     # the slope of v_p(t) is b / (m sigma^2) = 16
@@ -50,16 +52,16 @@ def test_hn_peak_and_velocity_values():
 def test_hn_peak_velocity_is_derivative_of_peak():
     h = 1e-6
     for t in (0.1, 0.5, 1.1):
-        numeric = (sw.hn_peak(FIG1, t + h) - sw.hn_peak(FIG1, t - h)) / (2.0 * h)
+        numeric = (hn_peak(FIG1, t + h) - hn_peak(FIG1, t - h)) / (2.0 * h)
         assert abs(numeric - _v_in(FIG1, t)[0]) < 1e-8
 
 
 def test_incident_and_reflected_velocities():
-    elastic = sw.HNOracleParams(m=1.0, b=0.0, sigma=0.25, k0=7.0)
+    elastic = HNOracleParams(m=1.0, b=0.0, sigma=0.25, k0=7.0)
     assert _v_in(elastic, 2.0) == pytest.approx(7.0)
     assert _v_ref(elastic, 2.0) == pytest.approx(-7.0)
 
-    fast = sw.HNOracleParams(m=1.0, b=1.0, sigma=0.25, k0=20.0)
+    fast = HNOracleParams(m=1.0, b=1.0, sigma=0.25, k0=20.0)
     for t in (0.0, 0.3, 1.0):
         assert _v_in(fast, t) == pytest.approx(20.0 + 16.0 * t)
         assert _v_ref(fast, t) == pytest.approx(-20.0 + 16.0 * t)
@@ -69,51 +71,51 @@ def test_incident_and_reflected_velocities():
     assert _v_ref(fast, t_stall) == pytest.approx(0.0, abs=1e-12)
     # a time array gives the same values as one call per time
     grid = np.array([0.0, 0.3, 1.0, t_stall])
-    for law in (sw.hn_peak, _v_in, _v_ref):
+    for law in (hn_peak, _v_in, _v_ref):
         assert np.array_equal(law(fast, grid), np.ravel([law(fast, t) for t in grid]))
 
 
 @settings(max_examples=40)
 @given(st.floats(min_value=0.0, max_value=5.0))
 def test_velocity_difference_is_constant(t):
-    fast = sw.HNOracleParams(m=2.0, b=0.7, sigma=0.4, k0=3.0)
+    fast = HNOracleParams(m=2.0, b=0.7, sigma=0.4, k0=3.0)
     assert _v_in(fast, t) - _v_ref(fast, t) == pytest.approx(2.0 * 3.0 / 2.0)
 
 
 def test_hn_density_initial_and_normalized():
-    still = sw.HNOracleParams(m=1.0, b=0.0, sigma=0.25, x0=5.0)
+    still = HNOracleParams(m=1.0, b=0.0, sigma=0.25, x0=5.0)
     xs = np.linspace(0.0, 10.0, 4001)
-    d0 = sw.hn_density(still, xs, 0.0)
+    d0 = hn_density(still, xs, 0.0)
     ref = (2.0 * np.pi * 0.0625) ** -0.5 * np.exp(-((xs - 5.0) ** 2) / 0.125)
     assert np.allclose(d0, ref, atol=1e-12)
-    assert np.trapezoid(sw.hn_density(still, xs, 0.4), xs) == pytest.approx(1.0, abs=1e-6)
+    assert np.trapezoid(hn_density(still, xs, 0.4), xs) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_hn_density_peak_and_amplitude():
     xs = np.linspace(0.0, 10.0, 100001)
-    d = sw.hn_density(FIG1, xs, 0.5)
+    d = hn_density(FIG1, xs, 0.5)
     assert xs[np.argmax(d)] == pytest.approx(7.0, abs=1e-3)
-    amplitude_factor = d.max() * np.sqrt(2.0 * np.pi * sw.sigma_sq_t(FIG1, 0.5))
+    amplitude_factor = d.max() * np.sqrt(2.0 * np.pi * sigma_sq_t(FIG1, 0.5))
     assert amplitude_factor == pytest.approx(np.exp(2.0), rel=1e-6)
-    assert sw.norm_amplification(FIG1, 0.5) == pytest.approx(np.exp(2.0))
+    assert norm_amplification(FIG1, 0.5) == pytest.approx(np.exp(2.0))
 
 
 def test_hn_density_argmax_tracks_drift_plus_peak():
-    p = sw.HNOracleParams(m=1.0, b=0.6, sigma=0.3, k0=4.0, x0=3.0)
+    p = HNOracleParams(m=1.0, b=0.6, sigma=0.3, k0=4.0, x0=3.0)
     xs = np.linspace(-5.0, 30.0, 200001)
     for t in (0.2, 0.7):
-        d = sw.hn_density(p, xs, t)
-        expected = 3.0 + 4.0 * t + sw.hn_peak(p, t)
+        d = hn_density(p, xs, t)
+        expected = 3.0 + 4.0 * t + hn_peak(p, t)
         assert xs[np.argmax(d)] == pytest.approx(expected, abs=2e-4)
 
 
 def test_norm_amplification_monotone():
     ts = np.linspace(0.0, 3.0, 50)
-    vals = [sw.norm_amplification(FIG1, t) for t in ts]
+    vals = [norm_amplification(FIG1, t) for t in ts]
     assert vals[0] == 1.0
     assert np.all(np.diff(vals) >= 0.0)
-    still = sw.HNOracleParams(m=1.0, b=0.0, sigma=0.25)
-    assert sw.norm_amplification(still, 2.0) == 1.0
+    still = HNOracleParams(m=1.0, b=0.0, sigma=0.25)
+    assert norm_amplification(still, 2.0) == 1.0
 
 
 def _general(kappa, times, sigmas, v0=0.0):
@@ -135,20 +137,20 @@ def test_general_peak_trivial_and_ssh_value():
 def test_general_reduces_to_continuum_forms():
     """With kappa = b m and the analytic width series the measured-width law
     reproduces the continuum peak law exactly."""
-    p = sw.HNOracleParams(m=1.0, b=1.0, sigma=0.25)
+    p = HNOracleParams(m=1.0, b=1.0, sigma=0.25)
     ts = np.linspace(0.0, 1.2, 121)
-    sigmas = np.sqrt([sw.sigma_sq_t(p, t) for t in ts])
+    sigmas = np.sqrt([sigma_sq_t(p, t) for t in ts])
     peak = sw.general_peak(_general(p.b * p.m, ts, sigmas))
     for i in range(0, 121, 10):
-        assert peak[i] == pytest.approx(sw.hn_peak(p, ts[i]), abs=1e-10)
+        assert peak[i] == pytest.approx(hn_peak(p, ts[i]), abs=1e-10)
 
 
 def test_general_velocities_and_reflected_momentum():
     spec = sw.NonHermitianSSH(2.0, 1.0, -0.2, 50)
     r = sw.skin_factor(spec)
-    p = sw.HNOracleParams(m=1.0, b=1.0, sigma=20.0)
+    p = HNOracleParams(m=1.0, b=1.0, sigma=20.0)
     ts = np.linspace(0.0, 40.0, 81)
-    sigmas = np.sqrt([sw.sigma_sq_t(p, t) for t in ts])
+    sigmas = np.sqrt([sigma_sq_t(p, t) for t in ts])
     v_plus = group_velocity(spec, 2.0, band=-1)
     g = _general(np.log(r), ts, sigmas, v0=v_plus)
 
@@ -170,9 +172,12 @@ def test_general_velocities_hermitian_symmetric():
     assert v_ref[5] == pytest.approx(-v_in[5], rel=1e-9)
 
 
-def test_continuum_oracle_columns_state_the_hn_laws():
-    """On fig1c's frame grid the oracle columns are x0 + (k0/m) t + hn_peak
-    before contact and +-k0/m + b t / (m sigma^2) on their sides of it."""
+def test_continuum_oracle_columns_state_the_grid_band_law():
+    """On fig1c's frame grid the oracle columns are the skin law of the grid's own
+    band, written out here: hops a = -1/(2 m dx^2) + b/dx above the diagonal and
+    c = -1/(2 m dx^2) below it, E(k) = d - 2 sqrt(a c) cos(k dx), kappa = ln sqrt(c/a) / dx.
+    x0 + v0 t + 2 kappa (E'' t)^2 / (4 sigma^2) before contact and
+    +-v0 + kappa E''^2 t / sigma^2 on their sides of it."""
     cfg = get_preset("fig1c")
     spec, packet = cfg.model, cfg.packet
     times = np.linspace(0.0, cfg.times.t_max, cfg.times.frame_count)
@@ -184,11 +189,18 @@ def test_continuum_oracle_columns_state_the_hn_laws():
         contact_boundary=spec.length, domain=(0.0, spec.length), dx=spec.dx,
     )
     oracle, _ = oracle_series(spec, packet, trajectory)
-    p = sw.HNOracleParams(m=spec.m, b=spec.b, sigma=packet.sigma, k0=packet.k0, x0=packet.x0)
-    drift = spec.b * times / (spec.m * packet.sigma**2)
-    assert np.array_equal(oracle.x_peak[:ci], (p.x0 + (p.k0 / p.m) * times + sw.hn_peak(p, times))[:ci])
-    assert np.array_equal(oracle.v_in[:ci], (p.k0 / p.m + drift)[:ci])
-    assert np.array_equal(oracle.v_ref[ci:], (-p.k0 / p.m + drift)[ci:])
+    dx = spec.dx
+    below = -1.0 / (2.0 * spec.m * dx * dx)
+    above = below + spec.b / dx
+    hop, kappa, kdx = np.sqrt(above * below), 0.5 * np.log(below / above) / dx, packet.k0 * dx
+    v0 = 2.0 * hop * dx * np.sin(kdx)
+    curvature = 2.0 * hop * dx * dx * np.cos(kdx)
+    spread = 2.0 * kappa * (curvature * times) ** 2 / (4.0 * packet.sigma**2)
+    drift = kappa * curvature**2 * times / packet.sigma**2
+    np.testing.assert_allclose(oracle.x_peak[:ci], (packet.x0 + v0 * times + spread)[:ci], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(oracle.v_in[:ci], (v0 + drift)[:ci], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(oracle.v_ref[ci:], (-v0 + drift)[ci:], rtol=1e-12, atol=0)
+    assert np.all(np.isnan(oracle.x_peak[ci:])) and np.all(np.isnan(oracle.v_ref[:ci]))
 
 
 def test_lattice_oracle_columns_state_the_band_curvature_law():
@@ -234,4 +246,4 @@ def test_general_params_validation():
     with pytest.raises(InvalidParameter):
         _general(np.nan, [0.0, 1.0], [5.0, 6.0])
     with pytest.raises(InvalidParameter):
-        sw.HNOracleParams(m=0.0, b=1.0, sigma=0.25)
+        HNOracleParams(m=0.0, b=1.0, sigma=0.25)

@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 import skinwave as sw
 from skinwave.evolve import _decompose_chain
-from skinwave.model import axis_y_twin
+from skinwave.model import axis_y_twin, band_curvature, group_velocity
 
-from reference import hermiticity_residual
+from reference import hermiticity_residual, skin_factor_per_unit_length
+
+COARSE = sw.ContinuousHN(m=1.5, b=1.375, length=4.0, dx=0.25)   # 2 m b dx > 1
 
 
 def _counterpart(spec):
@@ -55,7 +57,7 @@ def test_skin_factor_per_unit_length_continuous():
     # the grid's own hop ratio (1 - 2 m b dx)^(-1/2), not the continuum exp(b m dx)
     spec = sw.ContinuousHN(m=1.5, b=0.8, length=5.0, dx=0.05)
     assert sw.skin_factor(spec) == pytest.approx(0.88 ** -0.5)
-    assert sw.skin_factor_per_unit_length(spec) == pytest.approx(0.88 ** -10.0)
+    assert skin_factor_per_unit_length(spec) == pytest.approx(0.88 ** -10.0)
 
 
 def test_skin_factor_per_unit_length_overflow_names_the_spec():
@@ -63,15 +65,40 @@ def test_skin_factor_per_unit_length_overflow_names_the_spec():
     spec = sw.ContinuousHN(m=1.0, b=99.92, length=0.5, dx=0.005)
     assert sw.skin_factor(spec) == pytest.approx(35.36, rel=1e-3)
     with pytest.raises(sw.NumericalOverflow, match=r"ContinuousHN\(m=1.0, b=99.92.*overflows"):
-        sw.skin_factor_per_unit_length(spec)
+        skin_factor_per_unit_length(spec)
 
 
 def test_skin_factor_none_without_counterpart():
     assert sw.skin_factor(sw.NonHermitianSSH(1.0, 1.0, 3.0, 8)) is None
     assert sw.skin_factor(sw.NonHermitianSSH(1.0, 1.0, 3.0, 8, axis="z")) is None
-    coarse = sw.ContinuousHN(m=1.5, b=1.375, length=4.0, dx=0.25)   # 2 m b dx > 1
-    assert sw.skin_factor(coarse) is None
-    assert sw.skin_factor_per_unit_length(coarse) is None
+    assert sw.skin_factor(COARSE) is None
+    assert skin_factor_per_unit_length(COARSE) is None
+
+
+def test_continuum_band_tends_to_the_paper_forms():
+    """The grid band's v, E'' and ln(r)/dx tend to the continuum's k/m, 1/m and b m
+    as dx -> 0, each error falling about tenfold per decade of dx (first order)."""
+    k = 2.0
+    errors = []
+    for dx in (1e-2, 1e-3):
+        spec = sw.ContinuousHN(m=1.5, b=0.8, length=1.0, dx=dx)
+        got = np.array([group_velocity(spec, k), band_curvature(spec, k), np.log(sw.skin_factor(spec)) / dx])
+        paper = np.array([k / spec.m, 1.0 / spec.m, spec.b * spec.m])
+        errors.append(np.abs(got / paper - 1.0))
+    at_1e2, at_1e3 = errors
+    assert np.all(at_1e2 < 0.02)
+    assert np.all((8.0 < at_1e2 / at_1e3) & (at_1e2 / at_1e3 < 12.0)), at_1e2 / at_1e3
+
+
+def test_band_functions_refuse_a_grid_without_counterpart():
+    """2 m b dx >= 1 leaves the grid's hops of opposite sign (or a zero hop): no band to read.
+    Nor is there one where the product of the hops overflows; neither gives a nan."""
+    edge = sw.ContinuousHN(m=1.0, b=50.0, length=1.0, dx=0.01)   # 2 m b dx = 1
+    light = sw.ContinuousHN(m=1e-300, b=0.0, length=1.0, dx=0.01)   # hops -5e303
+    for spec in (COARSE, edge, light):
+        for law in (group_velocity, band_curvature):
+            with pytest.raises(sw.InvalidParameter, match="no Hermitian counterpart"):
+                law(spec, 0.3)
 
 
 def test_build_similarity_discrete_pattern():

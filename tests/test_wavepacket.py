@@ -15,6 +15,8 @@ from skinwave.evolve import evolve_series
 from skinwave.model import Geometry
 from skinwave.wavepacket import HALF_WIDTH_FACTOR, differentiate, moving_average, top_two_peaks
 
+from reference import HNOracleParams, hn_density
+
 
 def box_geometry(n=1000, dx=0.01):
     return Geometry(positions=np.arange(n) * dx, dx=dx)
@@ -102,9 +104,9 @@ def test_peak_position_symmetric_gaussian():
 
 def test_peak_position_free_evolution_frame():
     # closed-form density at t = 0.5 peaks at x0 + 2
-    p = sw.HNOracleParams(m=1.0, b=1.0, sigma=0.25, x0=5.0)
+    p = HNOracleParams(m=1.0, b=1.0, sigma=0.25, x0=5.0)
     geom = box_geometry()
-    d = sw.hn_density(p, geom.positions, 0.5)
+    d = hn_density(p, geom.positions, 0.5)
     x = _peak(d, geom)
     assert abs(x - 7.0) <= 0.02
 
