@@ -22,7 +22,9 @@ none solves an eigenproblem of the whole chain:
 * chiral: a zero-diagonal Hbar (the two-band chains); the singular modes of
   its half-size intercell block give the modes at E = +-sigma, in closed form
   (standing waves) for a uniform block without an edge mode, from one dense
-  SVD otherwise;
+  SVD otherwise.  Spectrum and modes are real, so its frames are formed in
+  real arithmetic: one cos/sin table of sigma t for both halves +-sigma, and
+  one real GEMM per sublattice;
 * ...+rotation: the gain/loss two-band chains use their asymmetric-hop twin,
   rotating psi0 into it and the frames back cell by cell;
 * generic: a chain without a counterpart, or a bare matrix; eig plus a
@@ -155,14 +157,22 @@ class _CounterpartModes:
 
     def expand(self, psi: np.ndarray) -> np.ndarray:
         """Mode coefficients L^H psi = Q^T S^-1 W^H psi of the states ``psi`` (..., dim)."""
-        if self.rotated:
-            psi = _rotate(psi, _U_AXIS.conj().T)
-        return self._modes(psi / self.s)
+        return self._modes(self._to_counterpart(psi))
 
     def synthesize(self, coeff: np.ndarray) -> np.ndarray:
         """Amplitudes R c = W S Q c of the mode coefficients ``coeff`` (..., dim)."""
-        amps = self.s * self._sites(coeff)
-        return _rotate(amps, _U_AXIS) if self.rotated else amps
+        return self._from_counterpart(self._sites(coeff))
+
+    def _to_counterpart(self, psi: np.ndarray) -> np.ndarray:
+        """S^-1 W^H psi: the states ``psi`` on the counterpart's sites."""
+        if self.rotated:
+            psi = _rotate(psi, _U_AXIS.conj().T)
+        return psi / self.s
+
+    def _from_counterpart(self, x: np.ndarray) -> np.ndarray:
+        """W S x: counterpart site amplitudes ``x`` back on the chain's sites (S applied in place)."""
+        x *= self.s
+        return _rotate(x, _U_AXIS) if self.rotated else x
 
     def _bases(self) -> tuple[np.ndarray, np.ndarray]:
         eye = np.eye(self.dim)
@@ -187,28 +197,66 @@ class SineModes(_CounterpartModes):
     _modes = _sites = staticmethod(_dst1)   # the DST-I matrix is symmetric
 
 
+def _stacked(z: np.ndarray) -> np.ndarray:
+    """Real and imaginary parts of ``z`` stacked on a new leading axis."""
+    return np.stack([z.real, z.imag])
+
+
 @dataclass(frozen=True)
 class ChiralModes(_CounterpartModes):
     """Route 'chiral': a zero-diagonal counterpart, [[0, B], [B^T, 0]] between even and odd sites.
 
     With B = U diag(sigma) V^T, the modes are (u_n, +-v_n) / sqrt(2) at
-    E = +-sigma_n: two half-size products per map.
+    E = +-sigma_n: two half-size products per map.  Every product is real:
+    complex operands go in as their real and imaginary parts stacked into one
+    operand, so U and V are never copied to complex.
     """
 
     u: np.ndarray
     v: np.ndarray
     name = "chiral"
 
+    def _sublattices(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """U^T x_A and V^T x_B of counterpart site amplitudes ``x`` (..., dim), each stacked [Re, Im]."""
+        return _stacked(x[..., 0::2]) @ self.u, _stacked(x[..., 1::2]) @ self.v
+
     def _modes(self, x: np.ndarray) -> np.ndarray:
-        a, b = x[..., 0::2] @ self.u, x[..., 1::2] @ self.v
-        return np.concatenate([a + b, a - b], axis=-1) / math.sqrt(2.0)
+        p, q = (r + 1j * i for r, i in self._sublattices(x))
+        return np.concatenate([p + q, p - q], axis=-1) / math.sqrt(2.0)
 
     def _sites(self, c: np.ndarray) -> np.ndarray:
         plus, minus = np.split(c / math.sqrt(2.0), 2, axis=-1)
-        amps = np.empty(c.shape, dtype=complex)
-        amps[..., 0::2] = (plus + minus) @ self.u.T
-        amps[..., 1::2] = (plus - minus) @ self.v.T
+        return self._products(_stacked(plus + minus), _stacked(plus - minus))
+
+    def _products(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Site amplitudes U p on the even sites and V q on the odd ones; ``p`` and ``q`` stacked [Re, Im].
+
+        Each sublattice is one real GEMM of its [Re; Im] rows.
+        """
+        n = self.u.shape[0]
+        amps = np.empty(p.shape[1:-1] + (2 * n,), dtype=complex)
+        parts = amps.view(float).reshape(amps.shape[:-1] + (n, 2, 2))   # (..., cell, sublattice, re/im)
+        for sub, coeff, basis in ((0, p, self.u), (1, q, self.v)):
+            prod = (coeff.reshape(-1, n) @ basis.T).reshape(coeff.shape)
+            parts[..., sub, 0], parts[..., sub, 1] = prod
         return amps
+
+    def frames(self, psi: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """Unnormalised amplitudes (frames x dim) of ``psi`` at the elapsed times ``ts``, in real arithmetic.
+
+        With p = U^T x_A and q = V^T x_B (x = S^-1 W^H psi), the mode pair
+        +-sigma carries p cos(sigma t) - i q sin(sigma t) on the even
+        sublattice and q cos(sigma t) - i p sin(sigma t) on the odd one, so one
+        cos/sin table serves both halves of the spectrum.
+        """
+        (pr, pi), (qr, qi) = self._sublattices(self._to_counterpart(psi))
+        cos = np.outer(ts, self.eigenvalues[: self.u.shape[0]].real)
+        sin = np.sin(cos)
+        np.cos(cos, out=cos)
+        even = np.stack([pr * cos + qi * sin, pi * cos - qr * sin])
+        odd = np.stack([qr * cos + pi * sin, qi * cos - pr * sin])
+        del cos, sin   # not alive through the products
+        return self._from_counterpart(self._products(even, odd))
 
 
 @dataclass(frozen=True)
@@ -395,10 +443,11 @@ def _check_times(times, psi0: WaveState, dim: int) -> np.ndarray:
 
 
 def _normalise(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-normalise the last axis; returns the scaled amplitudes and log of the norms."""
+    """Unit-normalise the last axis in place; returns the scaled amplitudes and log of the norms."""
     with np.errstate(divide="ignore", invalid="ignore"):
         nrm = np.linalg.norm(amps, axis=-1, keepdims=True)
-        return amps / nrm, np.log(nrm[..., 0])
+        amps /= nrm
+        return amps, np.log(nrm[..., 0])
 
 
 def _check_frames(log_norms: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -413,20 +462,25 @@ def _check_frames(log_norms: np.ndarray, ts: np.ndarray) -> np.ndarray:
 def propagate_spectral(dec: SineModes | ChiralModes | SpectralDecomposition, psi0: WaveState, times):
     """Evolve psi0 to every elapsed time in ``times`` through the eigenbasis.
 
-    The expansion c = L^H psi0 is formed once and all frames come from one
-    synthesis R (c * phases) over the whole grid.  The largest Im(E_n) t of
-    each frame is factored into its log-norm before exponentiating, so growing
-    modes never overflow.
+    psi0 is expanded once and all frames come from one synthesis over the
+    whole grid.  The chiral route does both in real arithmetic
+    (``ChiralModes.frames``).  The other routes form c = L^H psi0 and
+    synthesise R (c * exp(-i E t)); on the generic route, the only one whose
+    spectrum can be complex, the largest Im(E_n) t of each frame is factored
+    into its log-norm before exponentiating, so growing modes never overflow.
     Returns unit-normalised amplitudes (frames x dim) and the total log-norm
     per frame; frames at zero elapsed time are psi0's amplitudes and log-norm
     unchanged.
     """
     ts = _check_times(times, psi0, dec.dim)
-    coeff = dec.expand(psi0.amplitudes)
-    growth = np.outer(ts, dec.eigenvalues.imag)
-    mu = growth.max(axis=1)
-    phases = np.exp(np.outer(ts, -1j * dec.eigenvalues.real) + (growth - mu[:, None]))
-    amps = dec.synthesize(phases * coeff)
+    if isinstance(dec, ChiralModes):
+        amps, mu = dec.frames(psi0.amplitudes, ts), 0.0
+    else:
+        coeff = dec.expand(psi0.amplitudes)
+        growth = np.outer(ts, dec.eigenvalues.imag)
+        mu = growth.max(axis=1)
+        phases = np.exp(np.outer(ts, -1j * dec.eigenvalues.real) + (growth - mu[:, None]))
+        amps = dec.synthesize(phases * coeff)
     amps, log_nrm = _normalise(amps)
     log_norms = _check_frames(psi0.log_norm_offset + mu + log_nrm, ts)
     at_start = ts == 0

@@ -45,26 +45,31 @@ _E10_MAX = 308   # normal doubles have e10 in [-308, 308]
 _SPLIT = 134217729.0   # 2**27 + 1, Dekker's splitter
 
 
-def _power_of_ten(s: int) -> tuple[float, float, float, float, int]:
-    """10**s = (hi + lo) 2**q with hi + lo in [1, 2), hi split into halves hh + hl of 26 bits."""
-    if s >= 0:
-        q = (10 ** s).bit_length() - 1
-        fixed = (10 ** s << 120) >> q
-    else:
-        q = -(10 ** -s).bit_length()   # 10**-s is no power of two
-        fixed = (1 << (120 - q)) // 10 ** -s
-    hi = float(fixed)
-    lo = float(fixed - int(hi)) * 2.0 ** -120
+@functools.cache
+def _powers_of_ten() -> np.ndarray:
+    """Columns (hi, hh, hl, lo, q) of 10**s for s = 16 - e10, e10 = 308 down to -308.
+
+    10**s = (hi + lo) 2**q with hi + lo in [1, 2), hi split into halves
+    hh + hl of 26 bits.  The 121-bit integer (hi + lo) 2**120 is formed
+    exactly from one running power of ten, 10**|s|.
+    """
+    fixed, q = [], []
+    p = 10 ** (_E10_MAX - 16)
+    for s in range(16 - _E10_MAX, 17 + _E10_MAX):
+        if s < 0:
+            q.append(-p.bit_length())   # 10**-s is no power of two
+            fixed.append((1 << (120 - q[-1])) // p)
+            p //= 10
+        else:
+            q.append(p.bit_length() - 1)
+            fixed.append((p << 120) >> q[-1])
+            p *= 10
+    hi = np.array([float(f) for f in fixed])
+    lo = np.array([float(f - int(h)) for f, h in zip(fixed, hi.tolist())]) * 2.0 ** -120
     hi *= 2.0 ** -120
     c = _SPLIT * hi
     hh = c - (c - hi)
-    return hi, hh, hi - hh, lo, q
-
-
-@functools.cache
-def _powers_of_ten() -> np.ndarray:
-    """Columns of ``_power_of_ten(16 - e10)`` for e10 = 308 down to -308."""
-    return np.array([_power_of_ten(16 - e10) for e10 in range(_E10_MAX, -_E10_MAX - 1, -1)]).T.copy()
+    return np.array([hi, hh, hi - hh, lo, q])
 
 
 def _scaled(m: np.ndarray, e: np.ndarray, e10: np.ndarray):
@@ -133,35 +138,43 @@ _FIXED = 20   # layout classes 0..19: point -3..16 written out; 20..23 scientifi
 @functools.cache
 def _quads() -> np.ndarray:
     """uint32 words of four ascii bytes: '0000'..'9999', then '0.e-' and '+' padded with NUL."""
-    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
     tail = np.frombuffer(b"0.e-+\0\0\0", dtype=np.uint8).reshape(2, 4)
-    return np.concatenate([digits.astype(np.uint8), tail]).view(np.uint32).ravel()
+    return np.concatenate([digits, tail]).view(np.uint32).ravel()
 
 
 @functools.cache
 def _layouts() -> tuple[np.ndarray, np.ndarray]:
-    """Source column of each output byte, and the length, per (sign, class, count)."""
-    table = np.full((2, _FIXED + 4, 18, WIDTH), _NUL, dtype=np.intp)
-    lengths = np.zeros((2, _FIXED + 4, 18), dtype=np.intp)
-    for cls in range(_FIXED + 4):
-        for count in range(1, 18):
-            digits = list(range(_DIGIT, _DIGIT + count))
-            if cls < _FIXED:
-                point = cls - 3
-                if point <= 0:
-                    body = [_ZERO, _DOT] + [_ZERO] * -point + digits
-                elif point < count:
-                    body = digits[:point] + [_DOT] + digits[point:]
-                else:
-                    body = digits + [_ZERO] * (point - count) + [_DOT, _ZERO]
-            else:
-                positive, three = divmod(cls - _FIXED, 2)
-                body = digits[:1] + ([_DOT] + digits[1:] if count > 1 else []) + [_E]
-                body += [_PLUS if positive else _MINUS] + list(range(_EXPONENT + 1 - three, _EXPONENT + 3))
-            for sign, text in enumerate((body, [_MINUS] + body)):
-                table[sign, cls, count, :len(text)] = text
-                lengths[sign, cls, count] = len(text)
-    return table.reshape(-1, WIDTH), lengths.ravel()
+    """Source column of each output byte, and the length, per (sign, class, count).
+
+    Fixed notation writes max(point, 1) places before the dot and
+    max(count - point, 1) after it; place j holds digit point - 1 - e
+    (j's decimal exponent e), or '0' where there is none.  Scientific
+    notation writes the mantissa as point 1 with count - 1 places after the
+    dot (no dot for one digit), then 'e', the exponent's sign and its two or
+    three digits.  Count 0 is no layout.
+    """
+    cls = np.arange(_FIXED + 4)[:, None, None]
+    count = np.arange(18)[:, None]
+    j = np.arange(WIDTH)
+    sci = cls >= _FIXED
+    point = np.where(sci, 1, cls - 3)
+    whole = np.maximum(point, 1)
+    frac = np.where(sci, count - 1, np.maximum(count - point, 1))
+    mantissa = np.where(frac > 0, whole + 1 + frac, whole)
+    k = point - whole + j - (j > whole)
+    body = np.where(j == whole, _DOT, np.where((k >= 0) & (k < count), _DIGIT + k, _ZERO))
+    three = (cls - _FIXED) % 2
+    t = j - mantissa
+    sign = np.where(cls >= _FIXED + 2, _PLUS, _MINUS)
+    exponent = np.where(t == 0, _E, np.where(t == 1, sign, _EXPONENT - 1 - three + t))
+    body = np.where(sci & (t >= 0), exponent, body)
+    length = np.where(sci, mantissa + 4 + three, mantissa) * (count > 0)
+    table = np.empty((2,) + body.shape, dtype=np.intp)
+    table[0] = np.where(j < length, body, _NUL)
+    table[1, ..., 0] = np.where(count[:, 0] > 0, _MINUS, _NUL)
+    table[1, ..., 1:] = table[0, ..., :-1]
+    return table.reshape(-1, WIDTH), np.stack([length, length + (count > 0)]).ravel()
 
 
 def shortest_repr(values) -> np.ndarray:

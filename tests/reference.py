@@ -7,8 +7,10 @@ in ``skinwave.model`` must agree with.  The paper's dx -> 0 closed forms of
 the continuum chain (``HNOracleParams`` and the laws on it) are what the
 acceptance criteria check the runs against, and what the grid's own band
 law tends to on a fine grid.  The per-cell ``repr`` writer of density.csv
-states what ``skinwave.shortest`` must write byte for byte, and ``script``
-imports a script under ``scripts/`` whose checks a test reuses.
+states what ``skinwave.shortest`` must write byte for byte, and its tables
+are rebuilt here one entry at a time.  The chiral route's frames are
+restated as a complex synthesis over all 2n modes.  ``script`` imports a
+script under ``scripts/`` whose checks a test reuses.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from skinwave.errors import DimensionMismatch, InvalidGrid, InvalidParameter, NumericalOverflow
+from skinwave.evolve import ChiralModes
 from skinwave.model import BoundarySSH, ContinuousHN, DiscreteHN, ModelSpec, NonHermitianSSH, counterpart_t1
 from skinwave.oracle import width_series
+from skinwave.shortest import _DIGIT, _DOT, _E, _EXPONENT, _FIXED, _MINUS, _NUL, _PLUS, _SPLIT, _ZERO, WIDTH
 from skinwave.similarity import skin_factor
 
 _SQ = math.sqrt
@@ -193,6 +197,84 @@ def repr_density_csv(positions, times, log_norms, dens) -> bytes:
     for t, ln, frame in zip(repr_column(times), repr_column(log_norms), dens):
         lines.append(f"{t}," + f",{ln}\n{t},".join(map(operator.add, xs, repr_column(frame))) + f",{ln}\n")
     return "".join(lines).encode()
+
+
+def complex_chiral_frames(dec: ChiralModes, psi: np.ndarray, times) -> np.ndarray:
+    """Unnormalised frames (times x dim) of ``psi`` on the chiral route, in complex arithmetic.
+
+    x = S^-1 W^H psi; c = [(a + b), (a - b)] / sqrt(2) with a = U^T x_A and
+    b = V^T x_B; every mode takes its phase exp(-i E t), and the frames are
+    W S of U (c+ + c-) / sqrt(2) on the even sites and V (c+ - c-) / sqrt(2)
+    on the odd ones.  W is the per-cell rotation [[1, -i], [-i, 1]] / sqrt(2)
+    of the '+rotation' routes.
+    """
+    w = np.array([[1.0, -1.0j], [-1.0j, 1.0]]) / _SQ(2.0)
+    cells = np.asarray(psi, dtype=complex).reshape(-1, 2)
+    x = ((cells @ w.conj()) if dec.rotated else cells).ravel() / dec.s
+    a, b = x[0::2] @ dec.u, x[1::2] @ dec.v
+    coeff = np.concatenate([a + b, a - b]) / _SQ(2.0)
+    phases = np.exp(np.outer(np.asarray(times, dtype=float), -1j * dec.eigenvalues.real))
+    plus, minus = np.split(phases * coeff / _SQ(2.0), 2, axis=-1)
+    amps = np.empty((len(phases), dec.dim), dtype=complex)
+    amps[:, 0::2] = (plus + minus) @ dec.u.T
+    amps[:, 1::2] = (plus - minus) @ dec.v.T
+    amps *= dec.s
+    if dec.rotated:
+        amps = (amps.reshape(len(amps), -1, 2) @ w.T).reshape(amps.shape)
+    return amps
+
+
+def power_of_ten(s: int) -> tuple[float, float, float, float, int]:
+    """10**s = (hi + lo) 2**q with hi + lo in [1, 2), hi split into halves hh + hl of 26 bits."""
+    if s >= 0:
+        q = (10 ** s).bit_length() - 1
+        fixed = (10 ** s << 120) >> q
+    else:
+        q = -(10 ** -s).bit_length()   # 10**-s is no power of two
+        fixed = (1 << (120 - q)) // 10 ** -s
+    hi = float(fixed)
+    lo = float(fixed - int(hi)) * 2.0 ** -120
+    hi *= 2.0 ** -120
+    c = _SPLIT * hi
+    hh = c - (c - hi)
+    return hi, hh, hi - hh, lo, q
+
+
+def powers_of_ten_table() -> np.ndarray:
+    """``shortest._powers_of_ten``: columns of ``power_of_ten(16 - e10)`` for e10 = 308 down to -308."""
+    return np.array([power_of_ten(16 - e10) for e10 in range(308, -309, -1)]).T.copy()
+
+
+def quads_table() -> np.ndarray:
+    """``shortest._quads``: '0000'..'9999' as uint32 words of four ascii bytes, then '0.e-' and '+'."""
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    tail = np.frombuffer(b"0.e-+\0\0\0", dtype=np.uint8).reshape(2, 4)
+    return np.concatenate([digits.astype(np.uint8), tail]).view(np.uint32).ravel()
+
+
+def layouts_table() -> tuple[np.ndarray, np.ndarray]:
+    """``shortest._layouts``, one layout at a time: source columns and length per (sign, class, count)."""
+    table = np.full((2, _FIXED + 4, 18, WIDTH), _NUL, dtype=np.intp)
+    lengths = np.zeros((2, _FIXED + 4, 18), dtype=np.intp)
+    for cls in range(_FIXED + 4):
+        for count in range(1, 18):
+            digits = list(range(_DIGIT, _DIGIT + count))
+            if cls < _FIXED:
+                point = cls - 3
+                if point <= 0:
+                    body = [_ZERO, _DOT] + [_ZERO] * -point + digits
+                elif point < count:
+                    body = digits[:point] + [_DOT] + digits[point:]
+                else:
+                    body = digits + [_ZERO] * (point - count) + [_DOT, _ZERO]
+            else:
+                positive, three = divmod(cls - _FIXED, 2)
+                body = digits[:1] + ([_DOT] + digits[1:] if count > 1 else []) + [_E]
+                body += [_PLUS if positive else _MINUS] + list(range(_EXPONENT + 1 - three, _EXPONENT + 3))
+            for sign, text in enumerate((body, [_MINUS] + body)):
+                table[sign, cls, count, :len(text)] = text
+                lengths[sign, cls, count] = len(text)
+    return table.reshape(-1, WIDTH), lengths.ravel()
 
 
 def script(name: str):

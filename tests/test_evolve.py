@@ -13,6 +13,8 @@ from skinwave.model import axis_y_twin
 from skinwave.presets import get_preset, preset_names
 from skinwave.similarity import chain_similarity
 
+from reference import complex_chiral_frames
+
 RNG = np.random.default_rng(1234)
 
 
@@ -523,3 +525,22 @@ def test_closed_form_chiral_route_matches_expm(axis):
     assert a.route == "chiral" + ("+rotation" if axis == "z" else "")
     assert np.max(np.abs(a.site_densities - b.site_densities)) <= 1e-7
     assert np.max(np.abs(a.log_norms - b.log_norms)) <= 1e-7
+
+
+@pytest.mark.parametrize("axis", ["y", "z"])
+@pytest.mark.parametrize(
+    "spec",
+    [sw.NonHermitianSSH(2.0, 1.0, -0.6, 40), get_preset("sm-boundary").model, sw.NonHermitianSSH(1.0, 2.0, -0.2, 40)],
+    ids=["closed-form", "sm-boundary", "edge-mode"],
+)
+def test_chiral_frames_match_the_complex_synthesis(spec, axis):
+    """One real cos/sin table and one real product per sublattice give the frames of exp(-iEt) over all 2n modes."""
+    spec = dataclasses.replace(spec, axis=axis)
+    h = sw.build_hamiltonian(spec)
+    dec = decompose_model(h, spec)
+    assert dec.route == "chiral" + ("+rotation" if axis == "z" else "")
+    rng = np.random.default_rng(11)
+    psi = rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim)
+    times = np.linspace(0.0, 30.0, 7)
+    ref = complex_chiral_frames(dec, psi, times)
+    assert np.max(np.abs(dec.frames(psi, times) - ref)) <= 1e-12 * np.max(np.abs(ref))

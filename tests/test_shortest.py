@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from skinwave.shortest import WIDTH, _decide, shortest_repr
+import skinwave
+from skinwave.shortest import WIDTH, _decide, _layouts, _powers_of_ten, _quads, shortest_repr
 
-from reference import script
+from reference import layouts_table, powers_of_ten_table, quads_table, script
 
 
 @pytest.fixture(scope="module")
@@ -52,3 +57,18 @@ def test_undecided_values_go_to_repr(check):
                      8.0000152587890625])
     assert not _decide(hard)[3].any()
     assert _decide(np.array([0.1, 0.3, 1e-300, 1e300, 123.456]))[3].all()
+
+
+def test_tables_match_their_entry_by_entry_construction():
+    pairs = [(_powers_of_ten(), powers_of_ten_table()), (_quads(), quads_table())]
+    for built, reference in pairs + list(zip(_layouts(), layouts_table())):
+        assert (built.dtype, built.shape) == (reference.dtype, reference.shape)
+        assert built.tobytes() == reference.tobytes()
+
+
+def test_tables_are_built_on_first_use_not_at_import():
+    code = ("import skinwave, skinwave.shortest as s; "
+            "print([f.cache_info().currsize for f in (s._powers_of_ten, s._quads, s._layouts)])")
+    env = dict(os.environ, PYTHONPATH=str(Path(skinwave.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+    assert out.strip() == "[0, 0, 0]"
