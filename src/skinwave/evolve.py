@@ -7,10 +7,13 @@ Two independent routes:
   accumulation);
 * expm: scaling-and-squaring matrix exponential, stepped over the frame grid.
 
-Both take a grid of elapsed times and return unit-normalised amplitudes
-(frames x dim) with the total log-norm per frame, so norms of order
-exp(hundreds) stay representable.  A frame at zero elapsed time is the
-initial state itself.
+Both take a grid of elapsed times and give unit-normalised amplitudes with
+the total log-norm per frame, so norms of order exp(hundreds) stay
+representable.  A frame at zero elapsed time is the initial state itself.
+``evolve_series`` streams them: it evaluates the grid a block of frames at a
+time (``_BLOCK_CELLS`` cells, or one frame on the expm route) and writes each
+block's densities into one (frames x dim) float array, so it never forms a
+complex (frames x dim) array.
 
 Every model family goes through its real symmetric counterpart Hbar =
 S^-1 H S, which ``similarity.chain_similarity`` reads from the operator's three
@@ -50,6 +53,10 @@ from .similarity import chain_similarity
 CONDITION_LIMIT = 1e12
 
 METHODS = ("spectral", "expm", "auto")
+
+# frames x dim cells per block of the spectral routes: the block's complex
+# temporaries (about 0.5 MB each) are all that is alive beside the densities
+_BLOCK_CELLS = 32768
 
 # per-cell rotation taking the gain/loss two-band variant to the asymmetric-hop one
 _U_AXIS = np.array([[1.0, -1.0j], [-1.0j, 1.0]], dtype=complex) / math.sqrt(2.0)
@@ -371,10 +378,16 @@ def _bidiagonal_svd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     # (|a| - |b|)^2 + 4|ab| cos^2(k/2), free of the cancellation near k = pi
     sigma = np.sqrt((pa - pb) ** 2 + 4.0 * pa * pb * np.sin(0.5 * ((n + 1 - m) * step - delta)) ** 2)
     j = np.arange(n, 0, -1)
-    u = np.sin(np.multiply.outer(j, m) % (2 * (n + 1)) * step + np.outer(j, delta))
+    phase = np.multiply.outer(j, m)
+    phase %= 2 * (n + 1)
+    u = np.multiply(phase, step, out=np.empty((n, n)))
+    del phase
+    u += np.outer(j, delta)
+    np.sin(u, out=u)
     u /= np.linalg.norm(u, axis=0)
     rows = math.copysign(1.0, a[0] * b0) ** np.arange(n)
-    v = u[::-1] * np.outer(rows, (-1.0) ** (m + 1))
+    v = u[::-1] * rows[:, None]
+    v *= (-1.0) ** (m + 1)
     u *= (math.copysign(1.0, a[0]) * rows)[:, None]
     return u, sigma, v
 
@@ -397,6 +410,16 @@ def decompose_model(
     return decompose(h)
 
 
+def _magnitudes(x: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """|x| of a complex ``x``, written as one contiguous float array into the first half of the free ``spare``."""
+    return np.abs(x, out=spare.view(float).reshape(-1)[: x.size].reshape(x.shape))
+
+
+def _norm1(x: np.ndarray, spare: np.ndarray) -> float:
+    """``np.linalg.norm(x, 1)`` bit for bit (the largest column sum of |x|), with |x| kept in ``spare``."""
+    return float(np.add.reduce(_magnitudes(x, spare), axis=0).max())
+
+
 def matrix_exp(m: np.ndarray) -> np.ndarray:
     """Scaling-and-squaring with a machine-precision Taylor core."""
     m = np.asarray(m, dtype=complex)
@@ -408,21 +431,24 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     a = m / (2.0 ** squarings)
     result = np.eye(n, dtype=complex)
     term = np.eye(n, dtype=complex)
+    # every product goes into buf, which then trades places with its factor;
+    # between products buf is free and holds |.| of the factors in its first half
+    buf = np.empty_like(term)
     for k in range(1, 60):
-        term = term @ a
+        term, buf = np.matmul(term, a, out=buf), term
         term /= k
         result += term
-        if np.linalg.norm(term, 1) <= 1e-18 * np.linalg.norm(result, 1):
+        if _norm1(term, buf) <= 1e-18 * _norm1(result, buf):
             break
-    del term, a   # only result and its square are alive through the squarings
+    del term, a   # only result and buf are alive through the squarings
     # entries below sqrt(tiny) * max(1, max|R|) are zeroed before each squaring,
     # so no product in it underflows into (slow) subnormal arithmetic
     floor = math.sqrt(np.finfo(float).tiny)
     for _ in range(squarings):
-        mag = np.abs(result)
+        mag = _magnitudes(result, buf)
         result[mag < floor * max(1.0, float(mag.max()))] = 0.0
         del mag
-        result = result @ result
+        result, buf = np.matmul(result, result, out=buf), result
     if not np.all(np.isfinite(result)):
         raise NumericalOverflow("matrix_exp: overflow during squaring")
     return result
@@ -459,6 +485,24 @@ def _check_frames(log_norms: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return log_norms
 
 
+def _spectral_frames(dec: SineModes | ChiralModes | SpectralDecomposition, psi0: WaveState, ts: np.ndarray):
+    """Unit-normalised amplitudes (frames x dim) of psi0 at the checked times ``ts``, and their unchecked log-norms."""
+    if isinstance(dec, ChiralModes):
+        amps, mu = dec.frames(psi0.amplitudes, ts), 0.0
+    else:
+        coeff = dec.expand(psi0.amplitudes)
+        growth = np.outer(ts, dec.eigenvalues.imag)
+        mu = growth.max(axis=1)
+        phases = np.exp(np.outer(ts, -1j * dec.eigenvalues.real) + (growth - mu[:, None]))
+        amps = dec.synthesize(phases * coeff)
+    amps, log_nrm = _normalise(amps)
+    log_norms = psi0.log_norm_offset + mu + log_nrm
+    at_start = ts == 0
+    amps[at_start] = psi0.amplitudes
+    log_norms[at_start] = psi0.log_norm
+    return amps, log_norms
+
+
 def propagate_spectral(dec: SineModes | ChiralModes | SpectralDecomposition, psi0: WaveState, times):
     """Evolve psi0 to every elapsed time in ``times`` through the eigenbasis.
 
@@ -473,20 +517,35 @@ def propagate_spectral(dec: SineModes | ChiralModes | SpectralDecomposition, psi
     unchanged.
     """
     ts = _check_times(times, psi0, dec.dim)
-    if isinstance(dec, ChiralModes):
-        amps, mu = dec.frames(psi0.amplitudes, ts), 0.0
-    else:
-        coeff = dec.expand(psi0.amplitudes)
-        growth = np.outer(ts, dec.eigenvalues.imag)
-        mu = growth.max(axis=1)
-        phases = np.exp(np.outer(ts, -1j * dec.eigenvalues.real) + (growth - mu[:, None]))
-        amps = dec.synthesize(phases * coeff)
-    amps, log_nrm = _normalise(amps)
-    log_norms = _check_frames(psi0.log_norm_offset + mu + log_nrm, ts)
-    at_start = ts == 0
-    amps[at_start] = psi0.amplitudes
-    log_norms[at_start] = psi0.log_norm
-    return amps, log_norms
+    amps, log_norms = _spectral_frames(dec, psi0, ts)
+    return amps, _check_frames(log_norms, ts)
+
+
+def _expm_frames(h, psi0: WaveState, ts: np.ndarray):
+    """Yield psi0 stepped to each of the checked times ``ts``: its unit amplitudes and its unchecked log-norm.
+
+    Each distinct gap's generator -i H gap is formed in place on a fresh dense
+    H (a copy of a bare matrix), so no second dense copy of H stays beside it.
+    """
+    bare = None if isinstance(h, HamiltonianMatrix) else _as_matrix(h)
+    cache: dict[float, tuple[np.ndarray, float]] = {}
+    state, log_norm, prev_t = psi0.amplitudes, psi0.log_norm, 0.0
+    for t in ts:
+        gap = float(f"{t - prev_t:.12g}")
+        if gap != 0.0:
+            if gap not in cache:
+                gen = _as_matrix(h) if bare is None else bare.copy()
+                gen *= -1j
+                gen *= gap
+                shift = float(np.mean(gen.diagonal().real))
+                gen.flat[:: len(gen) + 1] -= shift
+                cache[gap] = (matrix_exp(gen), shift)
+                del gen
+            prop, shift = cache[gap]
+            state, log_nrm = _normalise(prop @ state)
+            log_norm = log_norm + shift + log_nrm
+        yield state, log_norm
+        prev_t = t
 
 
 def propagate_expm(h, psi0: WaveState, times):
@@ -498,27 +557,12 @@ def propagate_expm(h, psi0: WaveState, times):
     amplifying spectra do not overflow the exponential itself.  Returns
     unit-normalised amplitudes (frames x dim) and the total log-norm per frame.
     """
-    m = _as_matrix(h)
-    dim = m.shape[0]
+    dim = h.dim if isinstance(h, HamiltonianMatrix) else len(_as_matrix(h))
     ts = _check_times(times, psi0, dim)
-    cache: dict[float, tuple[np.ndarray, float]] = {}
     amps = np.empty((len(ts), dim), dtype=complex)
     log_norms = np.empty(len(ts))
-    state, log_norm, prev_t = psi0.amplitudes, psi0.log_norm, 0.0
-    for k, t in enumerate(ts):
-        gap = float(f"{t - prev_t:.12g}")
-        if gap != 0.0:
-            if gap not in cache:
-                gen = -1j * m * gap
-                shift = float(np.mean(gen.diagonal().real))
-                gen.flat[:: dim + 1] -= shift
-                cache[gap] = (matrix_exp(gen), shift)
-                del gen
-            prop, shift = cache[gap]
-            state, log_nrm = _normalise(prop @ state)
-            log_norm = log_norm + shift + log_nrm
+    for k, (state, log_norm) in enumerate(_expm_frames(h, psi0, ts)):
         amps[k], log_norms[k] = state, log_norm
-        prev_t = t
     return amps, _check_frames(log_norms, ts)
 
 
@@ -531,12 +575,20 @@ def evolve_series(
 ) -> EvolutionResult:
     """Sample the evolution on a grid of elapsed times.
 
-    spectral evaluates every frame directly from psi0; expm steps frame to
-    frame; auto falls back to expm when the decomposition is refused as
-    defective, and keeps the refusal in ``fallback``.
+    spectral evaluates every frame directly from psi0, a block of
+    ``_BLOCK_CELLS`` cells at a time (psi0 is expanded again for each block);
+    expm steps frame to frame; auto falls back to expm when the decomposition
+    is refused as defective, and keeps the refusal in ``fallback``.  Each
+    block's |amplitude|^2 is written into one preallocated (frames x dim)
+    float array and its log-norms into one vector, so the densities are the
+    run's only frames x dim array.  Densities and log-norms are those of
+    ``propagate_spectral`` or ``propagate_expm`` over the same frames, bit
+    for bit except on the chiral routes, whose products may round their last
+    bits differently in blocks of another shape.
     """
     if method not in METHODS:
         raise InvalidParameter(f"evolve_series: unknown method {method!r}")
+    ts = _check_times(times, psi0, h.dim)
     route, fallback = "expm", None
     if method != "expm":
         try:
@@ -547,13 +599,20 @@ def evolve_series(
                 raise
             fallback = str(exc)
     if route == "expm":
-        amps, log_norms = propagate_expm(h, psi0, times)
+        blocks = ((k, state[None], ln) for k, (state, ln) in enumerate(_expm_frames(h, psi0, ts)))
     else:
-        amps, log_norms = propagate_spectral(dec, psi0, times)
+        step = max(1, _BLOCK_CELLS // h.dim)
+        blocks = ((a, *_spectral_frames(dec, psi0, ts[a : a + step])) for a in range(0, len(ts), step))
+    densities = np.empty((len(ts), h.dim))
+    log_norms = np.empty(len(ts))
+    for a, amps, block_log_norms in blocks:
+        np.abs(amps, out=densities[a : a + len(amps)])
+        log_norms[a : a + len(amps)] = block_log_norms
+    np.square(densities, out=densities)
     return EvolutionResult(
-        times=np.asarray(times, dtype=float),
-        site_densities=np.abs(amps) ** 2,
-        log_norms=log_norms,
+        times=ts,
+        site_densities=densities,
+        log_norms=_check_frames(log_norms, ts),
         geometry=h.geometry,
         route=route,
         fallback=fallback,

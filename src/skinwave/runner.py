@@ -4,10 +4,10 @@ Output files are byte-deterministic: every number is written as ``repr``
 writes it, by the whole-array formatter of ``shortest`` (which hands the few
 values it cannot decide to ``repr`` itself), and no timestamps or
 environment data enter the files.  One serial writer streams each file in
-chunks (``density.csv`` a few frames at a time) and hashes every chunk as it
-writes it, so no file is read back.  The report (returned and printed by the
-CLI) carries classification, velocity fits, oracle deviations, and that sha256
-manifest of everything written.
+chunks (``density.csv`` and ``heatmap.pgm`` a few frames at a time) and
+hashes every chunk as it writes it, so no file is read back.  The report
+(returned and printed by the CLI) carries classification, velocity fits,
+oracle deviations, and that sha256 manifest of everything written.
 """
 
 from __future__ import annotations
@@ -122,47 +122,54 @@ def oracle_series(
     return OracleSeries(times=times, x_peak=x_o, v_in=v_in, v_ref=v_ref, note=note), deviation
 
 
-def _lines(*cells: np.ndarray) -> bytes:
-    """CSV lines of formatted cells, broadcast against each other over all but their last axis.
+def _lines(*cells: np.ndarray) -> np.ndarray:
+    """CSV lines of formatted cells, broadcast against each other over all but their last axis, as ascii bytes.
 
-    Each cell is a row of bytes from ``shortest_repr``; its NUL padding is dropped.
+    Each cell is a row of bytes from ``shortest_repr``; its NUL padding is
+    dropped.  The bytes stay in their array, which ``_write`` takes as it is.
     """
     shape = np.broadcast_shapes(*(c.shape[:-1] for c in cells))
     parts = []
     for c, sep in zip(cells, b"," * (len(cells) - 1) + b"\n"):
         parts += [np.broadcast_to(c, shape + c.shape[-1:]), np.full(shape + (1,), sep, dtype=np.uint8)]
     rows = np.concatenate(parts, axis=-1)
-    return rows[rows != 0].tobytes()
+    return rows[rows != 0]
 
 
-# density cells formatted per chunk: a few frames, so the formatter's arrays stay small
-_CHUNK_CELLS = 16384
+# density cells formatted per chunk: a few frames, so the formatter's arrays
+# stay small (about 2 MB of temporaries per chunk)
+_CHUNK_CELLS = 8192
+
+
+def _chunks(dens: np.ndarray):
+    """(first frame, frames) of consecutive blocks of about ``_CHUNK_CELLS`` cells of a (frames, positions) stack."""
+    step = max(1, _CHUNK_CELLS // dens.shape[1])
+    return ((a, dens[a : a + step]) for a in range(0, len(dens), step))
 
 
 def _density_frames(result: EvolutionResult, dens: np.ndarray):
-    """density.csv as bytes: its header, then the (t, x, density, log_norm) rows a few frames at a time.
+    """density.csv as bytes: its header, then the (t, x, density, log_norm) rows a chunk of frames at a time.
 
-    The table is never held whole; ``_CHUNK_CELLS`` sets how many cells a chunk formats.
+    The table is never held whole.
     """
     xs, ts, lns = map(shortest_repr, (result.geometry.density_positions, result.times, result.log_norms))
     yield b"t,x,density,log_norm\n"
-    step = max(1, _CHUNK_CELLS // dens.shape[1])
-    for a in range(0, len(dens), step):
-        frames = dens[a:a + step]
+    for a, frames in _chunks(dens):
         cells = shortest_repr(frames).reshape(frames.shape + (-1,))
-        yield _lines(ts[a:a + step, None], xs[None], cells, lns[a:a + step, None])
+        yield _lines(ts[a : a + len(frames), None], xs[None], cells, lns[a : a + len(frames), None])
 
 
-def _heatmap_pgm(dens: np.ndarray) -> tuple[bytes, bytes]:
-    """Binary graymap, one row per frame, each row scaled to its own maximum."""
-    peak = dens.max(axis=1, keepdims=True)
-    # a row with no positive density divides by inf and is written as zeros
-    pixels = np.round(255.0 * dens / np.where(peak > 0, peak, np.inf)).astype(np.uint8)
+def _heatmap_pgm(dens: np.ndarray):
+    """Binary graymap, one row per frame, each row scaled to its own maximum; a chunk of frames at a time."""
     frames, width = dens.shape
-    return f"P5\n{width} {frames}\n255\n".encode("ascii"), pixels.tobytes()
+    yield f"P5\n{width} {frames}\n255\n".encode("ascii")
+    for _, rows in _chunks(dens):
+        peak = rows.max(axis=1, keepdims=True)
+        # a row with no positive density divides by inf and is written as zeros
+        yield np.round(255.0 * rows / np.where(peak > 0, peak, np.inf)).astype(np.uint8)
 
 
-def _write(path: Path, chunks: Iterable[bytes]) -> str:
+def _write(path: Path, chunks: Iterable[bytes | np.ndarray]) -> str:
     """Stream ``chunks`` to ``path``, hashing each as it is written; the file's sha256 hex."""
     digest = hashlib.sha256()
     with path.open("wb") as fh:

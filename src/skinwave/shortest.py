@@ -177,12 +177,11 @@ def _layouts() -> tuple[np.ndarray, np.ndarray]:
     return table.reshape(-1, WIDTH), np.stack([length, length + (count > 0)]).ravel()
 
 
-def shortest_repr(values) -> np.ndarray:
-    """``repr`` of every value as one row of ascii bytes, NUL-padded on the right; nan as no bytes.
+def _sources(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per value of ``a``: its source row (``_SOURCE`` ascii bytes), its layout key into ``_layouts``, and decided.
 
-    The rows are as wide as the longest of them, at most ``WIDTH``.
+    Its own temporaries end with it, so only these are alive beside the gather index.
     """
-    a = np.asarray(values, dtype=float).ravel()
     x = np.abs(a)
     digits, count, point, decided = _decide(x)
     zero = x == 0
@@ -200,7 +199,16 @@ def shortest_repr(values) -> np.ndarray:
     source = _quads()[words].view(np.uint8)
     sci = (point <= -4) | (point > 16)
     cls = np.where(sci, _FIXED + 2 * (exponent > 0) + (np.abs(exponent) >= 100), np.clip(point + 3, 0, _FIXED - 1))
-    key = (np.signbit(a) * (_FIXED + 4) + cls) * 18 + count
+    return source, (np.signbit(a) * (_FIXED + 4) + cls) * 18 + count, decided
+
+
+def shortest_repr(values) -> np.ndarray:
+    """``repr`` of every value as one row of ascii bytes, NUL-padded on the right; nan as no bytes.
+
+    The rows are as wide as the longest of them, at most ``WIDTH``.
+    """
+    a = np.asarray(values, dtype=float).ravel()
+    source, key, decided = _sources(a)
     table, lengths = _layouts()
     index = np.take(table, key, axis=0)
     index += (np.arange(len(a)) * _SOURCE)[:, None]

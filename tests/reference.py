@@ -9,8 +9,9 @@ acceptance criteria check the runs against, and what the grid's own band
 law tends to on a fine grid.  The per-cell ``repr`` writer of density.csv
 states what ``skinwave.shortest`` must write byte for byte, and its tables
 are rebuilt here one entry at a time.  The chiral route's frames are
-restated as a complex synthesis over all 2n modes.  ``script`` imports a
-script under ``scripts/`` whose checks a test reuses.
+restated as a complex synthesis over all 2n modes, and ``matrix_exp`` with
+a fresh array for every product, whose bits its buffered form must keep.
+``script`` imports a script under ``scripts/`` whose checks a test reuses.
 """
 
 from __future__ import annotations
@@ -222,6 +223,31 @@ def complex_chiral_frames(dec: ChiralModes, psi: np.ndarray, times) -> np.ndarra
     if dec.rotated:
         amps = (amps.reshape(len(amps), -1, 2) @ w.T).reshape(amps.shape)
     return amps
+
+
+def allocating_matrix_exp(m: np.ndarray) -> np.ndarray:
+    """``evolve.matrix_exp`` with a fresh array for every product and every |.|: its bits to match.
+
+    The same scaling, Taylor core, stopping rule and flushed squarings.
+    """
+    m = np.asarray(m, dtype=complex)
+    norm1 = float(np.linalg.norm(m, 1))
+    squarings = max(0, int(math.ceil(math.log2(norm1 / 0.25)))) if norm1 > 0.25 else 0
+    a = m / (2.0 ** squarings)
+    result = np.eye(len(m), dtype=complex)
+    term = np.eye(len(m), dtype=complex)
+    for k in range(1, 60):
+        term = term @ a
+        term /= k
+        result += term
+        if np.linalg.norm(term, 1) <= 1e-18 * np.linalg.norm(result, 1):
+            break
+    floor = math.sqrt(np.finfo(float).tiny)
+    for _ in range(squarings):
+        mag = np.abs(result)
+        result[mag < floor * max(1.0, float(mag.max()))] = 0.0
+        result = result @ result
+    return result
 
 
 def power_of_ten(s: int) -> tuple[float, float, float, float, int]:

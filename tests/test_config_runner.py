@@ -446,6 +446,17 @@ def test_heatmap_rows_scaled_to_frame_max(tmp_path):
     assert np.all(pixels.max(axis=1) == 255)
 
 
+@pytest.mark.parametrize("chunk_cells", [1, 7 * 60, 10**6], ids=["frame", "mid-grid", "whole"])
+def test_heatmap_bytes_do_not_depend_on_the_chunking(chunk_cells, monkeypatch):
+    """Chunks of one frame, chunks ending mid-grid, one chunk: the whole-array graymap, an empty row as zeros."""
+    dens = np.random.default_rng(5).random((12, 60))
+    dens[3] = 0.0
+    monkeypatch.setattr(runner, "_CHUNK_CELLS", chunk_cells)
+    peak = dens.max(axis=1, keepdims=True)
+    pixels = np.round(255.0 * dens / np.where(peak > 0, peak, np.inf)).astype(np.uint8)
+    assert b"".join(runner._heatmap_pgm(dens)) == b"P5\n60 12\n255\n" + pixels.tobytes()
+
+
 def test_oracle_csv_blank_after_contact(tmp_path):
     # leftward Hermitian packet reflects; reflected-velocity column fills after contact
     cfg = small_config(

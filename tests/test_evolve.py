@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import skinwave as sw
+from skinwave import evolve
 from skinwave.errors import DefectiveMatrix, InvalidParameter, NumericalOverflow
 from skinwave.evolve import _bidiagonal_svd, decompose, decompose_model, evolve_series, matrix_exp
 from skinwave.model import axis_y_twin
 from skinwave.presets import get_preset, preset_names
 from skinwave.similarity import chain_similarity
 
-from reference import complex_chiral_frames
+from reference import allocating_matrix_exp, complex_chiral_frames
 
 RNG = np.random.default_rng(1234)
 
@@ -544,3 +546,97 @@ def test_chiral_frames_match_the_complex_synthesis(spec, axis):
     times = np.linspace(0.0, 30.0, 7)
     ref = complex_chiral_frames(dec, psi, times)
     assert np.max(np.abs(dec.frames(psi, times) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+BLOCK = 7   # frames per block once the cell budget is set to BLOCK frames of the chain
+
+
+@pytest.mark.parametrize("frames", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize(
+    "spec, method",
+    [
+        (sw.DiscreteHN(1.0, 2.0, 40), "spectral"),
+        (sw.NonHermitianSSH(2.0, 1.0, -0.6, 20, axis="y"), "spectral"),
+        (sw.NonHermitianSSH(2.0, 1.0, -0.6, 20, axis="z"), "spectral"),
+        (sw.NonHermitianSSH(2.0, 1.0, -0.6, 20, axis="z"), "expm"),
+    ],
+    ids=["sine", "chiral", "chiral+rotation", "expm"],
+)
+def test_blocked_series_matches_per_frame_propagation(spec, method, frames, monkeypatch):
+    """Every block edge, t = 0 frames included: the densities and log-norms of one frame at a time.
+
+    The sine route's FFTs and the expm steps give the same bits in any block;
+    the chiral GEMMs may change their last bits with the block's shape.
+    """
+    h = sw.build_hamiltonian(spec)
+    monkeypatch.setattr(evolve, "_BLOCK_CELLS", BLOCK * h.dim)
+    psi0 = random_state(h.dim, np.random.default_rng(frames))
+    times = np.linspace(0.0, 3.0, frames)
+    times[: frames // 3] = 0.0
+    res = evolve_series(h, psi0, times, method=method, spec=spec)
+    if method == "expm":
+        amps, log_norms = sw.propagate_expm(h, psi0, times)
+    else:
+        dec = decompose_model(h, spec)
+        amps, log_norms = map(np.concatenate, zip(*(sw.propagate_spectral(dec, psi0, [t]) for t in times)))
+    density = np.abs(amps) ** 2
+    assert res.site_densities.shape == (frames, h.dim)
+    if res.route in ("sine", "expm"):
+        assert np.array_equal(res.site_densities, density)
+        assert np.array_equal(res.log_norms, log_norms)
+    else:
+        assert np.max(np.abs(res.site_densities - density)) <= 1e-12 * np.max(density)
+        assert np.max(np.abs(res.log_norms - log_norms)) <= 1e-12 * np.max(np.abs(log_norms))
+    assert np.all(res.log_norms[times == 0] == psi0.log_norm)
+
+
+def test_block_budget_below_one_frame_still_takes_a_frame(monkeypatch):
+    h, spec = _chain(40)
+    psi0 = random_state(40)
+    times = np.linspace(0.0, 2.0, 5)
+    ref = evolve_series(h, psi0, times, spec=spec)
+    monkeypatch.setattr(evolve, "_BLOCK_CELLS", 1)
+    res = evolve_series(h, psi0, times, spec=spec)
+    assert np.array_equal(res.site_densities, ref.site_densities)
+    assert np.array_equal(res.log_norms, ref.log_norms)
+
+
+def _traced_evolution(spec, packet, frames: int) -> tuple[int, int]:
+    """(traced peak, density bytes) of one evolution over ``frames`` frames."""
+    h = sw.build_hamiltonian(spec)
+    psi0 = sw.gaussian_state(h.geometry, packet)
+    tracemalloc.start()
+    try:
+        res = evolve_series(h, psi0, np.linspace(0.0, 1.0, frames), spec=spec)
+        return tracemalloc.get_traced_memory()[1], res.site_densities.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "spec, packet",
+    [
+        (sw.ContinuousHN(1.0, 1.0, 10.23, 0.01), sw.GaussianParams(sigma=0.5, x0=5.0, k0=0.5)),
+        (sw.NonHermitianSSH(2.0, 1.0, -0.6, 500, axis="z"), sw.GaussianParams(sigma=20.0, x0=250.0, k0=0.5)),
+    ],
+    ids=["sine", "chiral+rotation"],
+)
+def test_evolution_memory_stays_near_its_density_array(spec, packet):
+    """Streamed in blocks, the traced peak is the density array plus one block, not ~5 complex frame stacks.
+
+    Whole-grid complex stacks put about 10x the density array on top of it.
+    """
+    (small_peak, small), (peak, density) = (_traced_evolution(spec, packet, n) for n in (256, 1024))
+    assert density >= 8e6
+    assert peak <= 2 * density
+    assert (peak - density) - (small_peak - small) <= 0.02 * density   # the excess does not grow with the frames
+
+
+def test_matrix_exp_keeps_its_input_and_the_unbuffered_bits():
+    rng = np.random.default_rng(3)
+    for n, scale in ((1, 0.1), (7, 0.02), (40, 0.3), (60, 5.0)):
+        m = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * scale
+        before = m.copy()
+        out = matrix_exp(m)
+        assert np.array_equal(m, before)
+        assert np.array_equal(out, allocating_matrix_exp(m))
