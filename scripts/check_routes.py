@@ -1,53 +1,80 @@
 #!/usr/bin/env python3
-"""Cross-check the default route of full-size two-band presets against dense expm.
+"""Cross-check the default route of the two-band chains against dense expm, one case per chiral path.
 
     PYTHONPATH=src python scripts/check_routes.py
 
-Each of fig4, sm-spread-fast and sm-boundary is evolved over its own time
-grid twice: on the route its config selects and with ``method="expm"``,
-which steps a dense matrix exponential and shares no decomposition with it.  The script prints both routes and the largest
-differences in per-site density and in log-norm, and exits 1 if either
-exceeds 1e-7 on any preset.  Each expm run takes a few seconds.
+Each case is evolved over its own time grid twice: on the route its config
+selects and with ``method="expm"``, which steps a dense matrix exponential
+and shares no decomposition with it.  The cases are the full-size fig4,
+sm-spread-fast and sm-boundary presets and a 40-cell edge-mode chain
+(t1 < t2).  The script prints each default route, the path its chiral modes
+took (closed form, eigh of B B^T, or dense SVD) and the largest differences
+in per-site density and in log-norm.  It exits 1 if either difference
+exceeds 1e-7 on any case, or if some chiral path went unchecked.  Each expm
+run of a preset takes a few seconds.
 """
 
 from __future__ import annotations
 
 import sys
+from unittest import mock
 
 import numpy as np
 
 from skinwave.evolve import evolve_series
-from skinwave.model import build_hamiltonian
+from skinwave.model import NonHermitianSSH, build_hamiltonian
 from skinwave.presets import get_preset
-from skinwave.wavepacket import gaussian_state
+from skinwave.wavepacket import GaussianParams, gaussian_state
 
 TOLERANCE = 1e-7
-PRESETS = ("fig4", "sm-spread-fast", "sm-boundary")
+CASES = ("fig4", "sm-spread-fast", "sm-boundary", "edge-mode")
+CHIRAL_PATHS = ("closed form", "eigh of B B^T", "dense SVD")
 
 
-def route_gaps(name: str) -> tuple[str, float, float]:
-    """(default route, max |density difference|, max |log-norm difference|) of preset ``name`` against expm."""
+def case(name: str):
+    """(model spec, packet, time grid, method) of preset ``name``, or of the edge-mode chain."""
+    if name == "edge-mode":
+        spec = NonHermitianSSH(1.0, 2.0, -0.2, 40)   # sigma_min of its chiral block is near 0
+        return spec, GaussianParams(sigma=3.0, x0=20.0, k0=1.0), np.linspace(0.0, 15.0, 31), "auto"
     cfg = get_preset(name)
-    h = build_hamiltonian(cfg.model)
-    psi0 = gaussian_state(h.geometry, cfg.packet)
-    times = np.linspace(0.0, cfg.times.t_max, cfg.times.frame_count)
-    default = evolve_series(h, psi0, times, method=cfg.method, spec=cfg.model)
+    return cfg.model, cfg.packet, np.linspace(0.0, cfg.times.t_max, cfg.times.frame_count), cfg.method
+
+
+def route_gaps(name: str) -> tuple[str, str, float, float]:
+    """(default route, its chiral path, max |density difference|, max |log-norm difference|) of case ``name`` against expm."""
+    spec, packet, times, method = case(name)
+    h = build_hamiltonian(spec)
+    psi0 = gaussian_state(h.geometry, packet)
+    with (
+        mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh,
+        mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd,
+    ):
+        default = evolve_series(h, psi0, times, method=method, spec=spec)
+    path = "-"
+    if default.route.startswith("chiral"):
+        path = "dense SVD" if svd.called else "eigh of B B^T" if eigh.called else "closed form"
     expm = evolve_series(h, psi0, times, method="expm")
     return (
         default.route,
+        path,
         float(np.max(np.abs(default.site_densities - expm.site_densities))),
         float(np.max(np.abs(default.log_norms - expm.log_norms))),
     )
 
 
 def main() -> int:
-    failures = 0
-    for name in PRESETS:
-        route, density, log_norm = route_gaps(name)
+    failures, paths = 0, set()
+    for name in CASES:
+        route, path, density, log_norm = route_gaps(name)
+        paths.add(path)
         ok = density <= TOLERANCE and log_norm <= TOLERANCE
         failures += not ok
-        print(f"{name:16s} {route:16s} vs expm: density {density:.2e}, log-norm {log_norm:.2e}"
+        print(f"{name:16s} {route:16s} {path:14s} vs expm: density {density:.2e}, log-norm {log_norm:.2e}"
               f"{'' if ok else f'  FAIL (> {TOLERANCE:.0e})'}")
+    for path in CHIRAL_PATHS:
+        if path not in paths:
+            failures += 1
+            print(f"no case took the chiral path '{path}'  FAIL")
     return 1 if failures else 0
 
 

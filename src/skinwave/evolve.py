@@ -24,10 +24,11 @@ none solves an eigenproblem of the whole chain:
   DST-I, so expansion and synthesis are one FFT each and only S is stored;
 * chiral: a zero-diagonal Hbar (the two-band chains); the singular modes of
   its half-size intercell block give the modes at E = +-sigma, in closed form
-  (standing waves) for a uniform block without an edge mode, from one dense
-  SVD otherwise.  Spectrum and modes are real, so its frames are formed in
-  real arithmetic: one cos/sin table of sigma t for both halves +-sigma, and
-  one real GEMM per sublattice;
+  (standing waves) for a uniform block without an edge mode, from one eigh of
+  the tridiagonal B B^T for a non-uniform block of condition up to 10, and
+  from one dense SVD otherwise (an edge mode among them).  Spectrum and
+  modes are real, so its frames are formed in real arithmetic: one cos/sin
+  table of sigma t for both halves +-sigma, and one real GEMM per sublattice;
 * ...+rotation: the gain/loss two-band chains use their asymmetric-hop twin,
   rotating psi0 into it and the frames back cell by cell;
 * generic: a chain without a counterpart, or a bare matrix; eig plus a
@@ -36,7 +37,8 @@ none solves an eigenproblem of the whole chain:
 States are mapped through S^-1 and S, which stays accurate far past where
 inverting the right-eigenvector matrix fails (states weighted at the small-S
 end lose eps * S_max / S_min).  Only the generic and expm routes assemble a
-dense H, and only the chiral SVD fallback a dense half-size block.
+dense H, and only a non-uniform or edge-mode chiral block a dense half-size
+matrix (B B^T, or B for the SVD).
 """
 
 from __future__ import annotations
@@ -57,6 +59,9 @@ METHODS = ("spectral", "expm", "auto")
 # frames x dim cells per block of the spectral routes: the block's complex
 # temporaries (about 0.5 MB each) are all that is alive beside the densities
 _BLOCK_CELLS = 32768
+
+# largest sigma_max / sigma_min of a chiral block decomposed through B B^T
+_GRAM_CONDITION = 10.0
 
 # per-cell rotation taking the gain/loss two-band variant to the asymmetric-hop one
 _U_AXIS = np.array([[1.0, -1.0j], [-1.0j, 1.0]], dtype=complex) / math.sqrt(2.0)
@@ -358,12 +363,19 @@ def _bidiagonal_svd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     sigma_m^2 = a^2 + b^2 + 2|ab| cos k_m; u_c ~ sin(k_m (n-c)), its phase
     reduced exactly as (m (n-c) mod 2(n+1)) pi/(n+1) + delta_m (n-c); v is u
     reversed (B^T is B reversed) with the sign (-1)^(m+1) that gives
-    B v = sigma u.  The signs of a and b go on as alternating row signs.  Any
-    other B takes one dense SVD.
+    B v = sigma u.  The signs of a and b go on as alternating row signs.  A
+    non-uniform B goes to ``_gram_svd``.  A uniform B with |b| > |a| (its
+    edge mode has sigma_min ~ |a/b|^n), and a non-uniform one that
+    ``_gram_svd`` refuses for its condition, take one dense SVD.
     """
     n = len(a)
     b0 = b[0] if n > 1 else 0.0
-    if np.any(a != a[0]) or np.any(b != b0) or abs(b0) > abs(a[0]):
+    uniform = np.all(a == a[0]) and np.all(b == b0)
+    if not uniform:
+        modes = _gram_svd(a, b)
+        if modes is not None:
+            return modes
+    if not uniform or abs(b0) > abs(a[0]):
         u, sigma, vt = np.linalg.svd(np.diag(a) + np.diag(b, -1))
         return u, sigma, vt.T
     pa, pb = abs(a[0]), abs(b0)
@@ -389,6 +401,32 @@ def _bidiagonal_svd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     v = u[::-1] * rows[:, None]
     v *= (-1.0) ** (m + 1)
     u *= (math.copysign(1.0, a[0]) * rows)[:, None]
+    return u, sigma, v
+
+
+def _gram_svd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """U, descending sigma and V of B = diag(a) + diag(b, -1) from one eigh of the tridiagonal B B^T; None past condition 10.
+
+    B B^T has the diagonal a_i^2 + b_(i-1)^2 and the off-diagonal a_i b_i; its
+    eigenpairs are (sigma^2, u) (Golub & Kahan 1965), and v = B^T u / sigma
+    is the scaled row shift (a_i u_i + b_i u_(i+1)) / sigma, O(n^2) without
+    a GEMM.  V^T V departs from I as eps kappa^2, so a B whose condition
+    kappa = sigma_max / sigma_min exceeds ``_GRAM_CONDITION`` (an edge mode's
+    sigma near 0 among them) is refused.
+    """
+    n = len(a)
+    diag = a * a
+    diag[1:] += b * b
+    gram = np.diag(diag)
+    gram.flat[1 :: n + 1] = gram.flat[n :: n + 1] = a[:-1] * b
+    lam, u = np.linalg.eigh(gram)
+    if not lam[0] * _GRAM_CONDITION**2 > lam[-1]:   # a NaN refuses too
+        return None
+    sigma = np.sqrt(lam[::-1])
+    u = np.ascontiguousarray(u[:, ::-1])
+    v = a[:, None] * u
+    v[:-1] += b[:, None] * u[1:]
+    v /= sigma
     return u, sigma, v
 
 

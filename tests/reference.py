@@ -225,6 +225,12 @@ def complex_chiral_frames(dec: ChiralModes, psi: np.ndarray, times) -> np.ndarra
     return amps
 
 
+def dense_bidiagonal_svd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U, descending sigma and V of B = diag(a) + diag(b, -1), B = U diag(sigma) V^T, from one dense SVD."""
+    u, sigma, vt = np.linalg.svd(np.diag(a) + np.diag(b, -1))
+    return u, sigma, vt.T
+
+
 def allocating_matrix_exp(m: np.ndarray) -> np.ndarray:
     """``evolve.matrix_exp`` with a fresh array for every product and every |.|: its bits to match.
 

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 import skinwave as sw
 from skinwave import evolve
 from skinwave.errors import DefectiveMatrix, InvalidParameter, NumericalOverflow
-from skinwave.evolve import _bidiagonal_svd, decompose, decompose_model, evolve_series, matrix_exp
+from skinwave.evolve import _bidiagonal_svd, _gram_svd, decompose, decompose_model, evolve_series, matrix_exp
 from skinwave.model import axis_y_twin
 from skinwave.presets import get_preset, preset_names
 from skinwave.similarity import chain_similarity
 
-from reference import allocating_matrix_exp, complex_chiral_frames
+from reference import allocating_matrix_exp, complex_chiral_frames, dense_bidiagonal_svd
 
 RNG = np.random.default_rng(1234)
 
@@ -436,15 +436,27 @@ def _no_eigensolve(*args, **kwargs):
     raise AssertionError("eigensolve of the whole chain")
 
 
+def _half_size_eigh(dim: int):
+    """``np.linalg.eigh`` refusing any matrix larger than half of a ``dim``-site chain."""
+    eigh = np.linalg.eigh
+
+    def checked(m, *args, **kwargs):
+        if len(m) > dim // 2:
+            raise AssertionError("eigensolve of the whole chain")
+        return eigh(m, *args, **kwargs)
+
+    return checked
+
+
 @pytest.mark.parametrize("name", preset_names())
 def test_preset_decomposition_holds_no_full_size_basis(name, monkeypatch):
-    """sine holds vectors of dim entries and solves nothing; chiral holds (dim/2)^2 SVD factors."""
+    """sine holds vectors of dim entries and solves nothing; chiral holds (dim/2)^2 factors from at most a half-size eigh."""
     spec = get_preset(name).model
     h = sw.build_hamiltonian(spec)
-    monkeypatch.setattr(np.linalg, "eigh", _no_eigensolve)
+    sine = isinstance(spec, (sw.ContinuousHN, sw.DiscreteHN))
+    monkeypatch.setattr(np.linalg, "eigh", _no_eigensolve if sine else _half_size_eigh(h.dim))
     monkeypatch.setattr(np.linalg, "eig", _no_eigensolve)
-    if isinstance(spec, (sw.ContinuousHN, sw.DiscreteHN)):
-        monkeypatch.setattr(np.linalg, "svd", _no_eigensolve)
+    monkeypatch.setattr(np.linalg, "svd", _no_eigensolve)
     dec = decompose_model(h, spec)
     assert dec.route in _COUNTERPART_ROUTES
     largest = h.dim if dec.route.startswith("sine") else (h.dim // 2) ** 2
@@ -503,16 +515,88 @@ def test_uniform_two_band_presets_skip_the_svd(name, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [get_preset("sm-boundary").model, sw.NonHermitianSSH(1.0, 2.0, -0.2, 40)],
-    ids=["sm-boundary", "edge-mode"],
-)
-def test_non_uniform_or_edge_mode_chains_take_one_svd(spec, monkeypatch):
-    """A non-uniform B, or a uniform one with |b| > |a| (t1 < t2: an edge mode), keeps the SVD."""
+@pytest.mark.parametrize("axis", ["y", "z"])
+def test_non_uniform_block_takes_no_svd(axis, monkeypatch):
+    """sm-boundary's block (gain/loss on 40 of 500 cells, sigma_max / sigma_min = 3) comes from one eigh of B B^T."""
+    spec = dataclasses.replace(get_preset("sm-boundary").model, axis=axis)
     calls = _count_svd(monkeypatch)
-    assert decompose_model(sw.build_hamiltonian(spec), spec).route.startswith("chiral")
+    assert decompose_model(sw.build_hamiltonian(spec), spec).route == "chiral" + ("+rotation" if axis == "z" else "")
+    assert calls == []
+
+
+def test_edge_mode_chain_keeps_one_svd(monkeypatch):
+    """t1 < t2: a uniform block with |b| > |a|, whose edge mode has sigma near 0, takes one dense SVD."""
+    spec = sw.NonHermitianSSH(1.0, 2.0, -0.2, 40)
+    calls = _count_svd(monkeypatch)
+    assert decompose_model(sw.build_hamiltonian(spec), spec).route == "chiral"
     assert calls == [1]
+
+
+def _sm_boundary_block() -> tuple[np.ndarray, np.ndarray]:
+    _, _, off = chain_similarity(sw.build_hamiltonian(axis_y_twin(get_preset("sm-boundary").model)).bands)
+    return off[0::2], off[1::2]
+
+
+def _well_conditioned_block(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A random block with mixed signs: |a| in [2, 3] and |b| in [0, 1.5], so 0.5 <= sigma <= 4.5 (Weyl)."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(2.0, 3.0, n) * rng.choice([-1.0, 1.0], n)
+    b = rng.uniform(0.0, 1.5, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+    return a, b
+
+
+def _assert_svd_of(a, b, u, sigma, v):
+    """B V = U Sigma, orthonormal U and V, and sigma of the dense SVD, each within 1e-13 max|a, b|."""
+    n = len(a)
+    dense = np.diag(a) + np.diag(b, -1)
+    bound = 1e-13 * np.max(np.abs(dense))
+    assert np.max(np.abs(dense @ v - u * sigma)) <= bound
+    assert np.max(np.abs(u.T @ u - np.eye(n))) <= bound
+    assert np.max(np.abs(v.T @ v - np.eye(n))) <= bound
+    assert np.max(np.abs(sigma - dense_bidiagonal_svd(a, b)[1])) <= bound
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [_sm_boundary_block()] + [_well_conditioned_block(n, seed=n) for n in (1, 2, 3, 50, 500)],
+    ids=["sm-boundary", "n1", "n2", "n3", "n50", "n500"],
+)
+def test_gram_modes_match_the_dense_svd(a, b):
+    _assert_svd_of(a, b, *_gram_svd(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 60), st.floats(0.0, 3.0), st.integers(0, 2**32 - 1))
+def test_only_blocks_past_condition_10_take_the_dense_svd(n, reach, seed):
+    """Mixed signs, |a| in [1, 2] and |b| up to ``reach``: conditions on either side of 10, every one an SVD within the bounds."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    b = rng.uniform(0.0, reach, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+    sigma = dense_bidiagonal_svd(a, b)[1]
+    assume(abs(sigma[0] - 10.0 * sigma[-1]) > 1e-9 * sigma[0])
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_svd(mp)
+        modes = _bidiagonal_svd(a, b)
+    assert calls == ([] if sigma[0] < 10.0 * sigma[-1] else [1])
+    _assert_svd_of(a, b, *modes)
+
+
+@pytest.mark.parametrize(
+    "a, b, svd_calls",
+    [
+        (np.array([9.99, 1.0, -2.0, 3.0]), np.array([0.0, 0.0, 0.0]), 0),
+        (np.array([10.01, 1.0, -2.0, 3.0]), np.array([0.0, 0.0, 0.0]), 1),
+        (np.array([1.5, -1.0, 0.0, 2.0, 1.0]), np.array([0.5, -0.3, 0.2, 0.1]), 1),
+    ],
+    ids=["inside-the-guard", "just-past-the-guard", "sigma-near-0"],
+)
+def test_gram_guard_sends_ill_conditioned_blocks_to_the_dense_svd(a, b, svd_calls, monkeypatch):
+    """Diagonal blocks of condition 9.99 and 10.01, and a singular block (a zero on its diagonal)."""
+    calls = _count_svd(monkeypatch)
+    modes = _bidiagonal_svd(a, b)
+    assert len(calls) == svd_calls
+    assert all(np.all(np.isfinite(m)) for m in modes)
+    _assert_svd_of(a, b, *modes)
 
 
 @pytest.mark.parametrize("axis", ["y", "z"])
