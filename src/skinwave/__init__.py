@@ -21,8 +21,7 @@ from .evolve import (
     decompose_model,
     evolve_series,
     matrix_exp,
-    propagate_expm,
-    propagate_spectral,
+    propagate,
 )
 from .model import (
     BoundarySSH,
@@ -53,7 +52,6 @@ from .wavepacket import (
     ReflectionOutcome,
     TrajectorySeries,
     classify_reflection,
-    density,
     extract_trajectory,
     gaussian_state,
     measure_frames,

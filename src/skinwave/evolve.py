@@ -7,12 +7,12 @@ Two independent routes:
   accumulation);
 * expm: scaling-and-squaring matrix exponential, stepped over the frame grid.
 
-Both take a grid of elapsed times and give unit-normalised amplitudes with
-the total log-norm per frame, so norms of order exp(hundreds) stay
-representable.  A frame at zero elapsed time is the initial state itself.
-``evolve_series`` streams them: it evaluates the grid a block of frames at a
-time (``_BLOCK_CELLS`` cells, or one frame on the expm route) and writes each
-block's densities into one (frames x dim) float array, so it never forms a
+``propagate`` is the one interface to both: it takes a grid of elapsed times
+and yields unit-normalised amplitudes with the total log-norm per frame (so
+norms of order exp(hundreds) stay representable), a block of frames at a time
+(``_BLOCK_CELLS`` cells, or one frame on the expm route).  A frame at zero
+elapsed time is the initial state itself.  ``evolve_series`` writes the
+blocks' densities into one (frames x dim) float array, so it never forms a
 complex (frames x dim) array.
 
 Every model family goes through its real symmetric counterpart Hbar =
@@ -37,8 +37,8 @@ none solves an eigenproblem of the whole chain:
 States are mapped through S^-1 and S, which stays accurate far past where
 inverting the right-eigenvector matrix fails (states weighted at the small-S
 end lose eps * S_max / S_min).  Only the generic and expm routes assemble a
-dense H, and only a non-uniform or edge-mode chiral block a dense half-size
-matrix (B B^T, or B for the SVD).
+dense H; no sine or chiral code forms an N x N array, and only a non-uniform
+or edge-mode chiral block a dense half-size matrix (B B^T, or B for the SVD).
 """
 
 from __future__ import annotations
@@ -94,18 +94,15 @@ class WaveState:
         """log of the total state norm."""
         return self.log_norm_offset + math.log(float(np.linalg.norm(self.amplitudes)))
 
-    def site_density(self) -> np.ndarray:
-        """|amplitude|^2 per matrix index (pre-normalization view of the state)."""
-        return np.abs(self.amplitudes) ** 2
-
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Generic route: eigenvalues with biorthonormal right/left bases, left^H @ right == I.
 
-    Every decomposition maps states to mode coefficients (``expand``) and
-    per-frame coefficients back to amplitudes (``synthesize``), both over the
-    last axis, and exposes ``right``/``left``.
+    ``expand`` maps states to mode coefficients and ``synthesize`` per-frame
+    coefficients back to amplitudes, both over the last axis.  ``SineModes``
+    has the same two maps without a stored basis; ``ChiralModes`` forms its
+    frames directly.
     """
 
     eigenvalues: np.ndarray
@@ -149,10 +146,10 @@ def _dst1(x: np.ndarray) -> np.ndarray:
 class _CounterpartModes:
     """Modes of H = S Hbar S^-1 from the orthonormal modes Q of its real symmetric counterpart Hbar.
 
-    R = S Q and L = Q / S, kept as maps: subclasses give Q^T (``_modes``) and
-    Q (``_sites``) over the last axis.  ``rotated`` (axis 'z') conjugates both
-    by the per-cell rotation from the axis-'y' twin.  ``right`` and ``left``
-    (columns of R unit) are assembled from the maps on every access.
+    R = S Q and L = Q / S, never stored: this class keeps the S maps between
+    the chain's sites and the counterpart's, and subclasses apply Q.
+    ``rotated`` (axis 'z') conjugates both maps by the per-cell rotation from
+    the axis-'y' twin.
     """
 
     eigenvalues: np.ndarray
@@ -167,14 +164,6 @@ class _CounterpartModes:
     def route(self) -> str:
         return self.name + ("+rotation" if self.rotated else "")
 
-    def expand(self, psi: np.ndarray) -> np.ndarray:
-        """Mode coefficients L^H psi = Q^T S^-1 W^H psi of the states ``psi`` (..., dim)."""
-        return self._modes(self._to_counterpart(psi))
-
-    def synthesize(self, coeff: np.ndarray) -> np.ndarray:
-        """Amplitudes R c = W S Q c of the mode coefficients ``coeff`` (..., dim)."""
-        return self._from_counterpart(self._sites(coeff))
-
     def _to_counterpart(self, psi: np.ndarray) -> np.ndarray:
         """S^-1 W^H psi: the states ``psi`` on the counterpart's sites."""
         if self.rotated:
@@ -186,27 +175,20 @@ class _CounterpartModes:
         x *= self.s
         return _rotate(x, _U_AXIS) if self.rotated else x
 
-    def _bases(self) -> tuple[np.ndarray, np.ndarray]:
-        eye = np.eye(self.dim)
-        right = self.synthesize(eye).T
-        norms = np.linalg.norm(right, axis=0)
-        return right / norms, self.expand(eye).conj() * norms
-
-    @property
-    def right(self) -> np.ndarray:
-        return self._bases()[0]
-
-    @property
-    def left(self) -> np.ndarray:
-        return self._bases()[1]
-
 
 @dataclass(frozen=True)
 class SineModes(_CounterpartModes):
-    """Route 'sine': a uniform counterpart, whose modes are the orthonormal DST-I (one FFT per map)."""
+    """Route 'sine': a uniform counterpart, whose modes Q = Q^T are the orthonormal DST-I (one FFT per map)."""
 
     name = "sine"
-    _modes = _sites = staticmethod(_dst1)   # the DST-I matrix is symmetric
+
+    def expand(self, psi: np.ndarray) -> np.ndarray:
+        """Mode coefficients L^H psi = Q S^-1 W^H psi of the states ``psi`` (..., dim)."""
+        return _dst1(self._to_counterpart(psi))
+
+    def synthesize(self, coeff: np.ndarray) -> np.ndarray:
+        """Amplitudes R c = W S Q c of the mode coefficients ``coeff`` (..., dim)."""
+        return self._from_counterpart(_dst1(coeff))
 
 
 def _stacked(z: np.ndarray) -> np.ndarray:
@@ -219,9 +201,9 @@ class ChiralModes(_CounterpartModes):
     """Route 'chiral': a zero-diagonal counterpart, [[0, B], [B^T, 0]] between even and odd sites.
 
     With B = U diag(sigma) V^T, the modes are (u_n, +-v_n) / sqrt(2) at
-    E = +-sigma_n: two half-size products per map.  Every product is real:
-    complex operands go in as their real and imaginary parts stacked into one
-    operand, so U and V are never copied to complex.
+    E = +-sigma_n, and ``frames`` takes two half-size products each way.
+    Every product is real: complex operands go in as their real and imaginary
+    parts stacked into one operand, so U and V are never copied to complex.
     """
 
     u: np.ndarray
@@ -231,14 +213,6 @@ class ChiralModes(_CounterpartModes):
     def _sublattices(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """U^T x_A and V^T x_B of counterpart site amplitudes ``x`` (..., dim), each stacked [Re, Im]."""
         return _stacked(x[..., 0::2]) @ self.u, _stacked(x[..., 1::2]) @ self.v
-
-    def _modes(self, x: np.ndarray) -> np.ndarray:
-        p, q = (r + 1j * i for r, i in self._sublattices(x))
-        return np.concatenate([p + q, p - q], axis=-1) / math.sqrt(2.0)
-
-    def _sites(self, c: np.ndarray) -> np.ndarray:
-        plus, minus = np.split(c / math.sqrt(2.0), 2, axis=-1)
-        return self._products(_stacked(plus + minus), _stacked(plus - minus))
 
     def _products(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Site amplitudes U p on the even sites and V q on the odd ones; ``p`` and ``q`` stacked [Re, Im].
@@ -514,17 +488,24 @@ def _normalise(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return amps, np.log(nrm[..., 0])
 
 
-def _check_frames(log_norms: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Pass finite log-norms through; name the first frame whose norm degenerated."""
+def _check_frames(log_norms: np.ndarray, ts: np.ndarray, first: int) -> np.ndarray:
+    """Pass the log-norms of grid frames ``first``, ``first + 1``, ... through; name the first degenerate one."""
     bad = ~np.isfinite(log_norms)
     if np.any(bad):
-        k = int(np.argmax(bad))
+        k = first + int(np.argmax(bad))
         raise NumericalOverflow(f"frame {k} (t={ts[k]}): state norm degenerate")
     return log_norms
 
 
 def _spectral_frames(dec: SineModes | ChiralModes | SpectralDecomposition, psi0: WaveState, ts: np.ndarray):
-    """Unit-normalised amplitudes (frames x dim) of psi0 at the checked times ``ts``, and their unchecked log-norms."""
+    """Unit-normalised amplitudes (frames x dim) of psi0 at the checked times ``ts``, and their unchecked log-norms.
+
+    The chiral route forms the frames in real arithmetic (``ChiralModes.frames``);
+    the others synthesise R (c * exp(-i E t)) from c = L^H psi0, with the
+    largest Im(E_n) t of each frame (the generic route's spectrum can be
+    complex) factored into its log-norm, so growing modes never overflow.
+    Frames at zero elapsed time are psi0's amplitudes and log-norm unchanged.
+    """
     if isinstance(dec, ChiralModes):
         amps, mu = dec.frames(psi0.amplitudes, ts), 0.0
     else:
@@ -541,29 +522,14 @@ def _spectral_frames(dec: SineModes | ChiralModes | SpectralDecomposition, psi0:
     return amps, log_norms
 
 
-def propagate_spectral(dec: SineModes | ChiralModes | SpectralDecomposition, psi0: WaveState, times):
-    """Evolve psi0 to every elapsed time in ``times`` through the eigenbasis.
-
-    psi0 is expanded once and all frames come from one synthesis over the
-    whole grid.  The chiral route does both in real arithmetic
-    (``ChiralModes.frames``).  The other routes form c = L^H psi0 and
-    synthesise R (c * exp(-i E t)); on the generic route, the only one whose
-    spectrum can be complex, the largest Im(E_n) t of each frame is factored
-    into its log-norm before exponentiating, so growing modes never overflow.
-    Returns unit-normalised amplitudes (frames x dim) and the total log-norm
-    per frame; frames at zero elapsed time are psi0's amplitudes and log-norm
-    unchanged.
-    """
-    ts = _check_times(times, psi0, dec.dim)
-    amps, log_norms = _spectral_frames(dec, psi0, ts)
-    return amps, _check_frames(log_norms, ts)
-
-
 def _expm_frames(h, psi0: WaveState, ts: np.ndarray):
     """Yield psi0 stepped to each of the checked times ``ts``: its unit amplitudes and its unchecked log-norm.
 
-    Each distinct gap's generator -i H gap is formed in place on a fresh dense
-    H (a copy of a bare matrix), so no second dense copy of H stays beside it.
+    Gaps are quantised, so one propagator serves every equal gap of a uniform
+    grid, and each step's mean diagonal growth rate is shifted into the
+    log-norm, so amplifying spectra do not overflow the exponential.  Each
+    gap's generator -i H gap is formed in place on a fresh dense H (a copy of
+    a bare matrix), so no second dense copy of H stays beside it.
     """
     bare = None if isinstance(h, HamiltonianMatrix) else _as_matrix(h)
     cache: dict[float, tuple[np.ndarray, float]] = {}
@@ -586,47 +552,22 @@ def _expm_frames(h, psi0: WaveState, ts: np.ndarray):
         prev_t = t
 
 
-def propagate_expm(h, psi0: WaveState, times):
-    """Independent route: exp(-i H gap) stepped from frame to frame.
+def propagate(h, psi0: WaveState, times, method: str = "auto", spec: ModelSpec | None = None):
+    """Evolve psi0 to every elapsed time in ``times``; returns (route, fallback, blocks).
 
-    Uniform grids produce gaps differing in the last bits, so gaps are
-    quantised and one propagator serves every equal gap.  The mean diagonal
-    growth rate of each step is shifted into the log-norm so that uniformly
-    amplifying spectra do not overflow the exponential itself.  Returns
-    unit-normalised amplitudes (frames x dim) and the total log-norm per frame.
-    """
-    dim = h.dim if isinstance(h, HamiltonianMatrix) else len(_as_matrix(h))
-    ts = _check_times(times, psi0, dim)
-    amps = np.empty((len(ts), dim), dtype=complex)
-    log_norms = np.empty(len(ts))
-    for k, (state, log_norm) in enumerate(_expm_frames(h, psi0, ts)):
-        amps[k], log_norms[k] = state, log_norm
-    return amps, _check_frames(log_norms, ts)
-
-
-def evolve_series(
-    h: HamiltonianMatrix,
-    psi0: WaveState,
-    times,
-    method: str = "auto",
-    spec: ModelSpec | None = None,
-) -> EvolutionResult:
-    """Sample the evolution on a grid of elapsed times.
-
-    spectral evaluates every frame directly from psi0, a block of
-    ``_BLOCK_CELLS`` cells at a time (psi0 is expanded again for each block);
-    expm steps frame to frame; auto falls back to expm when the decomposition
-    is refused as defective, and keeps the refusal in ``fallback``.  Each
-    block's |amplitude|^2 is written into one preallocated (frames x dim)
-    float array and its log-norms into one vector, so the densities are the
-    run's only frames x dim array.  Densities and log-norms are those of
-    ``propagate_spectral`` or ``propagate_expm`` over the same frames, bit
-    for bit except on the chiral routes, whose products may round their last
-    bits differently in blocks of another shape.
+    ``h`` is a ``HamiltonianMatrix``, or a bare square matrix with ``spec=None``.
+    The method, the times and ``decompose_model`` run on the call; auto falls
+    back to 'expm' on a ``DefectiveMatrix`` and gives its message as
+    ``fallback`` (else None).  ``blocks`` yields (grid index of the first
+    frame, unit-normalised amplitudes (frames x dim), total log-norms):
+    ``_BLOCK_CELLS`` cells per block on a decomposition's route (psi0 expanded
+    again for each), one frame per block on 'expm'.  A degenerate norm raises
+    NumericalOverflow naming its frame on the grid.
     """
     if method not in METHODS:
-        raise InvalidParameter(f"evolve_series: unknown method {method!r}")
-    ts = _check_times(times, psi0, h.dim)
+        raise InvalidParameter(f"propagate: unknown method {method!r}")
+    dim = h.dim if isinstance(h, HamiltonianMatrix) else len(_as_matrix(h))
+    ts = _check_times(times, psi0, dim)
     route, fallback = "expm", None
     if method != "expm":
         try:
@@ -637,10 +578,28 @@ def evolve_series(
                 raise
             fallback = str(exc)
     if route == "expm":
-        blocks = ((k, state[None], ln) for k, (state, ln) in enumerate(_expm_frames(h, psi0, ts)))
+        frames = ((k, state[None], np.array([ln])) for k, (state, ln) in enumerate(_expm_frames(h, psi0, ts)))
     else:
-        step = max(1, _BLOCK_CELLS // h.dim)
-        blocks = ((a, *_spectral_frames(dec, psi0, ts[a : a + step])) for a in range(0, len(ts), step))
+        step = max(1, _BLOCK_CELLS // dim)
+        frames = ((a, *_spectral_frames(dec, psi0, ts[a : a + step])) for a in range(0, len(ts), step))
+    return route, fallback, ((a, amps, _check_frames(log_norms, ts, a)) for a, amps, log_norms in frames)
+
+
+def evolve_series(
+    h: HamiltonianMatrix,
+    psi0: WaveState,
+    times,
+    method: str = "auto",
+    spec: ModelSpec | None = None,
+) -> EvolutionResult:
+    """Sample the evolution on a grid of elapsed times: the densities of ``propagate``'s blocks.
+
+    Each block's |amplitude|^2 is written into one preallocated (frames x dim)
+    float array and its log-norms into one vector, so the densities are the
+    run's only frames x dim array.
+    """
+    route, fallback, blocks = propagate(h, psi0, times, method, spec)
+    ts = np.asarray(times, dtype=float)
     densities = np.empty((len(ts), h.dim))
     log_norms = np.empty(len(ts))
     for a, amps, block_log_norms in blocks:
@@ -650,7 +609,7 @@ def evolve_series(
     return EvolutionResult(
         times=ts,
         site_densities=densities,
-        log_norms=_check_frames(log_norms, ts),
+        log_norms=log_norms,
         geometry=h.geometry,
         route=route,
         fallback=fallback,

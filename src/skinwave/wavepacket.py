@@ -148,16 +148,9 @@ def gaussian_state(geometry: Geometry, params: GaussianParams) -> WaveState:
     return WaveState.from_amplitudes(amps)
 
 
-def density(state: WaveState, geometry: Geometry) -> np.ndarray:
-    """Per-position probability; two-band chains sum the two sublattices per cell."""
-    if state.dim != geometry.dim:
-        raise DimensionMismatch(f"state dim {state.dim} != geometry dim {geometry.dim}")
-    return aggregate_density(state.site_density(), geometry)
-
-
-def aggregate_density(site_density: np.ndarray, geometry: Geometry) -> np.ndarray:
-    """Per-position density of one frame (dim,) or a stack of frames (frames, dim)."""
-    d = np.asarray(site_density, dtype=float)
+def aggregate_density(densities: np.ndarray, geometry: Geometry) -> np.ndarray:
+    """Per-position density of site densities, one frame (dim,) or a stack (frames, dim); a two-band cell sums its sites."""
+    d = np.asarray(densities, dtype=float)
     n = geometry.sites_per_cell
     return d if n == 1 else d.reshape(d.shape[:-1] + (d.shape[-1] // n, n)).sum(axis=-1)
 

@@ -11,6 +11,8 @@ states what ``skinwave.shortest`` must write byte for byte, and its tables
 are rebuilt here one entry at a time.  The chiral route's frames are
 restated as a complex synthesis over all 2n modes, and ``matrix_exp`` with
 a fresh array for every product, whose bits its buffered form must keep.
+``propagated`` joins ``propagate``'s blocks, and ``dense_bases`` assembles
+the N x N bases that the sine route keeps as maps.
 ``script`` imports a script under ``scripts/`` whose checks a test reuses.
 """
 
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from skinwave.errors import DimensionMismatch, InvalidGrid, InvalidParameter, NumericalOverflow
-from skinwave.evolve import ChiralModes
+from skinwave.evolve import ChiralModes, propagate
 from skinwave.model import BoundarySSH, ContinuousHN, DiscreteHN, ModelSpec, NonHermitianSSH, counterpart_t1
 from skinwave.oracle import width_series
 from skinwave.shortest import _DIGIT, _DOT, _E, _EXPONENT, _FIXED, _MINUS, _NUL, _PLUS, _SPLIT, _ZERO, WIDTH
@@ -223,6 +225,21 @@ def complex_chiral_frames(dec: ChiralModes, psi: np.ndarray, times) -> np.ndarra
     if dec.rotated:
         amps = (amps.reshape(len(amps), -1, 2) @ w.T).reshape(amps.shape)
     return amps
+
+
+def propagated(h, psi0, times, method: str, spec: ModelSpec | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Unit amplitudes (frames x dim) and log-norms of ``propagate``'s blocks, concatenated over the grid."""
+    _, _, blocks = propagate(h, psi0, times, method, spec)
+    _, amps, log_norms = zip(*blocks)
+    return np.concatenate(amps), np.concatenate(log_norms)
+
+
+def dense_bases(dec) -> tuple[np.ndarray, np.ndarray]:
+    """Right (unit columns) and left bases, L^H R = I, of a sine or generic decomposition: its maps on the identity."""
+    eye = np.eye(dec.dim)
+    right = dec.synthesize(eye).T
+    norms = np.linalg.norm(right, axis=0)
+    return right / norms, dec.expand(eye).conj() * norms
 
 
 def dense_bidiagonal_svd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 import skinwave as sw
-from skinwave.evolve import decompose_model, evolve_series, propagate_expm, propagate_spectral
+from skinwave.evolve import evolve_series
 from skinwave.model import build_hamiltonian
 from skinwave.presets import get_preset
 from skinwave.runner import run_preset
 from skinwave.similarity import chain_similarity
 from skinwave.wavepacket import extract_trajectory, gaussian_state
 
-from reference import HNOracleParams, hn_peak
+from reference import HNOracleParams, hn_peak, propagated
 
 
 def _ok(num, text):
@@ -87,8 +87,7 @@ def test_criterion_3_inelastic_reflection(tmp_path):
 
 def test_criterion_4_amplification(fig1a):
     _, h, psi0, _, _ = fig1a
-    dec = decompose_model(h, get_preset("fig1a").model)
-    _, (log_norm,) = propagate_spectral(dec, psi0, [0.5])
+    _, (log_norm,) = propagated(h, psi0, [0.5], "spectral", get_preset("fig1a").model)
     ratio = np.exp(2.0 * (log_norm - psi0.log_norm))
     assert ratio == pytest.approx(np.exp(2.0), rel=0.05)
     _ok(4, f"norm ratio at t=0.5 is {ratio:.4f}, within 5% of e^2 = {np.exp(2):.4f}")
@@ -125,11 +124,10 @@ def test_criterion_8_propagator_cross_validation():
     worst_dir = worst_ln = 0.0
     for _ in range(20):
         m = rng.normal(size=(50, 50)) + 1j * rng.normal(size=(50, 50))
-        dec = sw.decompose(m)
         psi0 = sw.WaveState.from_amplitudes(rng.normal(size=50) + 1j * rng.normal(size=50))
         for t in (0.1, 0.5, 1.0, 2.0):
-            (a,), (a_ln,) = propagate_spectral(dec, psi0, [t])
-            (b,), (b_ln,) = propagate_expm(m, psi0, [t])
+            (a,), (a_ln,) = propagated(m, psi0, [t], "spectral")
+            (b,), (b_ln,) = propagated(m, psi0, [t], "expm")
             worst_dir = max(worst_dir, float(np.linalg.norm(a - b)))
             worst_ln = max(worst_ln, abs(a_ln - b_ln))
     assert worst_dir < 1e-7
@@ -175,7 +173,7 @@ def test_criterion_9_structure_suites():
         h_i = build_hamiltonian(spec_i)
         s, _, _ = chain_similarity(h_i.bands)
         psi0 = gaussian_state(h_i.geometry, packet)
-        (lhs,), _ = propagate_spectral(decompose_model(h_i, spec_i), psi0, [t])
+        (lhs,), _ = propagated(h_i, psi0, [t], "spectral", spec_i)
         hbar = h_i.matrix * (s[None, :] / s[:, None])
         rhs = s * (matrix_exp(-1j * hbar * t) @ (psi0.amplitudes / s))
         rhs /= np.linalg.norm(rhs)

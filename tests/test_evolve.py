@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from skinwave.model import axis_y_twin
 from skinwave.presets import get_preset, preset_names
 from skinwave.similarity import chain_similarity
 
-from reference import allocating_matrix_exp, complex_chiral_frames, dense_bidiagonal_svd
+from reference import allocating_matrix_exp, complex_chiral_frames, dense_bases, dense_bidiagonal_svd, propagated
 
 RNG = np.random.default_rng(1234)
 
@@ -35,9 +36,10 @@ def test_decompose_biorthogonality_and_reconstruction():
     spec = sw.DiscreteHN(1.0, 2.0, 50)
     h = sw.build_hamiltonian(spec)
     for dec in (decompose(h), decompose_model(h, spec)):
-        gram = dec.left.conj().T @ dec.right
+        right, left = dense_bases(dec)
+        gram = left.conj().T @ right
         assert np.max(np.abs(gram - np.eye(50))) < 1e-8
-        rebuilt = (dec.right * dec.eigenvalues[None, :]) @ dec.left.conj().T
+        rebuilt = (right * dec.eigenvalues[None, :]) @ left.conj().T
         scale = np.linalg.norm(h.matrix, 2)
         assert np.max(np.abs(rebuilt - h.matrix)) < 1e-8 * scale
 
@@ -61,8 +63,8 @@ def test_decompose_refuses_extreme_conditioning():
 def test_structured_route_survives_extreme_conditioning():
     spec = sw.DiscreteHN(1.0, 2.0, 100)
     h = sw.build_hamiltonian(spec)
-    dec = decompose_model(h, spec)
-    gram = dec.left.conj().T @ dec.right
+    right, left = dense_bases(decompose_model(h, spec))
+    gram = left.conj().T @ right
     assert np.max(np.abs(gram - np.eye(100))) < 1e-12
 
 
@@ -73,9 +75,9 @@ def test_similarity_underflow_is_refused():
 
 
 def test_propagate_spectral_t0_is_identity():
-    dec = decompose_model(*_chain(40))
+    h, spec = _chain(40)
     psi = random_state(40)
-    (amps,), (log_norm,) = sw.propagate_spectral(dec, psi, [0.0])
+    (amps,), (log_norm,) = propagated(h, psi, [0.0], "spectral", spec)
     assert np.allclose(amps, psi.amplitudes, atol=1e-12)
     assert log_norm == pytest.approx(psi.log_norm, abs=1e-12)
 
@@ -87,21 +89,19 @@ def _chain(n, t1=1.0, tm1=2.0):
 
 def test_propagate_spectral_hermitian_norm_constant():
     h, spec = _chain(60, 1.4, 1.4)
-    dec = decompose_model(h, spec)
     psi = random_state(60)
     for t in (0.5, 3.0, 10.0):
-        _, (log_norm,) = sw.propagate_spectral(dec, psi, [t])
+        _, (log_norm,) = propagated(h, psi, [t], "spectral", spec)
         assert log_norm == pytest.approx(psi.log_norm, abs=1e-10)
 
 
 def test_propagation_composition():
     h, spec = _chain(50)
-    dec = decompose_model(h, spec)
     psi = random_state(50)
-    (one,), (one_ln,) = sw.propagate_spectral(dec, psi, [3.1])
-    (mid,), (mid_ln,) = sw.propagate_spectral(dec, psi, [1.9])
+    (one,), (one_ln,) = propagated(h, psi, [3.1], "spectral", spec)
+    (mid,), (mid_ln,) = propagated(h, psi, [1.9], "spectral", spec)
     mid_state = sw.WaveState(amplitudes=mid, log_norm_offset=mid_ln)
-    (two,), (two_ln,) = sw.propagate_spectral(dec, mid_state, [1.2])
+    (two,), (two_ln,) = propagated(h, mid_state, [1.2], "spectral", spec)
     assert np.linalg.norm(one - two) < 1e-9
     assert one_ln == pytest.approx(two_ln, rel=1e-9, abs=1e-9)
 
@@ -109,7 +109,7 @@ def test_propagation_composition():
 def test_expm_nilpotent_exact():
     n = np.array([[0.0, 1.0], [0.0, 0.0]])
     psi = sw.WaveState(amplitudes=np.array([0.0, 1.0 + 0j]))
-    (amps,), (log_norm,) = sw.propagate_expm(n, psi, [1.0])
+    (amps,), (log_norm,) = propagated(n, psi, [1.0], "expm")
     total = np.exp(log_norm) * amps
     assert np.allclose(total, [-1.0j, 1.0], atol=1e-15)
     assert np.allclose(matrix_exp(-1.0j * n), [[1.0, -1.0j], [0.0, 1.0]], atol=1e-15)
@@ -118,7 +118,7 @@ def test_expm_nilpotent_exact():
 def test_expm_t0_is_identity():
     h, _ = _chain(30)
     psi = random_state(30)
-    (amps,), _ = sw.propagate_expm(h, psi, [0.0])
+    (amps,), _ = propagated(h, psi, [0.0], "expm")
     assert np.allclose(amps, psi.amplitudes, atol=1e-14)
 
 
@@ -126,11 +126,10 @@ def test_expm_matches_spectral_on_random_matrices():
     rng = np.random.default_rng(7)
     for _ in range(5):
         m = rng.normal(size=(50, 50)) + 1j * rng.normal(size=(50, 50))
-        dec = decompose(m)
         psi = random_state(50, rng)
         for t in (0.3, 1.7):
-            (a,), (a_ln,) = sw.propagate_spectral(dec, psi, [t])
-            (b,), (b_ln,) = sw.propagate_expm(m, psi, [t])
+            (a,), (a_ln,) = propagated(m, psi, [t], "spectral")
+            (b,), (b_ln,) = propagated(m, psi, [t], "expm")
             assert np.linalg.norm(a - b) < 1e-8
             assert a_ln == pytest.approx(b_ln, abs=1e-8)
 
@@ -140,8 +139,7 @@ def test_amplification_factor_continuous_rest_packet():
     spec = sw.ContinuousHN(m=1.0, b=1.0, length=10.0, dx=0.01)
     h = sw.build_hamiltonian(spec)
     psi0 = sw.gaussian_state(h.geometry, sw.GaussianParams(sigma=0.25, x0=5.0))
-    dec = decompose_model(h, spec)
-    _, (log_norm,) = sw.propagate_spectral(dec, psi0, [0.5])
+    _, (log_norm,) = propagated(h, psi0, [0.5], "spectral", spec)
     ratio = np.exp(2.0 * (log_norm - psi0.log_norm))
     assert ratio == pytest.approx(np.exp(2.0), rel=0.05)
 
@@ -213,7 +211,7 @@ def test_similarity_dynamics_identity():
         h = sw.build_hamiltonian(spec)
         s, _, _ = chain_similarity(h.bands)
         psi0 = sw.gaussian_state(h.geometry, packet)
-        (lhs,), (lhs_ln,) = sw.propagate_spectral(decompose_model(h, spec), psi0, [t])
+        (lhs,), (lhs_ln,) = propagated(h, psi0, [t], "spectral", spec)
         hbar = h.matrix * (s[None, :] / s[:, None])
         rhs = s * (matrix_exp(-1j * hbar * t) @ (psi0.amplitudes / s))
         nrm = np.linalg.norm(rhs)
@@ -246,7 +244,7 @@ def test_global_phase_immunity():
 def test_growth_factored_into_log_norm():
     gain = np.diag([50.0j, 0.0])
     psi = sw.WaveState(amplitudes=np.array([1.0, 1.0]) / np.sqrt(2.0) + 0j)
-    (amps,), (log_norm,) = sw.propagate_spectral(decompose(gain), psi, [20.0])
+    (amps,), (log_norm,) = propagated(gain, psi, [20.0], "spectral")
     assert np.all(np.isfinite(amps))
     assert log_norm > 900.0
 
@@ -266,7 +264,7 @@ def test_spectral_propagation_solves_schrodinger(n, t):
     rng = np.random.default_rng(n * 1000 + int(t * 100))
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     psi = sw.WaveState.from_amplitudes(rng.normal(size=n) + 1j * rng.normal(size=n))
-    (amps,), (log_norm,) = sw.propagate_spectral(decompose(m), psi, [t])
+    (amps,), (log_norm,) = propagated(m, psi, [t], "spectral")
     direct = matrix_exp(-1j * m * t) @ psi.amplitudes
     total = np.exp(log_norm - psi.log_norm_offset) * amps
     assert np.linalg.norm(total - direct) < 1e-8 * max(1.0, np.linalg.norm(direct))
@@ -330,11 +328,11 @@ def test_chain_route_never_assembles_dense_matrix(spec, monkeypatch):
     h = sw.build_hamiltonian(spec)
     psi0 = random_state(h.dim, np.random.default_rng(7))
     times = np.linspace(0.0, 2.0, 5)
-    ref_amps, ref_log_norms = sw.propagate_expm(h, psi0, times)
+    ref_amps, ref_log_norms = propagated(h, psi0, times, "expm")
     monkeypatch.setattr(sw.HamiltonianMatrix, "matrix", property(_refuse_dense))
     with pytest.raises(_DenseAssembled):
         h.matrix
-    amps, log_norms = sw.propagate_spectral(decompose_model(h, spec), psi0, times)
+    amps, log_norms = propagated(h, psi0, times, "spectral", spec)
     assert np.max(np.abs(np.abs(amps) ** 2 - np.abs(ref_amps) ** 2)) <= 1e-7
     assert np.max(np.abs(log_norms - ref_log_norms)) <= 1e-7
 
@@ -349,18 +347,19 @@ def test_generic_route_assembles_dense_matrix(monkeypatch):
 
 def test_spectral_grid_matches_per_frame_products():
     h, spec = _chain(40)
-    dec = decompose_model(h, spec)
     psi = random_state(40)
     times = np.array([0.0, 0.0, 0.7, 2.0, 2.0, 5.5])
-    amps, log_norms = sw.propagate_spectral(dec, psi, times)
+    amps, log_norms = propagated(h, psi, times, "spectral", spec)
     assert amps.shape == (6, 40)
     for k in (0, 1):
         assert np.array_equal(amps[k], psi.amplitudes)
         assert log_norms[k] == psi.log_norm
     # reference: one matrix-vector product per frame
-    coeff = dec.left.conj().T @ psi.amplitudes
+    dec = decompose_model(h, spec)
+    right, left = dense_bases(dec)
+    coeff = left.conj().T @ psi.amplitudes
     for k in (2, 3, 5):
-        ref = dec.right @ (coeff * np.exp(-1j * dec.eigenvalues * times[k]))
+        ref = right @ (coeff * np.exp(-1j * dec.eigenvalues * times[k]))
         assert np.linalg.norm(amps[k] - ref / np.linalg.norm(ref)) < 1e-9
         assert log_norms[k] == pytest.approx(psi.log_norm_offset + np.log(np.linalg.norm(ref)), abs=1e-9)
     assert np.allclose(np.linalg.norm(amps, axis=1), 1.0, atol=1e-14)
@@ -659,10 +658,9 @@ def test_blocked_series_matches_per_frame_propagation(spec, method, frames, monk
     times[: frames // 3] = 0.0
     res = evolve_series(h, psi0, times, method=method, spec=spec)
     if method == "expm":
-        amps, log_norms = sw.propagate_expm(h, psi0, times)
+        amps, log_norms = propagated(h, psi0, times, method)
     else:
-        dec = decompose_model(h, spec)
-        amps, log_norms = map(np.concatenate, zip(*(sw.propagate_spectral(dec, psi0, [t]) for t in times)))
+        amps, log_norms = map(np.concatenate, zip(*(propagated(h, psi0, [t], method, spec) for t in times)))
     density = np.abs(amps) ** 2
     assert res.site_densities.shape == (frames, h.dim)
     if res.route in ("sine", "expm"):
@@ -683,6 +681,18 @@ def test_block_budget_below_one_frame_still_takes_a_frame(monkeypatch):
     res = evolve_series(h, psi0, times, spec=spec)
     assert np.array_equal(res.site_densities, ref.site_densities)
     assert np.array_equal(res.log_norms, ref.log_norms)
+
+
+def test_degenerate_norm_in_a_later_block_names_its_grid_frame(monkeypatch):
+    """The norm's square exp(-2000 t) underflows to 0 past t = 0.373: frame 4 (t = 0.4), the second of block 1."""
+    h = sw.HamiltonianMatrix(
+        bands={0: np.array([0.0, -1000.0j])}, geometry=sw.Geometry(positions=np.arange(2.0), dx=1.0)
+    )
+    psi0 = sw.WaveState(amplitudes=np.array([0.0, 1.0 + 0j]))
+    times = np.arange(16) * 0.1
+    monkeypatch.setattr(evolve, "_BLOCK_CELLS", 3 * h.dim)
+    with pytest.raises(NumericalOverflow, match=re.escape(f"frame 4 (t={times[4]}): state norm degenerate")):
+        evolve_series(h, psi0, times, method="spectral")
 
 
 def _traced_evolution(spec, packet, frames: int) -> tuple[int, int]:

@@ -7,7 +7,7 @@ import skinwave as sw
 from skinwave.evolve import _decompose_chain
 from skinwave.model import axis_y_twin, band_curvature, group_velocity
 
-from reference import hermiticity_residual, skin_factor_per_unit_length
+from reference import dense_bases, hermiticity_residual, skin_factor_per_unit_length
 
 COARSE = sw.ContinuousHN(m=1.5, b=1.375, length=4.0, dx=0.25)   # 2 m b dx > 1
 
@@ -210,8 +210,9 @@ def test_chain_symmetric_counterpart():
     spec = sw.DiscreteHN(1.0, 2.0, 10)
     h = sw.build_hamiltonian(spec)
     dec = _decompose_chain(h.bands)
-    biorth = dec.left.conj().T @ dec.right - np.eye(10)
-    rebuilt = (dec.right * dec.eigenvalues) @ dec.left.conj().T - h.matrix
+    right, left = dense_bases(dec)
+    biorth = left.conj().T @ right - np.eye(10)
+    rebuilt = (right * dec.eigenvalues) @ left.conj().T - h.matrix
     assert np.max(np.abs(biorth)) < 1e-12
     assert np.max(np.abs(rebuilt)) < 1e-12
     # sign-mixed off-diagonals admit no positive-diagonal symmetrizer: [[0, 1], [-1, 0]]
