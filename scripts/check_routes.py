@@ -6,10 +6,11 @@
 Each case is evolved over its own time grid twice: on the route its config
 selects and with ``method="expm"``, which steps a dense matrix exponential
 and shares no decomposition with it.  The cases are the full-size fig4,
-sm-spread-fast and sm-boundary presets and a 40-cell edge-mode chain
-(t1 < t2).  The script prints each default route, the path its chiral modes
-took (closed form, eigh of B B^T, or dense SVD) and the largest differences
-in per-site density and in log-norm.  It exits 1 if either difference
+sm-spread-fast and sm-boundary presets, a 40-cell edge-mode chain (t1 < t2)
+and a 40-cell boundary chain with an edge mode.  The script prints each
+default route, the path its chiral modes took (``ChiralModes.path``: standing
+waves, two segments or dense SVD) and the largest differences in per-site
+density and in log-norm.  It exits 1 if either difference
 exceeds 1e-7 on any case, or if some chiral path went unchecked.  Each expm
 run of a preset takes a few seconds.
 """
@@ -17,24 +18,24 @@ run of a preset takes a few seconds.
 from __future__ import annotations
 
 import sys
-from unittest import mock
 
 import numpy as np
 
-from skinwave.evolve import evolve_series
-from skinwave.model import NonHermitianSSH, build_hamiltonian
+from skinwave.evolve import decompose_model, evolve_series
+from skinwave.model import BoundarySSH, NonHermitianSSH, build_hamiltonian
 from skinwave.presets import get_preset
 from skinwave.wavepacket import GaussianParams, gaussian_state
 
 TOLERANCE = 1e-7
-CASES = ("fig4", "sm-spread-fast", "sm-boundary", "edge-mode")
-CHIRAL_PATHS = ("closed form", "eigh of B B^T", "dense SVD")
+CASES = ("fig4", "sm-spread-fast", "sm-boundary", "edge-mode", "edge-mode-boundary")
+CHIRAL_PATHS = ("standing waves", "two segments", "dense SVD")
 
 
 def case(name: str):
-    """(model spec, packet, time grid, method) of preset ``name``, or of the edge-mode chain."""
-    if name == "edge-mode":
-        spec = NonHermitianSSH(1.0, 2.0, -0.2, 40)   # sigma_min of its chiral block is near 0
+    """(model spec, packet, time grid, method) of preset ``name``, or of one of the two edge-mode chains."""
+    if name.startswith("edge-mode"):
+        # sigma_min of either chain's chiral block is near 0; the second block has two segments
+        spec = NonHermitianSSH(1.0, 2.0, -0.2, 40) if name == "edge-mode" else BoundarySSH(1.0, 2.0, -0.2, 40, 8)
         return spec, GaussianParams(sigma=3.0, x0=20.0, k0=1.0), np.linspace(0.0, 15.0, 31), "auto"
     cfg = get_preset(name)
     return cfg.model, cfg.packet, np.linspace(0.0, cfg.times.t_max, cfg.times.frame_count), cfg.method
@@ -45,14 +46,8 @@ def route_gaps(name: str) -> tuple[str, str, float, float]:
     spec, packet, times, method = case(name)
     h = build_hamiltonian(spec)
     psi0 = gaussian_state(h.geometry, packet)
-    with (
-        mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh,
-        mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd,
-    ):
-        default = evolve_series(h, psi0, times, method=method, spec=spec)
-    path = "-"
-    if default.route.startswith("chiral"):
-        path = "dense SVD" if svd.called else "eigh of B B^T" if eigh.called else "closed form"
+    default = evolve_series(h, psi0, times, method=method, spec=spec)
+    path = decompose_model(h, spec).path if default.route.startswith("chiral") else "-"
     expm = evolve_series(h, psi0, times, method="expm")
     return (
         default.route,
@@ -69,7 +64,7 @@ def main() -> int:
         paths.add(path)
         ok = density <= TOLERANCE and log_norm <= TOLERANCE
         failures += not ok
-        print(f"{name:16s} {route:16s} {path:14s} vs expm: density {density:.2e}, log-norm {log_norm:.2e}"
+        print(f"{name:18s} {route:16s} {path:14s} vs expm: density {density:.2e}, log-norm {log_norm:.2e}"
               f"{'' if ok else f'  FAIL (> {TOLERANCE:.0e})'}")
     for path in CHIRAL_PATHS:
         if path not in paths:

@@ -24,8 +24,8 @@ none solves an eigenproblem of the whole chain:
   DST-I, so expansion and synthesis are one FFT each and only S is stored;
 * chiral: a zero-diagonal Hbar (the two-band chains); the singular modes of
   its half-size intercell block give the modes at E = +-sigma, in closed form
-  (standing waves) for a uniform block without an edge mode, from one eigh of
-  the tridiagonal B B^T for a non-uniform block of condition up to 10, and
+  for a block without an edge mode that is uniform (standing waves) or made
+  of two uniform segments (standing waves matched at the interface), and
   from one dense SVD otherwise (an edge mode among them).  Spectrum and
   modes are real, so its frames are formed in real arithmetic: one cos/sin
   table of sigma t for both halves +-sigma, and one real GEMM per sublattice;
@@ -37,8 +37,8 @@ none solves an eigenproblem of the whole chain:
 States are mapped through S^-1 and S, which stays accurate far past where
 inverting the right-eigenvector matrix fails (states weighted at the small-S
 end lose eps * S_max / S_min).  Only the generic and expm routes assemble a
-dense H; no sine or chiral code forms an N x N array, and only a non-uniform
-or edge-mode chiral block a dense half-size matrix (B B^T, or B for the SVD).
+dense H; no sine or chiral code forms an N x N array, and only a chiral block
+with an edge mode or more than two segments a dense half-size B (for its SVD).
 """
 
 from __future__ import annotations
@@ -60,8 +60,25 @@ METHODS = ("spectral", "expm", "auto")
 # temporaries (about 0.5 MB each) are all that is alive beside the densities
 _BLOCK_CELLS = 32768
 
-# largest sigma_max / sigma_min of a chiral block decomposed through B B^T
-_GRAM_CONDITION = 10.0
+_EPS = np.finfo(float).eps
+
+# a two-segment chiral block whose O(n) bound on sigma_min is below _EDGE_MODE
+# times max|a, b| may hold an edge mode (or a mode in the gap near sigma = 0,
+# where the closed form loses precision), and takes the dense SVD; so does one
+# whose relative band width per squared segment length is below _RESOLVED
+_EDGE_MODE = 0.1
+_RESOLVED = 1e-10
+
+# smallest sigma_min / sigma_max at which the two-segment closed form keeps its
+# modes orthogonal to roundoff; below it the block takes the dense SVD
+_CONDITION = 0.05
+
+# grid points per mode that bracket a two-segment block's modes, the most
+# bisection and secant steps that then narrow and solve them, and the roundoff
+# of the secant's interface cross product per unit magnitude of its two terms
+_GRID_POINTS = 4
+_ROOT_STEPS = 60
+_NOISE = 2 * _EPS
 
 # per-cell rotation taking the gain/loss two-band variant to the asymmetric-hop one
 _U_AXIS = np.array([[1.0, -1.0j], [-1.0j, 1.0]], dtype=complex) / math.sqrt(2.0)
@@ -208,6 +225,7 @@ class ChiralModes(_CounterpartModes):
 
     u: np.ndarray
     v: np.ndarray
+    path: str   # how B was decomposed: 'standing waves', 'two segments' or 'dense SVD'
     name = "chiral"
 
     def _sublattices(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -323,36 +341,91 @@ def _decompose_chain(bands: dict[int, np.ndarray]) -> SineModes | ChiralModes | 
         energies = diag[0] + 2.0 * off[0] * np.cos(np.arange(1, n + 1) * (math.pi / (n + 1)))
         return SineModes(energies.astype(complex), s, False)
     if n % 2 == 0 and not np.any(diag):
-        u, sigma, v = _bidiagonal_svd(off[0::2], off[1::2])
-        return ChiralModes(np.concatenate([sigma, -sigma]).astype(complex), s, False, u, v)
+        u, sigma, v, path = _bidiagonal_svd(off[0::2], off[1::2])
+        return ChiralModes(np.concatenate([sigma, -sigma]).astype(complex), s, False, u, v, path)
     return None
 
 
-def _bidiagonal_svd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """U, descending sigma and V of the n x n B = diag(a) + diag(b, -1), B = U diag(sigma) V^T.
+def _bidiagonal_svd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+    """U, descending sigma, V and the path of the n x n B = diag(a) + diag(b, -1), B = U diag(sigma) V^T.
 
-    A uniform B with |b| <= |a| has no edge mode and its modes are standing
-    waves: k_m = m pi/(n+1) + delta_m, with delta_m in (0, m pi/(n(n+1)))
-    bisected from |a| sin((n+1) delta) = |b| sin(m pi/(n+1) - n delta);
+    B is diag(r) |B| diag(c) for row and column signs r, c (``_gauge``), so
+    the closed forms decompose |B| and put the signs back.  A uniform |B|
+    with |b| <= |a| has no edge mode and its modes are standing waves
+    (``_standing_waves``).  A |B| of two uniform runs of |a| under one |b|
+    takes ``_two_segments``, unless the O(n) bound of ``_edge_mode`` puts an
+    edge mode in it, a segment's band is too narrow to part its modes
+    (``_resolved``), or its sigma_min turns out below ``_CONDITION`` sigma_max.
+    Every other B (a uniform one with |b| > |a| among them, whose edge mode has
+    sigma_min ~ |a/b|^n) takes one dense SVD.
+    """
+    n = len(a)
+    pa, pb = np.abs(a), np.abs(b)
+    b0 = pb[0] if n > 1 else 0.0
+    cuts = np.flatnonzero(pa[1:] != pa[:-1]) + 1
+    modes = None
+    if len(cuts) == 0 and np.all(pb == b0) and b0 <= pa[0]:
+        modes, path = _standing_waves(pa[0], b0, n), "standing waves"
+    elif len(cuts) == 1 and np.all(pb == b0) and not _edge_mode(pa, pb) and _resolved(pa[[0, -1]], b0, cuts[0], n):
+        modes, path = _two_segments(pa[0], pa[-1], b0, cuts[0], n - cuts[0]), "two segments"
+    if modes is None:
+        u, sigma, vt = np.linalg.svd(np.diag(a) + np.diag(b, -1))
+        return u, sigma, vt.T, "dense SVD"
+    u, sigma, v = modes
+    if np.any(a < 0) or np.any(b < 0):
+        rows, cols = _gauge(a, b)
+        u *= rows[:, None]
+        v *= cols[:, None]
+    return u, sigma, v, path
+
+
+def _gauge(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column signs r, c with B = diag(r) |B| diag(c): the running sign products along a_0, b_0, a_1, ..."""
+    signs = np.ones(2 * len(a))
+    signs[1::2] = np.where(a < 0, -1.0, 1.0)
+    signs[2::2] = np.where(b < 0, -1.0, 1.0)
+    run = np.cumprod(signs) * signs[1]
+    return run[0::2], run[1::2]
+
+
+def _resolved(pa: np.ndarray, pb: float, cut: int, n: int) -> bool:
+    """Whether both segments' bands part their modes by more than roundoff.
+
+    A segment of length L has sigma^2 in a band 4|ab| wide, its modes about
+    4|ab| / L^2 apart; a narrow band (|b| << |a|: nearly decoupled cells) or a
+    long segment puts them closer than the closed form resolves, so the
+    relative width 4r / (1 + r)^2 (r = |b/a|) must reach ``_RESOLVED`` (L + 1)^2.
+    """
+    r = pb / pa
+    lengths = np.array([cut, n - cut])
+    return bool(np.all(4.0 * r / (1.0 + r) ** 2 >= _RESOLVED * (lengths + 1.0) ** 2))
+
+
+def _edge_mode(pa: np.ndarray, pb: np.ndarray) -> bool:
+    """Whether |B| may hold an edge mode: an O(n) bound on its sigma_min below ``_EDGE_MODE`` max|a, b|.
+
+    x_0 = 1, x_(i+1) = -a_i x_i / b_i is the near-null vector of B^T, and each
+    truncation x_0 .. x_i of it bounds sigma_min <= |a_i x_i| / max_(j<=i) |x_j|.
+    The bound is taken in logs, so no x overflows; a zero a or b counts as an
+    edge mode.
+    """
+    if not (np.all(pa > 0) and np.all(pb > 0)):
+        return True
+    logs = np.concatenate([[0.0], np.cumsum(np.log(pa[:-1]) - np.log(pb))])
+    bound = np.min(np.log(pa) + logs - np.maximum.accumulate(logs))
+    return not bound >= math.log(_EDGE_MODE * max(pa.max(), pb.max()))
+
+
+def _standing_waves(pa: float, pb: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U, descending sigma and V of the uniform |B| with |b| <= |a|, in closed form.
+
+    k_m = m pi/(n+1) + delta_m, with delta_m in (0, m pi/(n(n+1))) bisected
+    from |a| sin((n+1) delta) = |b| sin(m pi/(n+1) - n delta);
     sigma_m^2 = a^2 + b^2 + 2|ab| cos k_m; u_c ~ sin(k_m (n-c)), its phase
     reduced exactly as (m (n-c) mod 2(n+1)) pi/(n+1) + delta_m (n-c); v is u
     reversed (B^T is B reversed) with the sign (-1)^(m+1) that gives
-    B v = sigma u.  The signs of a and b go on as alternating row signs.  A
-    non-uniform B goes to ``_gram_svd``.  A uniform B with |b| > |a| (its
-    edge mode has sigma_min ~ |a/b|^n), and a non-uniform one that
-    ``_gram_svd`` refuses for its condition, take one dense SVD.
+    B v = sigma u.
     """
-    n = len(a)
-    b0 = b[0] if n > 1 else 0.0
-    uniform = np.all(a == a[0]) and np.all(b == b0)
-    if not uniform:
-        modes = _gram_svd(a, b)
-        if modes is not None:
-            return modes
-    if not uniform or abs(b0) > abs(a[0]):
-        u, sigma, vt = np.linalg.svd(np.diag(a) + np.diag(b, -1))
-        return u, sigma, vt.T
-    pa, pb = abs(a[0]), abs(b0)
     m = np.arange(1, n + 1)
     step = math.pi / (n + 1)
     lo, hi = np.zeros(n), m * (step / n)
@@ -371,37 +444,310 @@ def _bidiagonal_svd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     u += np.outer(j, delta)
     np.sin(u, out=u)
     u /= np.linalg.norm(u, axis=0)
-    rows = math.copysign(1.0, a[0] * b0) ** np.arange(n)
-    v = u[::-1] * rows[:, None]
-    v *= (-1.0) ** (m + 1)
-    u *= (math.copysign(1.0, a[0]) * rows)[:, None]
+    v = u[::-1] * (-1.0) ** (m + 1)
     return u, sigma, v
 
 
-def _gram_svd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """U, descending sigma and V of B = diag(a) + diag(b, -1) from one eigh of the tridiagonal B B^T; None past condition 10.
+def _wave(q: np.ndarray, big: np.ndarray, d: np.ndarray):
+    """x = q pi/big + d, x - pi and kappa (-x below 0, x - pi past pi, 0 between); x - pi exact in its multiple of pi.
 
-    B B^T has the diagonal a_i^2 + b_(i-1)^2 and the off-diagonal a_i b_i; its
-    eigenpairs are (sigma^2, u) (Golub & Kahan 1965), and v = B^T u / sigma
-    is the scaled row shift (a_i u_i + b_i u_(i+1)) / sigma, O(n^2) without
-    a GEMM.  V^T V departs from I as eps kappa^2, so a B whose condition
-    kappa = sigma_max / sigma_min exceeds ``_GRAM_CONDITION`` (an edge mode's
-    sigma near 0 among them) is refused.
+    x codes the wave number k of a standing wave: k = x in the band [0, pi],
+    i kappa above it (sigma past a + b) and pi + i kappa below it.
     """
-    n = len(a)
-    diag = a * a
-    diag[1:] += b * b
-    gram = np.diag(diag)
-    gram.flat[1 :: n + 1] = gram.flat[n :: n + 1] = a[:-1] * b
-    lam, u = np.linalg.eigh(gram)
-    if not lam[0] * _GRAM_CONDITION**2 > lam[-1]:   # a NaN refuses too
+    unit = math.pi / big
+    x = q * unit + d
+    past = (q - big) * unit + d
+    return x, past, np.where(x < 0, -x, np.maximum(past, 0.0))
+
+
+def _halves(x: np.ndarray, past: np.ndarray, kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sin^2(k/2) and cos^2(k/2) of the coded wave numbers, each free of cancellation at its own band edge."""
+    sh = np.sinh(0.5 * kappa) ** 2
+    band = kappa == 0
+    s = np.where(band, np.sin(0.5 * x) ** 2, np.where(x < 0, -sh, 1.0 + sh))
+    c = np.where(band, np.sin(0.5 * past) ** 2, np.where(x < 0, 1.0 + sh, -sh))
+    return s, c
+
+
+def _derived(s, c, ap, ad, b) -> tuple[np.ndarray, np.ndarray]:
+    """sin^2 and cos^2 of the other segment's half wave number at the same sigma, by the plain exact difference.
+
+    sigma^2 = (a + b)^2 - 4ab sin^2(k/2) = (a - b)^2 + 4ab cos^2(k/2) in both
+    segments.  The sums cancel near the other segment's band edges, so this
+    form only brackets; ``_gap`` gives the precise one.
+    """
+    scale = 4.0 * ad * b
+    return ((ad - ap) * (ad + ap + 2.0 * b) + 4.0 * ap * b * s) / scale, ((ap - ad) * (ap + ad - 2.0 * b) + 4.0 * ap * b * c) / scale
+
+
+def _code(s, c) -> tuple[np.ndarray, np.ndarray]:
+    """Code (q, d; big = 1) of the wave number whose sin^2(k/2) is s and cos^2(k/2) is c; k past pi/2 is coded from pi."""
+    kappa = 2.0 * np.arcsinh(np.sqrt(np.maximum(-np.minimum(s, c), 0.0)))
+    root_s, root_c = np.sqrt(np.maximum(s, 0.0)), np.sqrt(np.maximum(c, 0.0))
+    upper = c < s
+    band = np.where(upper, -2.0 * np.arctan2(root_c, root_s), 2.0 * np.arctan2(root_s, root_c))
+    return upper.astype(np.int64), np.where(s < 0, -kappa, np.where(c < 0, kappa, band))
+
+
+def _gap(q, big, d, edge: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """sin^2(x/2) - sin^2(x0/2) of the coded x = q pi/big + d and x0 = edge[0] pi/big + edge[1], free of cancellation.
+
+    x - x0 = (q - edge[0]) pi/big + (d - edge[1]) loses nothing to roundoff
+    while d and edge[1] are small.  In one regime the difference of squares is
+    a product: sin((x - x0)/2) sin((x + x0)/2) in the lower half of the band,
+    minus the same with x - pi and x0 - pi in the upper half, and the like with
+    sinh past the band.  Across regimes sin^2 (or, across pi, cos^2) has
+    opposite signs at x and x0, and is subtracted as it is.
+    """
+    x, past, kappa = _wave(q, big, d)
+    x0, past0, kappa0 = _wave(edge[0], big, edge[1])
+    half = 0.5 * ((q - edge[0]) * (math.pi / big) + (d - edge[1]))
+    below, below0 = (kappa > 0) & (x > 0), (kappa0 > 0) & (x0 > 0)
+    above, above0 = x < 0, x0 < 0
+    upper = 0.5 * (past + past0)   # (x + x0)/2 - pi
+    product = np.where(
+        kappa == 0,
+        np.sin(half) * np.where(upper < -0.5 * math.pi, np.sin(0.5 * (x + x0)), -np.sin(upper)),
+        np.sinh(half) * np.where(above, -np.sinh(0.5 * (x + x0)), np.sinh(upper)),
+    )
+    (s, c), (s0, c0) = _halves(x, past, kappa), _halves(x0, past0, kappa0)
+    across = np.where(below | below0, c0 - c, s - s0)
+    return np.where((below == below0) & (above == above0), product, across)
+
+
+def _waves(q, big, d, j, offset) -> tuple[np.ndarray, np.ndarray]:
+    """(sin kj / sin k, cos kj) of the coded wave numbers at the integer rows ``j`` (rows x modes).
+
+    Band phases are reduced exactly: ((q j) mod 2 big) pi/big + d j.  Past the
+    band edges both stay real: (sinh, cosh)(kappa j) / (sinh kappa, 1) above
+    the band and the same times (-(-1)^j, (-1)^j) below it, each times
+    exp(-kappa offset) so that no row of a segment of length ``offset`` overflows.
+    """
+    x, _, kappa = _wave(q, big, d)
+    j = j[:, None] if j.ndim == 1 else j
+    unit = math.pi / big
+    phase = j * q % (2 * big) * unit + j * d
+    sin_k = np.sin(q % (2 * big) * unit + d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s, c = np.sin(phase) / sin_k, np.cos(phase)
+    if np.any(sin_k == 0):
+        s = np.where(sin_k == 0, j, s)
+    ev = kappa > 0
+    if np.any(ev):   # the evanescent columns only
+        j, kappa, past_pi = (j if j.shape[1] == 1 else j[:, ev]), kappa[ev], x[ev] > 0
+        offset = offset[ev] if np.ndim(offset) else offset
+        grow, decay = np.exp((j - offset) * kappa), np.exp((-j - offset) * kappa)
+        odd = np.where(past_pi, 1.0 - 2.0 * (j % 2), 1.0)
+        s[:, ev] = 0.5 * (grow - decay) * np.where(past_pi, -odd, odd) / np.sinh(kappa)
+        c[:, ev] = 0.5 * (grow + decay) * odd
+    return s, c
+
+
+def _sine_rows(q, big, d, length: int, first: int, count: int, sign: int, out: np.ndarray) -> None:
+    """Write S(first + sign r) = sin(k (first + sign r)) / sin k, r = 0 .. count-1, into the rows of ``out``.
+
+    Band columns come by angle addition over sqrt(count)-row blocks,
+    S(J + sign i) = S(J) cos ki + sign cos kJ S(i), so only 2 sqrt(count) rows
+    take a sine; evanescent columns (scaled as in ``_waves``) are written
+    directly over them.
+    """
+    step = max(1, math.isqrt(count))
+    with np.errstate(over="ignore", invalid="ignore"):   # evanescent columns may overflow here
+        head, head_cos = _waves(q, big, d, first + sign * np.arange(0, count, step), length)
+        tail, tail_cos = _waves(q, big, d, np.arange(step), 0)
+        tail *= sign
+        for block, row in enumerate(range(0, count, step)):
+            rows = slice(row, min(row + step, count))
+            width = rows.stop - row
+            np.multiply(tail_cos[:width], head[block], out=out[rows])
+            out[rows] += head_cos[block] * tail[:width]
+    ev = _wave(q, big, d)[2] > 0
+    if np.any(ev):
+        out[:, ev] = _waves(q[ev], big[ev], d[ev], first + sign * np.arange(count), length)[0]
+
+
+def _lift(x, kappa, sigma, a, b, length) -> tuple[np.ndarray, np.ndarray]:
+    """Lifted angle of a segment's interface pair (a S(L+1) + b S(L), sigma S(L)): its multiple of pi and the rest.
+
+    S(j) = sin kj is the segment's standing wave from its outer end, of
+    length L.  The angle turns by pi per half wave: in the band it is
+    floor(kL/pi) pi plus the angle of the reduced phase r = kL mod pi; above
+    the band it stays below pi/2 and below the band it lies within
+    ((L-1) pi, L pi).  Plain float phases: it labels and brackets the modes,
+    no more.
+    """
+    t = np.tanh(kappa * length)
+    grow = a * (t * np.cosh(kappa) + np.sinh(kappa))
+    k = np.clip(x, 0.0, math.pi)
+    theta = k * length
+    turns = np.floor(theta / math.pi)
+    r = theta - turns * math.pi
+    band = kappa == 0
+    angle = np.where(
+        band,
+        np.arctan2(sigma * np.sin(r), a * np.sin(r + k) + b * np.sin(r)),
+        np.arctan2(sigma * t, np.where(x < 0, grow + b * t, b * t - grow)),
+    )
+    return np.where(band, turns, np.where(x < 0, 0, length - 1)), angle
+
+
+def _two_segments(a1: float, a2: float, b: float, n1: int, n2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """U, descending sigma and V of |B| with a = a1 on rows [0, n1) and a2 on [n1, n), b throughout; None below ``_CONDITION``.
+
+    In each segment a mode is a standing wave S(j) = sin(kj) / sin k with
+    sigma^2 = (a + b)^2 - 4ab sin^2(k/2): v_c = S(c+1) from the top (v_(-1) = 0)
+    in segment 1 and u_c = S(n-c) from the bottom (u_n = 0) in segment 2, each
+    with its other sublattice (a S(j) + b S(j-1)) / sigma; past a segment's band
+    edges S continues as sinh or (-1)^j sinh.  The segments meet on the b bond
+    at the interface, where their (v_(n1-1), u_(n1)) must be parallel
+    (Kunst & Dwivedi, PRB 99, 245116, 2019).  Mode m is where the segments'
+    lifted interface angles (``_lift``) sum to (m - 1/2) pi, a sum monotone in
+    sigma, so a grid in segment 1's wave number and a few bisections give
+    every mode a bracket of its own.  Secant steps then zero the interface
+    cross product, which is smooth, in the wave number of one segment (the
+    primary: the one from which the other loses the least phase), its phases
+    reduced exactly as in ``_standing_waves``.  The other's half-angle squares
+    follow from the exact difference of the two segments' band edges, measured
+    by ``_gap`` from its band edge nearer the mode, so they keep their
+    relative precision.  Each segment's sin table is filled once
+    (``_sine_rows``).
+    """
+    # a power of two scales |B| to max|a, b| in [1/2, 1), exactly, so no square overflows
+    unit = 2.0 ** math.frexp(max(a1, a2, b))[1]
+    a1, a2, b = a1 / unit, a2 / unit, b / unit
+    n = n1 + n2
+    m = np.arange(1, n + 1)
+    ones, zeros = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+
+    def excess(x):
+        """Lifted sum of interface angles minus (m - 1/2) pi, whole pis and the rest, at segment 1's wave number x."""
+        _, past, kappa = _wave(np.zeros(len(x), dtype=np.int64), 1, x)
+        s, c = _halves(x, past, kappa)
+        sigma = np.sqrt(np.maximum((a1 - b) ** 2 + 4.0 * a1 * b * c, 0.0))
+        q2, d2 = _code(*_derived(s, c, a1, a2, b))
+        x2, _, kappa2 = _wave(q2, 1, d2)
+        turns1, angle1 = _lift(x, kappa, sigma, a1, b, n1)
+        turns2, angle2 = _lift(x2, kappa2, sigma, a2, b, n2)
+        return turns1 + turns2, angle1 + angle2 + 0.5 * math.pi
+
+    x_lo = -2.0 * math.asinh(math.sqrt(max(a2 - a1, 0.0) * (a2 + a1 + 2.0 * b) / (4.0 * a1 * b)))
+    x_hi = math.pi + 2.0 * math.asinh(abs(a1 - b) / (2.0 * math.sqrt(a1 * b)))
+    grid = np.linspace(x_lo, x_hi, _GRID_POINTS * n + 1)
+    turns, rest = excess(grid)
+    at = np.clip(np.searchsorted(turns * math.pi + rest, m * math.pi), 1, len(grid) - 1)
+    lo, hi = grid[at - 1], grid[at]
+    g_lo, g_hi = (turns[at - 1] - m) * math.pi + rest[at - 1], (turns[at] - m) * math.pi + rest[at]
+    for _ in range(_ROOT_STEPS):
+        k = np.flatnonzero(g_hi - g_lo > 0.25 * math.pi)   # brackets still wider than a quarter turn
+        if not len(k):
+            break
+        mid = 0.5 * (lo[k] + hi[k])
+        turns, rest = excess(mid)
+        g = (turns - m[k]) * math.pi + rest
+        below = g < 0
+        lo[k], g_lo[k] = np.where(below, mid, lo[k]), np.where(below, g, g_lo[k])
+        hi[k], g_hi[k] = np.where(below, hi[k], mid), np.where(below, g_hi[k], g)
+
+    # the primary segment: the one whose partner's wave number, derived from it, loses less phase
+    _, past, kappa = _wave(zeros, 1, 0.5 * (lo + hi))
+    s1, c1 = _halves(0.5 * (lo + hi), past, kappa)
+    s2, c2 = _derived(s1, c1, a1, a2, b)
+    spread = abs(a1 - a2) * (a1 + a2 + 2.0 * b) / (4.0 * b)
+    with np.errstate(divide="ignore"):
+        strain2 = n2 * (1.0 + spread / a2 / np.sqrt(np.abs(s2)) / np.sqrt(np.abs(c2)))
+        strain1 = n1 * (1.0 + spread / a1 / np.sqrt(np.abs(s1)) / np.sqrt(np.abs(c1)))
+    first = strain2 <= strain1
+
+    def primary(x):
+        """Wave number of the primary segment at segment 1's wave number x (plain float)."""
+        _, past, kappa = _wave(zeros, 1, x)
+        q2, d2 = _code(*_derived(*_halves(x, past, kappa), a1, a2, b))
+        return np.where(first, x, q2 * math.pi + d2)
+
+    ap, ad = np.where(first, a1, a2), np.where(first, a2, a1)
+    lp, ld = np.where(first, n1, n2), np.where(first, n2, n1)
+    big = lp + 1
+    w_lo, w_hi = primary(lo), primary(hi)
+    q = np.floor(0.5 * (w_lo + w_hi) * big / math.pi).astype(np.int64)
+    d_lo, d_hi = w_lo - q * (math.pi / big), w_hi - q * (math.pi / big)
+    rows = np.array([[0], [1]])   # the interface rows L and L + 1 of each segment
+    # the other segment's band edge nearer each mode (sigma = a + b on top, |a - b| below), as a
+    # coded wave number of the primary one, from which the other's half-angle square is measured
+    s_mid, c_mid = _derived(*_halves(*_wave(q, big, 0.5 * (d_lo + d_hi))), ap, ad, b)
+    near_top = s_mid < c_mid
+    s_edge = np.where(near_top, (ap - ad) * (ap + ad + 2.0 * b), (ap - ad + 2.0 * b) * (ap + ad)) / (4.0 * ap * b)
+    q_pi, d_pi = _code(s_edge, 1.0 - s_edge)
+    q_edge = np.round((q_pi * math.pi + d_pi) * big / math.pi).astype(np.int64)
+    near = q_edge, (q_pi * big - q_edge) * (math.pi / big) + d_pi
+
+    def other(d, k=slice(None)):
+        """sin^2 and cos^2 of the other segment's half wave number at the primary's coded q pi/big + d, modes k."""
+        gap = ap[k] / ad[k] * _gap(q[k], big[k], d, (near[0][k], near[1][k]))
+        return np.where(near_top[k], gap, 1.0 + gap), np.where(near_top[k], 1.0 - gap, -gap)
+
+    def cross(d, k=slice(None)):
+        """sigma^2 times the cross product of the two segments' interface pairs (zero at a mode, smooth in d), modes k."""
+        a_p, a_d, l_p, l_d = ap[k], ad[k], lp[k], ld[k]
+        s, c = _halves(*_wave(q[k], big[k], d))
+        qd, dd = _code(*other(d, k))
+        sp, _ = _waves(q[k], big[k], d, rows + l_p, l_p)
+        so, _ = _waves(qd, np.ones_like(qd), dd, rows + l_d, l_d)
+        sigma2 = (a_p - b) ** 2 + 4.0 * a_p * b * c
+        one, two = sigma2 * sp[0] * so[0], (a_p * sp[1] + b * sp[0]) * (a_d * so[1] + b * so[0])
+        return one - two, _NOISE * (np.abs(one) + np.abs(two))
+
+    (f_lo, _), (f_hi, _) = cross(d_lo), cross(d_hi)
+    # secant steps from the bracket ends, bisection where a step leaves the
+    # bracket, until the cross product is down to its roundoff or a step moves
+    # d by no more than a few roundoffs of its phase; only unsettled modes are
+    # evaluated again
+    tol = 4.0 * _EPS * (math.pi / big)
+    d_old, f_old, d, f = d_lo.copy(), f_lo.copy(), d_hi.copy(), f_hi.copy()
+    k = np.arange(n)
+    for _ in range(_ROOT_STEPS):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = d[k] - f[k] * (d[k] - d_old[k]) / (f[k] - f_old[k])
+        new = np.where((new > d_lo[k]) & (new < d_hi[k]), new, 0.5 * (d_lo[k] + d_hi[k]))
+        moving = np.abs(new - d[k]) > tol[k]
+        k, new = k[moving], new[moving]
+        if not len(k):
+            break
+        d_old[k], f_old[k], d[k] = d[k], f[k], new
+        f[k], noise = cross(new, k)
+        low = (f[k] < 0) == (f_lo[k] < 0)
+        d_lo[k], f_lo[k] = np.where(low, new, d_lo[k]), np.where(low, f[k], f_lo[k])
+        d_hi[k], f_hi[k] = np.where(low, d_hi[k], new), np.where(low, f_hi[k], f[k])
+        k = k[np.abs(f[k]) > noise]
+
+    x, past, kappa = _wave(q, big, d)
+    s, c = _halves(x, past, kappa)
+    sigma = np.sqrt((ap - b) ** 2 + 4.0 * ap * b * c)
+    if not sigma.min() >= _CONDITION * sigma.max():   # modes near sigma = 0 would lose orthogonality
         return None
-    sigma = np.sqrt(lam[::-1])
-    u = np.ascontiguousarray(u[:, ::-1])
-    v = a[:, None] * u
-    v[:-1] += b[:, None] * u[1:]
-    v /= sigma
-    return u, sigma, v
+    qd, dd = _code(*other(d))
+    seg1 = np.where(first, q, qd), np.where(first, big, ones), np.where(first, d, dd)
+    seg2 = np.where(first, qd, q), np.where(first, ones, big), np.where(first, dd, d)
+    u, v = np.empty((n, n)), np.empty((n, n))
+    # segment 1 from the top: v_c = S(c+1) and u_c = (a1 S(c+1) + b S(c)) / a1; v row n1 holds S(n1+1) for now
+    _sine_rows(*seg1, n1, 1, n1 + 1, 1, v[: n1 + 1])
+    upper = (sigma * v[n1 - 1], a1 * v[n1] + b * v[n1 - 1])
+    u[0] = v[0]
+    np.multiply(v[: n1 - 1], b / a1, out=u[1:n1])
+    u[1:n1] += v[1:n1]
+    # segment 2 from the bottom: u_c = S(n-c) and v_c = (a2 S(n-c) + b S(n-c-1)) / a2
+    _sine_rows(*seg2, n2, n2, n2, -1, u[n1:])
+    past = _waves(*seg2, np.array([n2 + 1]), n2)[0][0]
+    lower = (a2 * past + b * u[n1], sigma * u[n1])
+    v[n - 1] = u[n - 1]
+    np.multiply(u[n1 + 1 :], b / a2, out=v[n1 : n - 1])
+    v[n1 : n - 1] += u[n1 : n - 1]
+    # segment 2's scale: (v, u) on the b bond at the interface, each times sigma, parallel in both
+    scale = (upper[0] * lower[0] + upper[1] * lower[1]) / (lower[0] ** 2 + lower[1] ** 2)
+    u[n1:] *= scale * sigma / a1
+    v[n1:] *= scale * a2 / sigma
+    u /= np.sqrt(np.einsum("ij,ij->j", u, u))
+    v /= np.sqrt(np.einsum("ij,ij->j", v, v))
+    return u, sigma * unit, v
 
 
 def decompose_model(

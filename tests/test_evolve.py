@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import skinwave as sw
 from skinwave import evolve
 from skinwave.errors import DefectiveMatrix, InvalidParameter, NumericalOverflow
-from skinwave.evolve import _bidiagonal_svd, _gram_svd, decompose, decompose_model, evolve_series, matrix_exp
+from skinwave.evolve import _bidiagonal_svd, _edge_mode, _resolved, decompose, decompose_model, evolve_series, matrix_exp
 from skinwave.model import axis_y_twin
 from skinwave.presets import get_preset, preset_names
 from skinwave.similarity import chain_similarity
@@ -492,7 +492,8 @@ def test_uniform_bidiagonal_modes_in_closed_form(n, ratio, sign_a, sign_b, monke
     dense = np.diag(diag) + np.diag(sub, -1)
     expected = np.linalg.svd(dense, compute_uv=False)
     monkeypatch.setattr(np.linalg, "svd", _no_eigensolve)
-    u, sigma, v = _bidiagonal_svd(diag, sub)
+    u, sigma, v, path = _bidiagonal_svd(diag, sub)
+    assert path == "standing waves"
     bound = 1e-13 * max(abs(a), abs(b))
     assert np.max(np.abs(dense @ v - u * sigma)) <= bound
     assert np.max(np.abs(u.T @ u - np.eye(n))) <= bound
@@ -516,10 +517,13 @@ def test_uniform_two_band_presets_skip_the_svd(name, monkeypatch):
 
 @pytest.mark.parametrize("axis", ["y", "z"])
 def test_non_uniform_block_takes_no_svd(axis, monkeypatch):
-    """sm-boundary's block (gain/loss on 40 of 500 cells, sigma_max / sigma_min = 3) comes from one eigh of B B^T."""
+    """sm-boundary's block (gain/loss on 40 of 500 cells) is two uniform segments, matched in closed form."""
     spec = dataclasses.replace(get_preset("sm-boundary").model, axis=axis)
     calls = _count_svd(monkeypatch)
-    assert decompose_model(sw.build_hamiltonian(spec), spec).route == "chiral" + ("+rotation" if axis == "z" else "")
+    monkeypatch.setattr(np.linalg, "eigh", _no_eigensolve)
+    dec = decompose_model(sw.build_hamiltonian(spec), spec)
+    assert dec.route == "chiral" + ("+rotation" if axis == "z" else "")
+    assert dec.path == "two segments"
     assert calls == []
 
 
@@ -529,6 +533,25 @@ def test_edge_mode_chain_keeps_one_svd(monkeypatch):
     calls = _count_svd(monkeypatch)
     assert decompose_model(sw.build_hamiltonian(spec), spec).route == "chiral"
     assert calls == [1]
+
+
+def test_two_segment_edge_mode_goes_straight_to_the_svd(monkeypatch):
+    """t1 < t2 on both segments: the O(n) bound (~2^-500) finds the edge mode, so no eigensolve precedes the one SVD."""
+    spec = sw.BoundarySSH(1.0, 2.0, -0.2, 500, 40)
+    calls = _count_svd(monkeypatch)
+    monkeypatch.setattr(np.linalg, "eigh", _no_eigensolve)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigensolve)
+    dec = decompose_model(sw.build_hamiltonian(spec), spec)
+    assert (dec.route, dec.path) == ("chiral+rotation", "dense SVD")
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_no_preset_decomposition_calls_an_eigensolver(name, monkeypatch):
+    spec = get_preset(name).model
+    for solver in ("eig", "eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, solver, _no_eigensolve)
+    assert decompose_model(sw.build_hamiltonian(spec), spec).route in _COUNTERPART_ROUTES
 
 
 def _sm_boundary_block() -> tuple[np.ndarray, np.ndarray]:
@@ -556,12 +579,19 @@ def _assert_svd_of(a, b, u, sigma, v):
 
 
 @pytest.mark.parametrize(
-    "a, b",
-    [_sm_boundary_block()] + [_well_conditioned_block(n, seed=n) for n in (1, 2, 3, 50, 500)],
+    "a, b, path",
+    [(*_sm_boundary_block(), "two segments")]
+    + [
+        (*_well_conditioned_block(n, seed=n), path)
+        for n, path in [(1, "standing waves"), (2, "two segments")] + [(n, "dense SVD") for n in (3, 50, 500)]
+    ],
     ids=["sm-boundary", "n1", "n2", "n3", "n50", "n500"],
 )
-def test_gram_modes_match_the_dense_svd(a, b):
-    _assert_svd_of(a, b, *_gram_svd(a, b))
+def test_gram_modes_match_the_dense_svd(a, b, path):
+    """sm-boundary's block and random mixed-sign blocks: two segments in closed form, more than two by the dense SVD."""
+    *modes, taken = _bidiagonal_svd(a, b)
+    assert taken == path
+    _assert_svd_of(a, b, *modes)
 
 
 @settings(max_examples=100, deadline=None)
@@ -575,27 +605,71 @@ def test_only_blocks_past_condition_10_take_the_dense_svd(n, reach, seed):
     assume(abs(sigma[0] - 10.0 * sigma[-1]) > 1e-9 * sigma[0])
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_svd(mp)
-        modes = _bidiagonal_svd(a, b)
-    assert calls == ([] if sigma[0] < 10.0 * sigma[-1] else [1])
+        *modes, _ = _bidiagonal_svd(a, b)
+    # n = 2 is two segments under one b, unless |b| is too small to part their modes or
+    # sigma_min / sigma_max is below the closed form's floor; a larger random block has
+    # more segments, and takes the SVD
+    two = n == 2 and _resolved(np.abs(a), abs(b[0]), 1, 2) and sigma[-1] >= evolve._CONDITION * sigma[0]
+    assert calls == ([] if two else [1])
     _assert_svd_of(a, b, *modes)
 
 
 @pytest.mark.parametrize(
     "a, b, svd_calls",
     [
-        (np.array([9.99, 1.0, -2.0, 3.0]), np.array([0.0, 0.0, 0.0]), 0),
+        (np.array([9.99, 1.0, -2.0, 3.0]), np.array([0.0, 0.0, 0.0]), 1),
         (np.array([10.01, 1.0, -2.0, 3.0]), np.array([0.0, 0.0, 0.0]), 1),
         (np.array([1.5, -1.0, 0.0, 2.0, 1.0]), np.array([0.5, -0.3, 0.2, 0.1]), 1),
     ],
     ids=["inside-the-guard", "just-past-the-guard", "sigma-near-0"],
 )
 def test_gram_guard_sends_ill_conditioned_blocks_to_the_dense_svd(a, b, svd_calls, monkeypatch):
-    """Diagonal blocks of condition 9.99 and 10.01, and a singular block (a zero on its diagonal)."""
+    """Diagonal blocks of condition 9.99 and 10.01, and a singular block (a zero on its diagonal): four or five segments."""
     calls = _count_svd(monkeypatch)
-    modes = _bidiagonal_svd(a, b)
+    *modes, _ = _bidiagonal_svd(a, b)
     assert len(calls) == svd_calls
     assert all(np.all(np.isfinite(m)) for m in modes)
     _assert_svd_of(a, b, *modes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 60), st.integers(0, 60), st.floats(0.3, 3.0), st.floats(0.3, 3.0), st.integers(0, 2**32 - 1))
+@example(460, 40, 2.0, 1.9974984355438179, 0)
+@example(30, 30, 1.0, 2.0, 1)
+@example(53, 49, 3.0, 1.0766836955938197, 0)
+@example(37, 34, 1.0, 1.0427862361804225, 0)
+@example(1, 1, 3.0, 0.3, 2)
+def test_two_segment_modes_match_the_dense_svd(n1, n2, a1, a2, seed):
+    """|a1| on n1 rows and |a2| on n2 rows, on either side of |b| = 1, mixed signs, no edge mode: B V = U Sigma to 1e-13."""
+    assume(n1 + n2 > 0)
+    rng = np.random.default_rng(seed)
+    a = np.concatenate([np.full(n1, a1), np.full(n2, a2)]) * rng.choice([-1.0, 1.0], n1 + n2)
+    b = rng.choice([-1.0, 1.0], n1 + n2 - 1)
+    if n1 == 0 or n2 == 0 or a1 == a2:
+        # one segment: standing waves unless |b| > |a| gives it an edge mode
+        expected = "standing waves" if (a1 if n1 else a2) >= 1.0 or n1 + n2 == 1 else "dense SVD"
+    else:
+        assume(not _edge_mode(np.abs(a), np.abs(b)))
+        # a mode near sigma = 0 sends the block to the SVD
+        sigma = dense_bidiagonal_svd(a, b)[1]
+        expected = "two segments" if sigma[-1] >= evolve._CONDITION * sigma[0] else "dense SVD"
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_svd(mp)
+        *modes, path = _bidiagonal_svd(a, b)
+    assert path == expected
+    assert calls == ([1] if path == "dense SVD" else [])
+    _assert_svd_of(a, b, *modes)
+
+
+def test_two_segment_modes_scale_with_the_block():
+    """sm-boundary's block times 2^-900 or 2^900: sigma scales exactly, U and V keep every bit, and no square overflows."""
+    a, b = _sm_boundary_block()
+    u, sigma, v, _ = _bidiagonal_svd(a, b)
+    for scale in (2.0**-900, 2.0**900):
+        us, scaled, vs, path = _bidiagonal_svd(a * scale, b * scale)
+        assert path == "two segments"
+        assert np.array_equal(us, u) and np.array_equal(vs, v)
+        assert np.array_equal(scaled, sigma * scale)
 
 
 @pytest.mark.parametrize("axis", ["y", "z"])
