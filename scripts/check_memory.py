@@ -1,14 +1,21 @@
 #!/usr/bin/env python3
-"""Check that the evolution streams its frames: a large grid's traced peak stays near its density array.
+"""Check the traced memory of two evolutions: a streamed default route and the dense expm route.
 
     PYTHONPATH=src python scripts/check_memory.py
 
-Evolves a Gaussian packet on a 4,095-site continuum chain (dx 0.01, the
-presets' box four times as long) over 1,024 frames, under ``tracemalloc``,
-which sees every numpy array buffer.  The densities the run returns take
-1,024 x 4,095 x 8 B = 33.5 MB; one complex (frames x dim) array would take
-twice that.  The script prints the traced peak and the evolution's time,
-and exits 1 if the peak exceeds 100 MB.
+Both cases run under ``tracemalloc``, which sees every numpy array buffer.
+
+* streaming: a Gaussian packet on a 4,095-site continuum chain (dx 0.01,
+  the presets' box four times as long) over 1,024 frames.  The densities
+  the run returns take 1,024 x 4,095 x 8 B = 33.5 MB; one complex
+  (frames x dim) array would take twice that.  It fails above 100 MB.
+* expm: the ``sm-boundary`` preset (1,000 sites, 200 frames) with
+  ``method="expm"``.  The matrix exponential holds the generator, the
+  Horner result and one product buffer, three N x N complex matrices of
+  16 MB.  It fails above 3.25 such matrices plus the densities.
+
+The script prints each case's traced peak, its densities and the
+evolution's time, and exits 1 if either case exceeds its limit.
 """
 
 from __future__ import annotations
@@ -21,29 +28,47 @@ import numpy as np
 
 from skinwave.evolve import evolve_series
 from skinwave.model import ContinuousHN, build_hamiltonian
+from skinwave.presets import get_preset
 from skinwave.wavepacket import GaussianParams, gaussian_state
 
-LIMIT_MB = 100.0
+STREAMING_LIMIT_MB = 100.0
 SPEC = ContinuousHN(m=1.0, b=1.0, length=40.95, dx=0.01)
 PACKET = GaussianParams(sigma=0.25, x0=20.0, k0=0.0)
 FRAMES = 1024
+EXPM_MATRICES = 3.25
 
 
-def main() -> int:
-    h = build_hamiltonian(SPEC)
-    psi0 = gaussian_state(h.geometry, PACKET)
-    times = np.linspace(0.0, 1.2, FRAMES)
+def traced(spec, packet, times, method: str):
+    """(result, traced peak in MB, seconds) of one evolution of ``packet`` on ``spec``."""
+    h = build_hamiltonian(spec)
+    psi0 = gaussian_state(h.geometry, packet)
     tracemalloc.start()
     start = time.perf_counter()
-    result = evolve_series(h, psi0, times, spec=SPEC)
+    result = evolve_series(h, psi0, times, method=method, spec=spec)
     seconds = time.perf_counter() - start
     peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
     tracemalloc.stop()
-    density_mb = result.site_densities.nbytes / 1e6
-    ok = peak_mb <= LIMIT_MB
-    print(f"{h.dim} sites x {FRAMES} frames ({result.route}): traced peak {peak_mb:.1f} MB, "
-          f"densities {density_mb:.1f} MB, evolution {seconds:.2f} s"
-          f"{'' if ok else f'  FAIL (> {LIMIT_MB:g} MB)'}")
+    return result, peak_mb, seconds
+
+
+def report(name: str, result, peak_mb: float, seconds: float, limit_mb: float) -> bool:
+    frames, dim = result.site_densities.shape
+    ok = peak_mb <= limit_mb
+    print(f"{name:9s} {dim} sites x {frames} frames ({result.route}): traced peak {peak_mb:.1f} MB "
+          f"(limit {limit_mb:.1f}), densities {result.site_densities.nbytes / 1e6:.1f} MB, "
+          f"evolution {seconds:.2f} s{'' if ok else '  FAIL'}")
+    return ok
+
+
+def main() -> int:
+    streaming = traced(SPEC, PACKET, np.linspace(0.0, 1.2, FRAMES), "auto")
+    ok = report("streaming", *streaming, STREAMING_LIMIT_MB)
+    cfg = get_preset("sm-boundary")
+    result, peak_mb, seconds = traced(
+        cfg.model, cfg.packet, np.linspace(0.0, cfg.times.t_max, cfg.times.frame_count), "expm"
+    )
+    limit_mb = (EXPM_MATRICES * result.site_densities.shape[1] ** 2 * 16 + result.site_densities.nbytes) / 1e6
+    ok &= report("expm", result, peak_mb, seconds, limit_mb)
     return 0 if ok else 1
 
 

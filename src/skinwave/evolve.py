@@ -773,32 +773,43 @@ def _magnitudes(x: np.ndarray, spare: np.ndarray) -> np.ndarray:
     return np.abs(x, out=spare.view(float).reshape(-1)[: x.size].reshape(x.shape))
 
 
-def _norm1(x: np.ndarray, spare: np.ndarray) -> float:
-    """``np.linalg.norm(x, 1)`` bit for bit (the largest column sum of |x|), with |x| kept in ``spare``."""
-    return float(np.add.reduce(_magnitudes(x, spare), axis=0).max())
+def _taylor_degree(x: float) -> int:
+    """Taylor terms for a scaled norm ``x``: the smallest m with x^m / m! <= 1e-18 e^-x.
+
+    ||exp(a)|| >= e^-||a||, so the last term left out is below 1e-18 of the
+    result, the threshold an adaptive stopping test would apply term by term.
+    """
+    bound, last, m = 1e-18 * math.exp(-x), x, 1
+    while last > bound:
+        m += 1
+        last *= x / m
+    return m
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring with a machine-precision Taylor core."""
+    """exp(m) by scaling and squaring with a machine-precision Taylor core; ``m`` is only read.
+
+    With a = m / 2^s of 1-norm at most 0.25, the Taylor polynomial of
+    ``_taylor_degree`` terms is evaluated by Horner, r <- I + (a r) / k for
+    k = m, ..., 1, and r is squared s times.  The scaling rides on each
+    Horner step's divisor, (m r) / (k 2^s), which gives the bits of
+    ((m / 2^s) r) / k, so no scaled copy of m is formed.  Every product goes
+    into one reused buffer, which then trades places with r: beside a complex
+    ``m``, r and that buffer are the only dense matrices.  Between products
+    the buffer is free, and its first half holds |r| for the squaring flush.
+    """
     m = np.asarray(m, dtype=complex)
-    n = m.shape[0]
     norm1 = float(np.linalg.norm(m, 1))
     if not math.isfinite(norm1):
         raise NumericalOverflow("matrix_exp: input norm not finite")
     squarings = max(0, int(math.ceil(math.log2(norm1 / 0.25)))) if norm1 > 0.25 else 0
-    a = m / (2.0 ** squarings)
+    n = len(m)
     result = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
-    # every product goes into buf, which then trades places with its factor;
-    # between products buf is free and holds |.| of the factors in its first half
-    buf = np.empty_like(term)
-    for k in range(1, 60):
-        term, buf = np.matmul(term, a, out=buf), term
-        term /= k
-        result += term
-        if _norm1(term, buf) <= 1e-18 * _norm1(result, buf):
-            break
-    del term, a   # only result and buf are alive through the squarings
+    buf = np.empty_like(result)
+    for k in range(_taylor_degree(norm1 / 2.0 ** squarings), 0, -1):
+        result, buf = np.matmul(m, result, out=buf), result
+        result /= k * 2.0 ** squarings
+        result.flat[:: n + 1] += 1.0
     # entries below sqrt(tiny) * max(1, max|R|) are zeroed before each squaring,
     # so no product in it underflows into (slow) subnormal arithmetic
     floor = math.sqrt(np.finfo(float).tiny)
@@ -874,17 +885,18 @@ def _expm_frames(h, psi0: WaveState, ts: np.ndarray):
     Gaps are quantised, so one propagator serves every equal gap of a uniform
     grid, and each step's mean diagonal growth rate is shifted into the
     log-norm, so amplifying spectra do not overflow the exponential.  Each
-    gap's generator -i H gap is formed in place on a fresh dense H (a copy of
-    a bare matrix), so no second dense copy of H stays beside it.
+    gap's generator -i H gap is formed in place on a fresh dense H (assembled
+    from the bands, or one complex copy of a bare matrix), so with
+    ``matrix_exp``'s r and buffer three dense matrices are alive at the peak,
+    beside the cached propagators.
     """
-    bare = None if isinstance(h, HamiltonianMatrix) else _as_matrix(h)
     cache: dict[float, tuple[np.ndarray, float]] = {}
     state, log_norm, prev_t = psi0.amplitudes, psi0.log_norm, 0.0
     for t in ts:
         gap = float(f"{t - prev_t:.12g}")
         if gap != 0.0:
             if gap not in cache:
-                gen = _as_matrix(h) if bare is None else bare.copy()
+                gen = _as_matrix(h) if isinstance(h, HamiltonianMatrix) else np.array(h, dtype=complex)
                 gen *= -1j
                 gen *= gap
                 shift = float(np.mean(gen.diagonal().real))

@@ -10,7 +10,8 @@ law tends to on a fine grid.  The per-cell ``repr`` writer of density.csv
 states what ``skinwave.shortest`` must write byte for byte, and its tables
 are rebuilt here one entry at a time.  The chiral route's frames are
 restated as a complex synthesis over all 2n modes, and ``matrix_exp`` with
-a fresh array for every product, whose bits its buffered form must keep.
+a fresh array for every product, whose bits its buffered form must keep,
+beside the adaptive stopping rule that its fixed Taylor degree replaced.
 ``propagated`` joins ``propagate``'s blocks, and ``dense_bases`` assembles
 the N x N bases that the sine route keeps as maps.
 ``script`` imports a script under ``scripts/`` whose checks a test reuses.
@@ -251,26 +252,36 @@ def dense_bidiagonal_svd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.n
 def allocating_matrix_exp(m: np.ndarray) -> np.ndarray:
     """``evolve.matrix_exp`` with a fresh array for every product and every |.|: its bits to match.
 
-    The same scaling, Taylor core, stopping rule and flushed squarings.
+    The same scaling, degree rule (the smallest m with x^m / m! <= 1e-18 e^-x
+    for the scaled norm x), Horner order and flushed squarings.
     """
     m = np.asarray(m, dtype=complex)
     norm1 = float(np.linalg.norm(m, 1))
     squarings = max(0, int(math.ceil(math.log2(norm1 / 0.25)))) if norm1 > 0.25 else 0
     a = m / (2.0 ** squarings)
+    x = norm1 / 2.0 ** squarings
+    degree = next(k for k in range(1, 60) if x**k / math.factorial(k) <= 1e-18 * math.exp(-x))
     result = np.eye(len(m), dtype=complex)
-    term = np.eye(len(m), dtype=complex)
-    for k in range(1, 60):
-        term = term @ a
-        term /= k
-        result += term
-        if np.linalg.norm(term, 1) <= 1e-18 * np.linalg.norm(result, 1):
-            break
+    for k in range(degree, 0, -1):
+        result = np.eye(len(m)) + (a @ result) / k
     floor = math.sqrt(np.finfo(float).tiny)
     for _ in range(squarings):
         mag = np.abs(result)
         result[mag < floor * max(1.0, float(mag.max()))] = 0.0
         result = result @ result
     return result
+
+
+def adaptive_taylor_terms(a: np.ndarray) -> int:
+    """Terms an adaptive Taylor loop sums for ``a``: it stops after the first term with ||T_k||_1 <= 1e-18 ||sum||_1."""
+    result = np.eye(len(a), dtype=complex)
+    term = np.eye(len(a), dtype=complex)
+    for k in range(1, 60):
+        term = term @ a / k
+        result += term
+        if np.linalg.norm(term, 1) <= 1e-18 * np.linalg.norm(result, 1):
+            return k
+    return 59
 
 
 def power_of_ten(s: int) -> tuple[float, float, float, float, int]:

@@ -16,7 +16,7 @@ from skinwave.model import axis_y_twin
 from skinwave.presets import get_preset, preset_names
 from skinwave.similarity import chain_similarity
 
-from reference import allocating_matrix_exp, complex_chiral_frames, dense_bases, dense_bidiagonal_svd, propagated
+from reference import adaptive_taylor_terms, allocating_matrix_exp, complex_chiral_frames, dense_bases, dense_bidiagonal_svd, propagated
 
 RNG = np.random.default_rng(1234)
 
@@ -808,3 +808,66 @@ def test_matrix_exp_keeps_its_input_and_the_unbuffered_bits():
         out = matrix_exp(m)
         assert np.array_equal(m, before)
         assert np.array_equal(out, allocating_matrix_exp(m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["dense", "strictly triangular", "diagonal"]),
+    st.integers(1, 12),
+    st.floats(0.0, 0.25, exclude_min=True),
+    st.integers(0, 2**32 - 1),
+)
+def test_taylor_degree_is_never_below_the_adaptive_term_count(kind, n, x, seed):
+    """The degree fixed from the scaled norm alone sums at least the terms an adaptive stopping test would."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if kind == "strictly triangular":
+        a = np.triu(a, 1)
+    elif kind == "diagonal":
+        a = np.diag(a.diagonal())
+    norm = np.linalg.norm(a, 1)
+    assume(norm > 0)
+    a *= x / norm
+    assert evolve._taylor_degree(float(np.linalg.norm(a, 1))) >= adaptive_taylor_terms(a)
+
+
+def test_sm_boundary_step_takes_twelve_terms_and_nine_squarings(monkeypatch):
+    """A generator of 1-norm 82.41, sm-boundary's step, is scaled by 2^-9: 12 Horner products and 9 squarings."""
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    m *= 82.41 / np.linalg.norm(m, 1)
+    calls = []
+    matmul = np.matmul
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    matrix_exp(m)
+    assert len(calls) == 21
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_matrix_exp_holds_two_dense_matrices_beside_its_input():
+    """The Horner result and one product buffer: a complex input is neither copied nor scaled."""
+    rng = np.random.default_rng(6)
+    m = (rng.normal(size=(200, 200)) + 1j * rng.normal(size=(200, 200))) * 0.3
+    assert _traced_peak(lambda: matrix_exp(m)) <= 2.1 * m.nbytes
+
+
+def test_bare_real_matrix_expm_evolution_holds_three_dense_matrices():
+    """A bare real H is converted once per gap into the generator, which matrix_exp only reads: no copy of H stays beside it."""
+    rng = np.random.default_rng(7)
+    h = rng.normal(size=(200, 200)) * 0.05
+    psi0 = random_state(200, rng)
+    peak = _traced_peak(lambda: propagated(h, psi0, np.linspace(0.0, 1.0, 5), "expm"))
+    assert peak <= 3.25 * h.size * 16
