@@ -10,9 +10,11 @@ Both cases run under ``tracemalloc``, which sees every numpy array buffer.
   the run returns take 1,024 x 4,095 x 8 B = 33.5 MB; one complex
   (frames x dim) array would take twice that.  It fails above 100 MB.
 * expm: the ``sm-boundary`` preset (1,000 sites, 200 frames) with
-  ``method="expm"``.  The matrix exponential holds the generator, the
-  Horner result and one product buffer, three N x N complex matrices of
-  16 MB.  It fails above 3.25 such matrices plus the densities.
+  ``method="expm"``.  The matrix exponential holds the generator and the
+  Horner result, two N x N complex matrices of 16 MB, beside a thin buffer
+  of 128 columns for Horner's column blocks; the squarings reuse the
+  generator's storage.  It fails above 2.25 such matrices plus the
+  densities.
 
 The script prints each case's traced peak, its densities and the
 evolution's time, and exits 1 if either case exceeds its limit.
@@ -35,7 +37,7 @@ STREAMING_LIMIT_MB = 100.0
 SPEC = ContinuousHN(m=1.0, b=1.0, length=40.95, dx=0.01)
 PACKET = GaussianParams(sigma=0.25, x0=20.0, k0=0.0)
 FRAMES = 1024
-EXPM_MATRICES = 3.25
+EXPM_MATRICES = 2.25
 
 
 def traced(spec, packet, times, method: str):

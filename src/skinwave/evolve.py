@@ -789,27 +789,61 @@ def _taylor_degree(x: float) -> int:
 def matrix_exp(m: np.ndarray) -> np.ndarray:
     """exp(m) by scaling and squaring with a machine-precision Taylor core; ``m`` is only read.
 
+    Beside ``m``, the Horner result r and one squaring buffer are the only
+    dense matrices; the buffer is allocated once Horner's column blocks are
+    freed (see ``_exp``).
+    """
+    return _exp(np.asarray(m, dtype=complex), own=False)
+
+
+def _horner(m: np.ndarray, result: np.ndarray, degree: int, scale: float) -> None:
+    """Horner's steps result <- I + (m result) / (k scale) for k = degree - 1, ..., 1, in place.
+
+    (m r)[:, J] = m r[:, J], so each step overwrites r a column block at a
+    time, through a thin buffer of at most 129 columns.  Blocks start on
+    multiples of 8 columns, where BLAS's register tiles start in a whole
+    product, so they keep its bits; a last block of one column (a
+    matrix-vector product, other bits) joins the block before it.
+    """
+    n = len(m)
+    width = min(128, 8 * -(-n // 64))   # about an eighth of r, 8 to 128 columns
+    starts = range(0, max(n - 1, 1), width)
+    blocks = list(zip(starts, [*starts[1:], n]))
+    thin = np.empty(n * max(b - a for a, b in blocks), dtype=complex)
+    for k in range(degree - 1, 0, -1):
+        for a, b in blocks:
+            block = np.matmul(m, result[:, a:b], out=thin[: n * (b - a)].reshape(n, b - a))
+            block /= k * scale   # in the contiguous buffer: dividing into r's strided columns buffers a copy
+            result[:, a:b] = block
+        result.reshape(-1)[:: n + 1] += 1.0
+
+
+def _exp(m: np.ndarray, own: bool) -> np.ndarray:
+    """exp of the complex matrix ``m``; with ``own`` the caller gives ``m`` up and its storage serves the squarings.
+
     With a = m / 2^s of 1-norm at most 0.25, the Taylor polynomial of
     ``_taylor_degree`` terms is evaluated by Horner, r <- I + (a r) / k for
-    k = m, ..., 1, and r is squared s times.  The scaling rides on each
+    k = degree, ..., 1, and r is squared s times.  The scaling rides on each
     Horner step's divisor, (m r) / (k 2^s), which gives the bits of
-    ((m / 2^s) r) / k, so no scaled copy of m is formed.  Every product goes
-    into one reused buffer, which then trades places with r: beside a complex
-    ``m``, r and that buffer are the only dense matrices.  Between products
-    the buffer is free, and its first half holds |r| for the squaring flush.
+    ((m / 2^s) r) / k, so no scaled copy of m is formed.  The first step's
+    product is m I, so r = I + m / (degree 2^s) is formed without one; the
+    others go in place on r (``_horner``), so m and r are the only dense
+    matrices during Horner.  The squarings then trade r with one buffer,
+    which is m's storage when ``own`` and a fresh matrix otherwise; between
+    products the buffer is free, and its first half holds |r| for the
+    squaring flush.  The result is C-ordered, as r is.
     """
-    m = np.asarray(m, dtype=complex)
     norm1 = float(np.linalg.norm(m, 1))
     if not math.isfinite(norm1):
         raise NumericalOverflow("matrix_exp: input norm not finite")
     squarings = max(0, int(math.ceil(math.log2(norm1 / 0.25)))) if norm1 > 0.25 else 0
     n = len(m)
-    result = np.eye(n, dtype=complex)
-    buf = np.empty_like(result)
-    for k in range(_taylor_degree(norm1 / 2.0 ** squarings), 0, -1):
-        result, buf = np.matmul(m, result, out=buf), result
-        result /= k * 2.0 ** squarings
-        result.flat[:: n + 1] += 1.0
+    degree = _taylor_degree(norm1 / 2.0 ** squarings)
+    result = np.divide(m, degree * 2.0 ** squarings, out=np.empty((n, n), dtype=complex))
+    result.reshape(-1)[:: n + 1] += 1.0
+    _horner(m, result, degree, 2.0 ** squarings)
+    # m's storage read as a C-ordered matrix, whatever its layout
+    buf = m.ravel("K").reshape(n, n) if own else np.empty_like(result)
     # entries below sqrt(tiny) * max(1, max|R|) are zeroed before each squaring,
     # so no product in it underflows into (slow) subnormal arithmetic
     floor = math.sqrt(np.finfo(float).tiny)
@@ -859,8 +893,10 @@ def _spectral_frames(dec: SineModes | ChiralModes | SpectralDecomposition, psi0:
 
     The chiral route forms the frames in real arithmetic (``ChiralModes.frames``);
     the others synthesise R (c * exp(-i E t)) from c = L^H psi0, with the
-    largest Im(E_n) t of each frame (the generic route's spectrum can be
-    complex) factored into its log-norm, so growing modes never overflow.
+    largest Im(E_n) t over the populated modes (c_n != 0) of each frame (the
+    generic route's spectrum can be complex) factored into its log-norm, so
+    growing modes never overflow and a decaying state keeps its scale.  An
+    empty mode's exponent is capped at 0, so its zero term stays zero.
     Frames at zero elapsed time are psi0's amplitudes and log-norm unchanged.
     """
     if isinstance(dec, ChiralModes):
@@ -868,8 +904,8 @@ def _spectral_frames(dec: SineModes | ChiralModes | SpectralDecomposition, psi0:
     else:
         coeff = dec.expand(psi0.amplitudes)
         growth = np.outer(ts, dec.eigenvalues.imag)
-        mu = growth.max(axis=1)
-        phases = np.exp(np.outer(ts, -1j * dec.eigenvalues.real) + (growth - mu[:, None]))
+        mu = growth.max(axis=1, where=coeff != 0, initial=-np.inf)
+        phases = np.exp(np.outer(ts, -1j * dec.eigenvalues.real) + np.minimum(growth - mu[:, None], 0.0))
         amps = dec.synthesize(phases * coeff)
     amps, log_nrm = _normalise(amps)
     log_norms = psi0.log_norm_offset + mu + log_nrm
@@ -879,31 +915,41 @@ def _spectral_frames(dec: SineModes | ChiralModes | SpectralDecomposition, psi0:
     return amps, log_norms
 
 
+def _propagator(h, gap: float) -> tuple[np.ndarray, float]:
+    """The propagator exp(-i H gap - shift) and its shift, the mean diagonal growth rate of -i H gap.
+
+    The generator -i H gap - shift is formed in place on a fresh dense H
+    (assembled from the bands, or one complex copy of a bare matrix) and
+    handed to ``_exp``, which reuses its storage; no reference to it is kept.
+    """
+    gen = _as_matrix(h) if isinstance(h, HamiltonianMatrix) else np.array(h, dtype=complex)
+    gen *= -1j
+    gen *= gap
+    shift = float(np.mean(gen.diagonal().real))
+    gen.flat[:: len(gen) + 1] -= shift
+    return _exp(gen, own=True), shift
+
+
 def _expm_frames(h, psi0: WaveState, ts: np.ndarray):
     """Yield psi0 stepped to each of the checked times ``ts``: its unit amplitudes and its unchecked log-norm.
 
     Gaps are quantised, so one propagator serves every equal gap of a uniform
     grid, and each step's mean diagonal growth rate is shifted into the
-    log-norm, so amplifying spectra do not overflow the exponential.  Each
-    gap's generator -i H gap is formed in place on a fresh dense H (assembled
-    from the bands, or one complex copy of a bare matrix), so with
-    ``matrix_exp``'s r and buffer three dense matrices are alive at the peak,
-    beside the cached propagators.
+    log-norm, so amplifying spectra do not overflow the exponential.  Only
+    the last gap's propagator is kept, and it is dropped before the next
+    generator is formed, so on any grid two dense matrices are alive at the
+    peak: the generator and ``_exp``'s r, beside a thin Horner buffer (the
+    squarings reuse the generator's storage).
     """
-    cache: dict[float, tuple[np.ndarray, float]] = {}
+    prop, prop_gap = None, None
     state, log_norm, prev_t = psi0.amplitudes, psi0.log_norm, 0.0
     for t in ts:
         gap = float(f"{t - prev_t:.12g}")
         if gap != 0.0:
-            if gap not in cache:
-                gen = _as_matrix(h) if isinstance(h, HamiltonianMatrix) else np.array(h, dtype=complex)
-                gen *= -1j
-                gen *= gap
-                shift = float(np.mean(gen.diagonal().real))
-                gen.flat[:: len(gen) + 1] -= shift
-                cache[gap] = (matrix_exp(gen), shift)
-                del gen
-            prop, shift = cache[gap]
+            if gap != prop_gap:
+                prop = None   # freed before the next generator is formed
+                prop, shift = _propagator(h, gap)
+                prop_gap = gap
             state, log_nrm = _normalise(prop @ state)
             log_norm = log_norm + shift + log_nrm
         yield state, log_norm

@@ -758,11 +758,15 @@ def test_block_budget_below_one_frame_still_takes_a_frame(monkeypatch):
 
 
 def test_degenerate_norm_in_a_later_block_names_its_grid_frame(monkeypatch):
-    """The norm's square exp(-2000 t) underflows to 0 past t = 0.373: frame 4 (t = 0.4), the second of block 1."""
+    """The norm's square 1e-400 + exp(-2000 t) underflows to 0 past t = 0.373: frame 4 (t = 0.4), the second of block 1.
+
+    The undecaying mode's weight 1e-200 sets the frame's scale, so the
+    decaying mode is not factored out of the norm.
+    """
     h = sw.HamiltonianMatrix(
         bands={0: np.array([0.0, -1000.0j])}, geometry=sw.Geometry(positions=np.arange(2.0), dx=1.0)
     )
-    psi0 = sw.WaveState(amplitudes=np.array([0.0, 1.0 + 0j]))
+    psi0 = sw.WaveState(amplitudes=np.array([1e-200, 1.0 + 0j]))
     times = np.arange(16) * 0.1
     monkeypatch.setattr(evolve, "_BLOCK_CELLS", 3 * h.dim)
     with pytest.raises(NumericalOverflow, match=re.escape(f"frame 4 (t={times[4]}): state norm degenerate")):
@@ -832,7 +836,11 @@ def test_taylor_degree_is_never_below_the_adaptive_term_count(kind, n, x, seed):
 
 
 def test_sm_boundary_step_takes_twelve_terms_and_nine_squarings(monkeypatch):
-    """A generator of 1-norm 82.41, sm-boundary's step, is scaled by 2^-9: 12 Horner products and 9 squarings."""
+    """A generator of 1-norm 82.41, sm-boundary's step, is scaled by 2^-9: 12 Horner terms and 9 squarings.
+
+    The first Horner step's product is m I, formed without a product, so 11
+    Horner products (one column block each at 8 x 8) and 9 squarings are taken.
+    """
     rng = np.random.default_rng(5)
     m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     m *= 82.41 / np.linalg.norm(m, 1)
@@ -845,7 +853,7 @@ def test_sm_boundary_step_takes_twelve_terms_and_nine_squarings(monkeypatch):
 
     monkeypatch.setattr(np, "matmul", counted)
     matrix_exp(m)
-    assert len(calls) == 21
+    assert len(calls) == 20
 
 
 def _traced_peak(call) -> int:
@@ -864,10 +872,58 @@ def test_matrix_exp_holds_two_dense_matrices_beside_its_input():
     assert _traced_peak(lambda: matrix_exp(m)) <= 2.1 * m.nbytes
 
 
-def test_bare_real_matrix_expm_evolution_holds_three_dense_matrices():
-    """A bare real H is converted once per gap into the generator, which matrix_exp only reads: no copy of H stays beside it."""
+def test_bare_real_matrix_expm_evolution_holds_two_dense_matrices():
+    """A bare real H is converted once per gap into the generator, whose storage the exponential reuses: no third matrix."""
     rng = np.random.default_rng(7)
     h = rng.normal(size=(200, 200)) * 0.05
     psi0 = random_state(200, rng)
     peak = _traced_peak(lambda: propagated(h, psi0, np.linspace(0.0, 1.0, 5), "expm"))
-    assert peak <= 3.25 * h.size * 16
+    assert peak <= 2.25 * h.size * 16
+
+
+def _drained(h, psi0, times, method):
+    """Run ``propagate`` over every block and keep none of them."""
+    _, _, blocks = evolve.propagate(h, psi0, times, method)
+    for _ in blocks:
+        pass
+
+
+def test_expm_on_a_non_uniform_grid_keeps_one_propagator():
+    """41 distinct gaps: each propagator is dropped before the next generator is formed, not cached per gap."""
+    rng = np.random.default_rng(8)
+    h = rng.normal(size=(60, 60)) * 0.05
+    psi0 = random_state(60, rng)
+    times = np.cumsum(np.concatenate([[0.0], 0.01 + 0.001 * np.arange(41)]))
+    assert len({float(f"{g:.12g}") for g in np.diff(times)}) == 41
+    _drained(h, psi0, times, "expm")   # a first call's one-time allocations (a few KB) stay out of the peak
+    peak = _traced_peak(lambda: _drained(h, psi0, times, "expm"))
+    assert peak <= 2.25 * h.size * 16
+
+
+def test_expm_on_a_uniform_grid_forms_one_propagator(monkeypatch):
+    calls = []
+    exp = evolve._exp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(evolve, "_exp", counted)
+    h, _ = _chain(30)
+    _drained(h, random_state(30), np.linspace(0.0, 2.0, 21), "expm")
+    assert len(calls) == 1
+
+
+def test_matrix_exp_in_several_column_blocks_keeps_the_unbuffered_bits():
+    """n = 300 takes blocks of 40 columns (the last of 20): the same bits as whole products."""
+    rng = np.random.default_rng(9)
+    m = (rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300))) * 0.1
+    assert np.array_equal(matrix_exp(m), allocating_matrix_exp(m))
+
+
+def test_spectral_frames_factor_the_growth_of_the_populated_modes_only():
+    """Only the decaying mode is populated: its log-norm -1000 t is kept, not refused as an underflow at t = 0.4."""
+    psi0 = sw.WaveState(np.array([0.0, 1.0], dtype=complex))
+    amps, log_norms = propagated(np.diag([0.0, -1000.0j]), psi0, [0.0, 0.2, 0.4], "spectral")
+    assert np.array_equal(log_norms, [0.0, -200.0, -400.0])
+    assert np.array_equal(amps, np.tile(psi0.amplitudes, (3, 1)))
