@@ -858,7 +858,7 @@ def _exp(m: np.ndarray, own: bool) -> np.ndarray:
 
 
 def _check_times(times, psi0: WaveState, dim: int) -> np.ndarray:
-    """The elapsed-time grid as an array, checked against the state."""
+    """The elapsed-time grid as an array, checked against the state (its dim, and a finite nonzero norm)."""
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or len(ts) == 0:
         raise InvalidParameter("times: need a non-empty 1-d time list")
@@ -868,6 +868,8 @@ def _check_times(times, psi0: WaveState, dim: int) -> np.ndarray:
         raise InvalidParameter("times must be ascending")
     if psi0.dim != dim:
         raise DimensionMismatch(f"frame 0 (t={ts[0]}): state dim {psi0.dim} != operator dim {dim}")
+    if not (0 < np.linalg.norm(psi0.amplitudes) < np.inf and np.isfinite(psi0.log_norm_offset)):
+        raise InvalidParameter("WaveState: amplitudes must be finite and nonzero")
     return ts
 
 

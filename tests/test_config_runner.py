@@ -427,6 +427,45 @@ def test_manifest_hashes_files_as_it_writes_them(golden_two_band, tmp_path, monk
     assert manifest == {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
 
 
+@pytest.mark.parametrize("planted", [b"x" * 4096, b"y"], ids=["longer", "shorter"])
+def test_emit_over_old_files_writes_the_fresh_bytes(planted, golden_two_band, tmp_path):
+    """Files longer or shorter than the output at all four paths: the same bytes as a fresh directory."""
+    result, trajectory, oracle, config = golden_two_band
+    fresh = emit_outputs(result, trajectory, oracle, config.with_overrides(out_dir=tmp_path / "fresh"))
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in fresh:
+        (out / name).write_bytes(planted)
+    manifest = emit_outputs(result, trajectory, oracle, config.with_overrides(out_dir=out))
+    assert manifest == fresh
+    for name, digest in manifest.items():
+        assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+def test_reader_of_the_old_density_csv_keeps_its_bytes(golden_two_band, tmp_path):
+    """A rerun writes a new file: a handle opened on the previous run's density.csv still reads all of it."""
+    result, trajectory, oracle, config = golden_two_band
+    config = config.with_overrides(out_dir=tmp_path)
+    emit_outputs(dataclasses.replace(result, log_norms=result.log_norms + 1.0), trajectory, oracle, config)
+    old = (tmp_path / "density.csv").read_bytes()
+    with (tmp_path / "density.csv").open("rb") as held:
+        emit_outputs(result, trajectory, oracle, config)
+        assert held.read() == old
+    assert (tmp_path / "density.csv").read_bytes() != old
+
+
+def test_symlink_at_an_output_path_is_replaced_not_followed(golden_two_band, tmp_path):
+    result, trajectory, oracle, config = golden_two_band
+    target = tmp_path / "elsewhere.csv"
+    target.write_bytes(b"kept\n")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "density.csv").symlink_to(target)
+    emit_outputs(result, trajectory, oracle, config.with_overrides(out_dir=tmp_path / "out"))
+    assert not (tmp_path / "out" / "density.csv").is_symlink()
+    assert target.read_bytes() == b"kept\n"
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg_a = small_config(tmp_path / "a")
     cfg_b = small_config(tmp_path / "b")

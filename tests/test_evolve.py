@@ -191,6 +191,16 @@ def test_evolve_series_validates_times_and_method():
         evolve_series(h, psi, [0.0, 1.0], method="verlet", spec=spec)
 
 
+def test_propagate_refuses_a_directly_built_zero_state():
+    with pytest.raises(InvalidParameter, match="nonzero"):
+        sw.propagate(np.diag([1.0, 2.0]), sw.WaveState(np.zeros(2, complex)), [0, 1], "spectral")
+    for amps in (np.array([np.nan, 1.0]), np.array([np.inf, 1.0])):
+        with pytest.raises(InvalidParameter, match="finite"):
+            sw.propagate(np.diag([1.0, 2.0]), sw.WaveState(amps + 0j), [0, 1], "expm")
+    with pytest.raises(InvalidParameter):
+        sw.propagate(np.diag([1.0, 2.0]), sw.WaveState(np.ones(2, complex), np.inf), [0, 1])
+
+
 def test_similarity_dynamics_identity():
     """Spectral propagation equals the diagonal-conjugated evolution,
     exp(-i H t) = S exp(-i Hbar t) S^-1, frame by frame."""
