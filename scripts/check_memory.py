@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check the traced memory of two evolutions: a streamed default route and the dense expm route.
+"""Check the traced memory of two evolutions: a streamed default route and the expm route.
 
     PYTHONPATH=src python scripts/check_memory.py
 
@@ -10,11 +10,10 @@ Both cases run under ``tracemalloc``, which sees every numpy array buffer.
   the run returns take 1,024 x 4,095 x 8 B = 33.5 MB; one complex
   (frames x dim) array would take twice that.  It fails above 100 MB.
 * expm: the ``sm-boundary`` preset (1,000 sites, 200 frames) with
-  ``method="expm"``.  The matrix exponential holds the generator and the
-  Horner result, two N x N complex matrices of 16 MB, beside a thin buffer
-  of 128 columns for Horner's column blocks; the squarings reuse the
-  generator's storage.  It fails above 2.25 such matrices plus the
-  densities.
+  ``method="expm"``.  The Taylor action steps the state on H's bands, so
+  beside the densities it holds only the generator's bands and a few
+  length-N vectors; a dense N x N complex matrix would take 16 MB.  It
+  fails above the densities plus 2 MB.
 
 The script prints each case's traced peak, its densities and the
 evolution's time, and exits 1 if either case exceeds its limit.
@@ -37,7 +36,7 @@ STREAMING_LIMIT_MB = 100.0
 SPEC = ContinuousHN(m=1.0, b=1.0, length=40.95, dx=0.01)
 PACKET = GaussianParams(sigma=0.25, x0=20.0, k0=0.0)
 FRAMES = 1024
-EXPM_MATRICES = 2.25
+EXPM_SLACK_MB = 2.0
 
 
 def traced(spec, packet, times, method: str):
@@ -69,7 +68,7 @@ def main() -> int:
     result, peak_mb, seconds = traced(
         cfg.model, cfg.packet, np.linspace(0.0, cfg.times.t_max, cfg.times.frame_count), "expm"
     )
-    limit_mb = (EXPM_MATRICES * result.site_densities.shape[1] ** 2 * 16 + result.site_densities.nbytes) / 1e6
+    limit_mb = result.site_densities.nbytes / 1e6 + EXPM_SLACK_MB
     ok &= report("expm", result, peak_mb, seconds, limit_mb)
     return 0 if ok else 1
 

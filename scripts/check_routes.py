@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
-"""Cross-check the default route of the two-band chains against dense expm, one case per chiral path.
+"""Cross-check the default routes against the expm route's Taylor action: one case per chiral path and a sine case.
 
     PYTHONPATH=src python scripts/check_routes.py
 
 Each case is evolved over its own time grid twice: on the route its config
-selects and with ``method="expm"``, which steps a dense matrix exponential
-and shares no decomposition with it.  The cases are the full-size fig4,
-sm-spread-fast and sm-boundary presets, a 40-cell edge-mode chain (t1 < t2)
-and a 40-cell boundary chain with an edge mode.  The script prints each
-default route, the path its chiral modes took (``ChiralModes.path``: standing
-waves, two segments or dense SVD) and the largest differences in per-site
-density and in log-norm.  It exits 1 if either difference
-exceeds 1e-7 on any case, or if some chiral path went unchecked.  Each expm
-run of a preset takes a few seconds.
+selects and with ``method="expm"``, which steps the state with the truncated
+Taylor action of the matrix exponential on H's bands and shares no
+decomposition with it.  The cases are the full-size fig4, sm-spread-fast and
+sm-boundary presets, a 40-cell edge-mode chain (t1 < t2), a 40-cell boundary
+chain with an edge mode, and the full-size fig1c preset on the sine route.
+The script prints each default route, the path its chiral modes took
+(``ChiralModes.path``: standing waves, two segments or dense SVD) and the
+largest differences in per-site density and in log-norm.  It exits 1 if
+either difference exceeds 1e-7 on any case, or if some chiral path went
+unchecked.  Each expm run of a preset takes a few seconds.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from skinwave.presets import get_preset
 from skinwave.wavepacket import GaussianParams, gaussian_state
 
 TOLERANCE = 1e-7
-CASES = ("fig4", "sm-spread-fast", "sm-boundary", "edge-mode", "edge-mode-boundary")
+CASES = ("fig4", "sm-spread-fast", "sm-boundary", "edge-mode", "edge-mode-boundary", "fig1c")
 CHIRAL_PATHS = ("standing waves", "two segments", "dense SVD")
 
 

@@ -5,7 +5,9 @@ Two independent routes:
 * spectral: biorthogonal eigen-expansion, every frame of the time grid
   evaluated directly from the initial state in one synthesis (no step
   accumulation);
-* expm: scaling-and-squaring matrix exponential, stepped over the frame grid.
+* expm: the truncated Taylor action of exp(-i H t) on the state, stepped
+  over the frame grid with products on H's bands (no eigensolve, no
+  similarity).
 
 ``propagate`` is the one interface to both: it takes a grid of elapsed times
 and yields unit-normalised amplitudes with the total log-norm per frame (so
@@ -36,9 +38,10 @@ none solves an eigenproblem of the whole chain:
 
 States are mapped through S^-1 and S, which stays accurate far past where
 inverting the right-eigenvector matrix fails (states weighted at the small-S
-end lose eps * S_max / S_min).  Only the generic and expm routes assemble a
-dense H; no sine or chiral code forms an N x N array, and only a chiral block
-with an edge mode or more than two segments a dense half-size B (for its SVD).
+end lose eps * S_max / S_min).  Only the generic route assembles a dense H
+(the expm route forms one N x N generator for a bare matrix only); no sine or
+chiral code forms an N x N array, and only a chiral block with an edge mode
+or more than two segments a dense half-size B (for its SVD).
 """
 
 from __future__ import annotations
@@ -773,6 +776,11 @@ def _magnitudes(x: np.ndarray, spare: np.ndarray) -> np.ndarray:
     return np.abs(x, out=spare.view(float).reshape(-1)[: x.size].reshape(x.shape))
 
 
+# largest Taylor degree of an expm step, Al-Mohy and Higham's m_max: a higher
+# degree sums larger terms of exp(A / s) psi that cancel
+_MAX_DEGREE = 55
+
+
 def _taylor_degree(x: float) -> int:
     """Taylor terms for a scaled norm ``x``: the smallest m with x^m / m! <= 1e-18 e^-x.
 
@@ -847,11 +855,12 @@ def _exp(m: np.ndarray, own: bool) -> np.ndarray:
     # entries below sqrt(tiny) * max(1, max|R|) are zeroed before each squaring,
     # so no product in it underflows into (slow) subnormal arithmetic
     floor = math.sqrt(np.finfo(float).tiny)
-    for _ in range(squarings):
-        mag = _magnitudes(result, buf)
-        result[mag < floor * max(1.0, float(mag.max()))] = 0.0
-        del mag
-        result, buf = np.matmul(result, result, out=buf), result
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow ends in the NumericalOverflow below
+        for _ in range(squarings):
+            mag = _magnitudes(result, buf)
+            result[mag < floor * max(1.0, float(mag.max()))] = 0.0
+            del mag
+            result, buf = np.matmul(result, result, out=buf), result
     if not np.all(np.isfinite(result)):
         raise NumericalOverflow("matrix_exp: overflow during squaring")
     return result
@@ -917,44 +926,127 @@ def _spectral_frames(dec: SineModes | ChiralModes | SpectralDecomposition, psi0:
     return amps, log_norms
 
 
-def _propagator(h, gap: float) -> tuple[np.ndarray, float]:
-    """The propagator exp(-i H gap - shift) and its shift, the mean diagonal growth rate of -i H gap.
+def _generator(h, gap: float):
+    """The generator A = -i H gap - shift as its product v -> A v, its 1-norm and its shift.
 
-    The generator -i H gap - shift is formed in place on a fresh dense H
-    (assembled from the bands, or one complex copy of a bare matrix) and
-    handed to ``_exp``, which reuses its storage; no reference to it is kept.
+    The shift is the mean real diagonal of -i H gap, so exp(-i H gap) =
+    e^shift exp(A).  A ``HamiltonianMatrix`` keeps A as bands (offset ->
+    array) and its product is one pass over them, as ``energy_bound`` loops;
+    a bare matrix is converted once into a complex A, whose product is ``@``.
+    The 1-norm (largest column sum of |A|) is read from the bands in O(N).
     """
-    gen = _as_matrix(h) if isinstance(h, HamiltonianMatrix) else np.array(h, dtype=complex)
-    gen *= -1j
-    gen *= gap
+    if isinstance(h, HamiltonianMatrix):
+        diagonal = h.bands.get(0, np.zeros(h.dim)) * (-1j * gap)
+        shift = float(np.mean(diagonal.real))
+        diagonal -= shift
+        # each off-diagonal band of A with the rows it writes and the entries of v it reads
+        hops = [
+            (band * (-1j * gap), slice(max(-k, 0), max(-k, 0) + len(band)), slice(max(k, 0), max(k, 0) + len(band)))
+            for k, band in h.bands.items()
+            if k != 0 and len(band)
+        ]
+        columns = np.abs(diagonal)
+        for band, _, reads in hops:
+            columns[reads] += np.abs(band)
+
+        def product(v: np.ndarray) -> np.ndarray:
+            out = diagonal * v
+            for band, rows, reads in hops:
+                out[rows] += band * v[reads]
+            return out
+
+        return product, float(columns.max()), shift
+    gen = np.array(h, dtype=complex)
+    gen *= -1j * gap
     shift = float(np.mean(gen.diagonal().real))
     gen.flat[:: len(gen) + 1] -= shift
-    return _exp(gen, own=True), shift
+    return gen.__matmul__, float(np.linalg.norm(gen, 1)), shift
+
+
+def _fewest_steps(norm1: float, degree: int, s: int) -> int:
+    """The fewest steps from ``s`` on whose Taylor degree ``_taylor_degree(norm1 / steps)`` is at most ``degree``.
+
+    The degree never rises with the step count, so the count is bracketed by
+    doubling and then bisected.
+    """
+    lo, hi = s, s
+    while _taylor_degree(norm1 / hi) > degree:
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if _taylor_degree(norm1 / mid) > degree else (lo, mid)
+    return hi
+
+
+def _steps(norm1: float) -> tuple[int, int]:
+    """Steps s and Taylor degree m = ``_taylor_degree(norm1 / s)`` <= ``_MAX_DEGREE`` with the fewest products s m.
+
+    m never rises with s, so only the fewest steps of each degree can cost
+    least, and no s at or past the best s m can (every degree is at least 1).
+    The search starts at s = norm1 / 55: a degree m needs x = norm1 / s < m,
+    since every term x^k / k! with k <= x is at least 1.
+    """
+    if not math.isfinite(norm1):
+        raise NumericalOverflow("expm: generator norm not finite")
+    s = _fewest_steps(norm1, _MAX_DEGREE, max(1, math.ceil(norm1 / _MAX_DEGREE)))
+    m = _taylor_degree(norm1 / s)
+    best = (s, m)
+    while m > 1 and s < best[0] * best[1]:
+        s = _fewest_steps(norm1, m - 1, s + 1)
+        m = _taylor_degree(norm1 / s)
+        best = min(best, (s, m), key=math.prod)
+    return best
+
+
+def _unit(amps: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unit-normalise ``amps`` in place, scaled by its largest |amplitude| first; returns it and the log of its norm.
+
+    The scaling keeps the squares in the norm from underflowing; a zero or
+    non-finite state gives a non-finite log.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        top = np.abs(amps).max()
+        amps /= top
+        nrm = np.linalg.norm(amps)
+        amps /= nrm
+        return amps, float(np.log(top) + np.log(nrm))
 
 
 def _expm_frames(h, psi0: WaveState, ts: np.ndarray):
     """Yield psi0 stepped to each of the checked times ``ts``: its unit amplitudes and its unchecked log-norm.
 
-    Gaps are quantised, so one propagator serves every equal gap of a uniform
-    grid, and each step's mean diagonal growth rate is shifted into the
-    log-norm, so amplifying spectra do not overflow the exponential.  Only
-    the last gap's propagator is kept, and it is dropped before the next
-    generator is formed, so on any grid two dense matrices are alive at the
-    peak: the generator and ``_exp``'s r, beside a thin Horner buffer (the
-    squarings reuse the generator's storage).
+    Each gap exp(-i H gap) psi = e^shift exp(A) psi is taken as s steps of
+    the truncated Taylor action psi <- sum_{k <= m} (A / s)^k psi / k!
+    (Al-Mohy and Higham, SIAM J. Sci. Comput. 33 (2011) 488-511), with the s
+    and m of ``_steps``; every step is unit-normalised into the log-norm, so
+    amplifying spectra overflow neither the state nor the exponential.  Gaps
+    are quantised to 12 digits to pick the generator, so one serves every
+    equal gap of a uniform grid, and each step scales it to the exact gap
+    (the degree's truncation bound moves by a factor below 1 + 3e-10).
+    Only length-N vectors are formed beside the generator: no N x N array
+    for a ``HamiltonianMatrix``, one complex A for a bare matrix.
     """
-    prop, prop_gap = None, None
-    state, log_norm, prev_t = psi0.amplitudes, psi0.log_norm, 0.0
+    state, log_norm, prev_t, gen_gap = psi0.amplitudes, psi0.log_norm_offset, 0.0, None
     for t in ts:
-        gap = float(f"{t - prev_t:.12g}")
+        gap = t - prev_t
         if gap != 0.0:
-            if gap != prop_gap:
-                prop = None   # freed before the next generator is formed
-                prop, shift = _propagator(h, gap)
-                prop_gap = gap
-            state, log_nrm = _normalise(prop @ state)
-            log_norm = log_norm + shift + log_nrm
-        yield state, log_norm
+            quantised = float(f"{gap:.12g}")
+            if quantised != gen_gap:
+                product = None   # a bare matrix's generator is freed before the next is formed
+                product, norm1, shift = _generator(h, quantised)
+                steps, degree = _steps(norm1)
+                gen_gap = quantised
+            scale = gap / gen_gap   # the exact gap's A is the generator's times this, within 5e-12 of 1
+            log_norm += shift * scale
+            for _ in range(steps):
+                term, state = state, state.copy()
+                for k in range(1, degree + 1):
+                    term = product(term)
+                    term *= scale / (steps * k)
+                    state += term
+                state, log_nrm = _unit(state)
+                log_norm += log_nrm
+        yield (psi0.amplitudes, psi0.log_norm) if t == 0 else (state, log_norm)
         prev_t = t
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -828,11 +829,15 @@ def test_matrix_exp_keeps_its_input_and_the_unbuffered_bits():
 @given(
     st.sampled_from(["dense", "strictly triangular", "diagonal"]),
     st.integers(1, 12),
-    st.floats(0.0, 0.25, exclude_min=True),
+    st.floats(0.0, 10.0, exclude_min=True),
     st.integers(0, 2**32 - 1),
 )
 def test_taylor_degree_is_never_below_the_adaptive_term_count(kind, n, x, seed):
-    """The degree fixed from the scaled norm alone sums at least the terms an adaptive stopping test would."""
+    """The degree fixed from the scaled norm alone sums at least the terms an adaptive stopping test would.
+
+    x runs past 0.25, matrix_exp's scaled norm, to the 1-norms of the expm
+    route's Taylor steps (at most 8.5, where the degree reaches 55).
+    """
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     if kind == "strictly triangular":
@@ -846,7 +851,7 @@ def test_taylor_degree_is_never_below_the_adaptive_term_count(kind, n, x, seed):
 
 
 def test_sm_boundary_step_takes_twelve_terms_and_nine_squarings(monkeypatch):
-    """A generator of 1-norm 82.41, sm-boundary's step, is scaled by 2^-9: 12 Horner terms and 9 squarings.
+    """matrix_exp scales a generator of 1-norm 82.41 (sm-boundary's gap) by 2^-9: 12 Horner terms and 9 squarings.
 
     The first Horner step's product is m I, formed without a product, so 11
     Horner products (one column block each at 8 x 8) and 9 squarings are taken.
@@ -883,7 +888,7 @@ def test_matrix_exp_holds_two_dense_matrices_beside_its_input():
 
 
 def test_bare_real_matrix_expm_evolution_holds_two_dense_matrices():
-    """A bare real H is converted once per gap into the generator, whose storage the exponential reuses: no third matrix."""
+    """A bare real H is converted once per gap into the complex generator; the Taylor action adds only vectors (and |A| for its norm)."""
     rng = np.random.default_rng(7)
     h = rng.normal(size=(200, 200)) * 0.05
     psi0 = random_state(200, rng)
@@ -899,7 +904,7 @@ def _drained(h, psi0, times, method):
 
 
 def test_expm_on_a_non_uniform_grid_keeps_one_propagator():
-    """41 distinct gaps: each propagator is dropped before the next generator is formed, not cached per gap."""
+    """41 distinct gaps: each generator is dropped before the next is formed, not cached per gap."""
     rng = np.random.default_rng(8)
     h = rng.normal(size=(60, 60)) * 0.05
     psi0 = random_state(60, rng)
@@ -910,7 +915,8 @@ def test_expm_on_a_non_uniform_grid_keeps_one_propagator():
     assert peak <= 2.25 * h.size * 16
 
 
-def test_expm_on_a_uniform_grid_forms_one_propagator(monkeypatch):
+def test_expm_route_forms_no_dense_matrix(monkeypatch):
+    """The Taylor action steps vectors on H's bands: no matrix exponential, and nothing N x N beside the densities."""
     calls = []
     exp = evolve._exp
 
@@ -919,9 +925,64 @@ def test_expm_on_a_uniform_grid_forms_one_propagator(monkeypatch):
         return exp(*args, **kwargs)
 
     monkeypatch.setattr(evolve, "_exp", counted)
-    h, _ = _chain(30)
-    _drained(h, random_state(30), np.linspace(0.0, 2.0, 21), "expm")
-    assert len(calls) == 1
+    h, _ = _chain(1000)
+    psi0 = random_state(1000)
+    times = np.linspace(0.0, 2.0, 21)
+    evolve_series(h, psi0, times, method="expm")   # a first call's one-time allocations stay out of the peak
+    result = []
+    peak = _traced_peak(lambda: result.append(evolve_series(h, psi0, times, method="expm")))
+    assert calls == []
+    assert peak <= result[0].site_densities.nbytes + 1e6
+
+
+def test_expm_route_follows_an_amplification_past_the_float_range():
+    """exp(-i H) on diag(0, 2000j) is diag(1, e^2000): dense expm overflows, the normalised steps keep log-norm 2000."""
+    psi0 = sw.WaveState(np.ones(2, dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (_, end), (_, log_norm) = propagated(np.diag([0.0, 2000.0j]), psi0, [0.0, 1.0], "expm")
+        with pytest.raises(NumericalOverflow):
+            matrix_exp(-1j * np.diag([0.0, 2000.0j]))
+    assert log_norm == pytest.approx(2000.0, rel=1e-12)   # ln |(1, e^2000)| = 2000 + ln(1 + e^-4000) / 2
+    assert np.array_equal(np.abs(end), [0.0, 1.0])
+
+
+def test_expm_route_keeps_a_state_below_the_squares_underflow():
+    """(1e-200, e^-400) has norm 1.9e-174 though every square underflows: each step scales by its largest amplitude.
+
+    e^-400 decays against the shift, so its Taylor sums cancel (about
+    eps e^(2 x) per step at 1-norm x = 8.3): 1e-10 bounds the drift.
+    """
+    psi0 = sw.WaveState(np.array([1e-200, 1.0], dtype=complex))
+    times = [0.0, 0.2, 0.4]
+    with pytest.raises(NumericalOverflow, match="frame 2"):
+        propagated(np.diag([0.0, -1000.0j]), psi0, times, "spectral")
+    _, log_norms = propagated(np.diag([0.0, -1000.0j]), psi0, times, "expm")
+    assert log_norms[2] == pytest.approx(-400.0, rel=1e-10)
+
+
+def test_matrix_exp_overflow_ends_in_its_numerical_overflow():
+    """Squaring diag(e^-1000, e^1000) overflows: NumericalOverflow, with no RuntimeWarning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalOverflow, match="overflow during squaring"):
+            matrix_exp(np.diag([-1000.0, 1000.0]) + 0j)
+
+
+def test_sm_boundary_gap_takes_ten_steps_of_degree_54():
+    """A generator of 1-norm 82.41, sm-boundary's gap: 540 products, the fewest of any step count."""
+    assert evolve._steps(82.41) == (10, 54)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 200.0))
+def test_steps_take_the_fewest_products(norm1):
+    """No step count whose degree is at most 55 takes fewer products s m than ``_steps``'s."""
+    s, m = evolve._steps(norm1)
+    assert m == evolve._taylor_degree(norm1 / s) <= evolve._MAX_DEGREE
+    for other in range(max(1, math.ceil(norm1 / evolve._MAX_DEGREE)), s * m):
+        degree = evolve._taylor_degree(norm1 / other)
+        assert degree > evolve._MAX_DEGREE or other * degree >= s * m
 
 
 def test_matrix_exp_in_several_column_blocks_keeps_the_unbuffered_bits():
