@@ -2,9 +2,9 @@
 
 Two independent routes:
 
-* spectral: biorthogonal eigen-expansion, every frame of the time grid
-  evaluated directly from the initial state in one synthesis (no step
-  accumulation);
+* spectral: the modes of the chain's Hermitian counterpart, every frame of
+  the time grid evaluated directly from the initial state in one synthesis
+  (no step accumulation);
 * expm: the truncated Taylor action of exp(-i H t) on the state, stepped
   over the frame grid with products on H's bands (no eigensolve, no
   similarity).
@@ -17,10 +17,11 @@ elapsed time is the initial state itself.  ``evolve_series`` writes the
 blocks' densities into one (frames x dim) float array, so it never forms a
 complex (frames x dim) array.
 
-Every model family goes through its real symmetric counterpart Hbar =
-S^-1 H S, which ``similarity.chain_similarity`` reads from the operator's three
-bands with the positive diagonal S; the route is chosen from Hbar's bands and
-none solves an eigenproblem of the whole chain:
+The spectral route is the paper's factorisation H = S Hbar S^-1: a spec whose
+real symmetric counterpart Hbar ``similarity.chain_similarity`` reads from the
+operator's three bands, with the positive diagonal S, is evolved through its
+modes; the route is chosen from Hbar's bands and none solves an eigenproblem
+of the whole chain:
 
 * sine: a uniform Hbar (continuum and discrete chains); its modes are the
   DST-I, so expansion and synthesis are one FFT each and only S is stored;
@@ -32,16 +33,17 @@ none solves an eigenproblem of the whole chain:
   modes are real, so its frames are formed in real arithmetic: one cos/sin
   table of sigma t for both halves +-sigma, and one real GEMM per sublattice;
 * ...+rotation: the gain/loss two-band chains use their asymmetric-hop twin,
-  rotating psi0 into it and the frames back cell by cell;
-* generic: a chain without a counterpart, or a bare matrix; eig plus a
-  polished inverse (condition cap 1e12).
+  rotating psi0 into it and the frames back cell by cell.
 
-States are mapped through S^-1 and S, which stays accurate far past where
-inverting the right-eigenvector matrix fails (states weighted at the small-S
-end lose eps * S_max / S_min).  Only the generic route assembles a dense H
-(the expm route forms one N x N generator for a bare matrix only); no sine or
-chiral code forms an N x N array, and only a chiral block with an edge mode
-or more than two segments a dense half-size B (for its SVD).
+Every other input (a chain without a counterpart, or a bare matrix) takes
+expm.  States are mapped through S^-1 and S, which stays accurate far past
+where inverting a right-eigenvector matrix fails (states weighted at the
+small-S end lose eps * S_max / S_min).  No sine or chiral code forms an
+N x N array, and only a chiral block with an edge mode or more than two
+segments a dense half-size B (for its SVD); the expm route forms one N x N
+generator for a bare matrix only.  ``decompose`` (eig plus a polished
+inverse) serves no route: it is the biorthogonal reference the tests check
+the routes against.
 """
 
 from __future__ import annotations
@@ -117,19 +119,17 @@ class WaveState:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Generic route: eigenvalues with biorthonormal right/left bases, left^H @ right == I.
+    """``decompose``'s eigenvalues with biorthonormal right/left bases, left^H @ right == I; serves no route.
 
     ``expand`` maps states to mode coefficients and ``synthesize`` per-frame
-    coefficients back to amplitudes, both over the last axis.  ``SineModes``
-    has the same two maps without a stored basis; ``ChiralModes`` forms its
-    frames directly.
+    coefficients back to amplitudes, both over the last axis; ``SineModes``
+    has the same two maps without a stored basis.
     """
 
     eigenvalues: np.ndarray
     right: np.ndarray    # columns R_n
     left: np.ndarray     # columns L_n
     condition: float     # max left-vector norm (diagnostic)
-    route: str           # 'generic'
 
     @property
     def dim(self) -> int:
@@ -201,6 +201,10 @@ class SineModes(_CounterpartModes):
     """Route 'sine': a uniform counterpart, whose modes Q = Q^T are the orthonormal DST-I (one FFT per map)."""
 
     name = "sine"
+
+    def frames(self, psi: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """Unnormalised amplitudes (frames x dim) of ``psi`` at the elapsed times ``ts``: R (c exp(-i E t)), c = L^H psi."""
+        return self.synthesize(np.exp(np.outer(ts, -1j * self.eigenvalues.real)) * self.expand(psi))
 
     def expand(self, psi: np.ndarray) -> np.ndarray:
         """Mode coefficients L^H psi = Q S^-1 W^H psi of the states ``psi`` (..., dim)."""
@@ -274,8 +278,7 @@ class EvolutionResult:
     site_densities: np.ndarray   # shape (frames, dim)
     log_norms: np.ndarray        # total log norm per frame
     geometry: Geometry
-    route: str                   # a decomposition route, or 'expm'
-    fallback: str | None = None  # why 'auto' refused the decomposition and took expm
+    route: str                   # 'sine', 'chiral' (either '+rotation') or 'expm'
 
     @property
     def method(self) -> str:
@@ -293,11 +296,12 @@ def _as_matrix(h) -> np.ndarray:
 
 
 def decompose(h) -> SpectralDecomposition:
-    """Generic route: eig + inversion of the right-eigenvector matrix.
+    """Biorthogonal eigenbasis of any square matrix: eig + inversion of the right-eigenvector matrix.
 
-    One Newton polish of the inverse tightens biorthogonality to roundoff;
-    raises DefectiveMatrix past the 1e12 condition limit, when the polish falls
-    short (near-defective H) or when LAPACK fails (fall back to expm).
+    Serves no route; it is the independent reference of the tests.  One
+    Newton polish of the inverse tightens biorthogonality to roundoff; raises
+    DefectiveMatrix past the 1e12 condition limit, when the polish falls short
+    (near-defective H) or when LAPACK fails.
     """
     m = _as_matrix(h)
     try:
@@ -321,7 +325,6 @@ def decompose(h) -> SpectralDecomposition:
         right=v,
         left=left,
         condition=float(np.max(np.linalg.norm(left, axis=0))),
-        route="generic",
     )
 
 
@@ -753,22 +756,18 @@ def _two_segments(a1: float, a2: float, b: float, n1: int, n2: int) -> tuple[np.
     return u, sigma * unit, v
 
 
-def decompose_model(
-    h: HamiltonianMatrix, spec: ModelSpec | None
-) -> SineModes | ChiralModes | SpectralDecomposition:
-    """Best decomposition route for a model spec.
+def decompose_model(h: HamiltonianMatrix, spec: ModelSpec | None) -> SineModes | ChiralModes | None:
+    """Counterpart route of a model spec; None for a chain without a counterpart, or a bare matrix (no spec).
 
     Every spec goes through ``_decompose_chain`` on its bands; a gain/loss
     two-band chain goes through the bands of its asymmetric-hop twin, rotated
-    back cell by cell.  A chain that route refuses, and a bare matrix (no
-    spec), go through ``decompose``.
+    back cell by cell.
     """
-    if spec is not None:
-        twin = axis_y_twin(spec)
-        dec = _decompose_chain(h.bands if twin is spec else build_hamiltonian(twin).bands)
-        if dec is not None:
-            return dec if twin is spec else replace(dec, rotated=True)
-    return decompose(h)
+    if spec is None:
+        return None
+    twin = axis_y_twin(spec)
+    dec = _decompose_chain(h.bands if twin is spec else build_hamiltonian(twin).bands)
+    return dec if dec is None or twin is spec else replace(dec, rotated=True)
 
 
 def _magnitudes(x: np.ndarray, spare: np.ndarray) -> np.ndarray:
@@ -884,7 +883,7 @@ def _check_times(times, psi0: WaveState, dim: int) -> np.ndarray:
 
 def _normalise(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit-normalise the last axis in place; returns the scaled amplitudes and log of the norms."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # a degenerate frame ends in _check_frames
         nrm = np.linalg.norm(amps, axis=-1, keepdims=True)
         amps /= nrm
         return amps, np.log(nrm[..., 0])
@@ -899,27 +898,15 @@ def _check_frames(log_norms: np.ndarray, ts: np.ndarray, first: int) -> np.ndarr
     return log_norms
 
 
-def _spectral_frames(dec: SineModes | ChiralModes | SpectralDecomposition, psi0: WaveState, ts: np.ndarray):
+def _spectral_frames(dec: SineModes | ChiralModes, psi0: WaveState, ts: np.ndarray):
     """Unit-normalised amplitudes (frames x dim) of psi0 at the checked times ``ts``, and their unchecked log-norms.
 
-    The chiral route forms the frames in real arithmetic (``ChiralModes.frames``);
-    the others synthesise R (c * exp(-i E t)) from c = L^H psi0, with the
-    largest Im(E_n) t over the populated modes (c_n != 0) of each frame (the
-    generic route's spectrum can be complex) factored into its log-norm, so
-    growing modes never overflow and a decaying state keeps its scale.  An
-    empty mode's exponent is capped at 0, so its zero term stays zero.
-    Frames at zero elapsed time are psi0's amplitudes and log-norm unchanged.
+    The counterpart's spectrum is real, so the frames' phases never grow and
+    the norm's growth is all in S.  Frames at zero elapsed time are psi0's
+    amplitudes and log-norm unchanged.
     """
-    if isinstance(dec, ChiralModes):
-        amps, mu = dec.frames(psi0.amplitudes, ts), 0.0
-    else:
-        coeff = dec.expand(psi0.amplitudes)
-        growth = np.outer(ts, dec.eigenvalues.imag)
-        mu = growth.max(axis=1, where=coeff != 0, initial=-np.inf)
-        phases = np.exp(np.outer(ts, -1j * dec.eigenvalues.real) + np.minimum(growth - mu[:, None], 0.0))
-        amps = dec.synthesize(phases * coeff)
-    amps, log_nrm = _normalise(amps)
-    log_norms = psi0.log_norm_offset + mu + log_nrm
+    amps, log_nrm = _normalise(dec.frames(psi0.amplitudes, ts))
+    log_norms = psi0.log_norm_offset + log_nrm
     at_start = ts == 0
     amps[at_start] = psi0.amplitudes
     log_norms[at_start] = psi0.log_norm
@@ -1051,14 +1038,14 @@ def _expm_frames(h, psi0: WaveState, ts: np.ndarray):
 
 
 def propagate(h, psi0: WaveState, times, method: str = "auto", spec: ModelSpec | None = None):
-    """Evolve psi0 to every elapsed time in ``times``; returns (route, fallback, blocks).
+    """Evolve psi0 to every elapsed time in ``times``; returns (route, blocks).
 
     ``h`` is a ``HamiltonianMatrix``, or a bare square matrix with ``spec=None``.
-    The method, the times and ``decompose_model`` run on the call; auto falls
-    back to 'expm' on a ``DefectiveMatrix`` and gives its message as
-    ``fallback`` (else None).  ``blocks`` yields (grid index of the first
-    frame, unit-normalised amplitudes (frames x dim), total log-norms):
-    ``_BLOCK_CELLS`` cells per block on a decomposition's route (psi0 expanded
+    The method, the times and ``decompose_model`` run on the call: a spec with
+    a counterpart route takes it under 'auto', and every other input takes
+    'expm' ('spectral' refuses it).  ``blocks`` yields (grid index of the
+    first frame, unit-normalised amplitudes (frames x dim), total log-norms):
+    ``_BLOCK_CELLS`` cells per block on a counterpart route (psi0 expanded
     again for each), one frame per block on 'expm'.  A degenerate norm raises
     NumericalOverflow naming its frame on the grid.
     """
@@ -1066,21 +1053,17 @@ def propagate(h, psi0: WaveState, times, method: str = "auto", spec: ModelSpec |
         raise InvalidParameter(f"propagate: unknown method {method!r}")
     dim = h.dim if isinstance(h, HamiltonianMatrix) else len(_as_matrix(h))
     ts = _check_times(times, psi0, dim)
-    route, fallback = "expm", None
-    if method != "expm":
-        try:
-            dec = decompose_model(h, spec)
-            route = dec.route
-        except DefectiveMatrix as exc:
-            if method == "spectral":
-                raise
-            fallback = str(exc)
-    if route == "expm":
+    dec = None if method == "expm" else decompose_model(h, spec)
+    if dec is None and method == "spectral":
+        what = "a bare matrix (spec=None)" if spec is None else type(spec).__name__
+        raise InvalidParameter(f"method 'spectral': {what} has no Hermitian counterpart route; use 'auto' or 'expm'")
+    if dec is None:
         frames = ((k, state[None], np.array([ln])) for k, (state, ln) in enumerate(_expm_frames(h, psi0, ts)))
     else:
         step = max(1, _BLOCK_CELLS // dim)
         frames = ((a, *_spectral_frames(dec, psi0, ts[a : a + step])) for a in range(0, len(ts), step))
-    return route, fallback, ((a, amps, _check_frames(log_norms, ts, a)) for a, amps, log_norms in frames)
+    route = "expm" if dec is None else dec.route
+    return route, ((a, amps, _check_frames(log_norms, ts, a)) for a, amps, log_norms in frames)
 
 
 def evolve_series(
@@ -1096,7 +1079,7 @@ def evolve_series(
     float array and its log-norms into one vector, so the densities are the
     run's only frames x dim array.
     """
-    route, fallback, blocks = propagate(h, psi0, times, method, spec)
+    route, blocks = propagate(h, psi0, times, method, spec)
     ts = np.asarray(times, dtype=float)
     densities = np.empty((len(ts), h.dim))
     log_norms = np.empty(len(ts))
@@ -1110,5 +1093,4 @@ def evolve_series(
         log_norms=log_norms,
         geometry=h.geometry,
         route=route,
-        fallback=fallback,
     )

@@ -25,7 +25,7 @@ from .errors import ExceptionalParameter, InvalidGrid, InvalidParameter
 
 _SQ = math.sqrt
 
-# largest dimension a spec may ask for: eigenbases and the generic route's matrix are dim x dim
+# largest dimension a spec may ask for: the chiral route's mode tables are (dim/2) x (dim/2)
 MAX_DIM = 4096
 
 

@@ -59,7 +59,7 @@ class OracleSeries:
 class ExperimentReport:
     name: str
     classification: str
-    route: str   # 'sine', 'chiral', either '+rotation', 'generic' or 'expm'
+    route: str   # 'sine', 'chiral', either '+rotation', or 'expm'
     v_in_fit: LinearFit | None
     v_ref_fit: LinearFit | None
     v_p_slope: float | None
@@ -256,7 +256,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         spec, config.packet, trajectory, guard_band=config.analysis.guard_band
     )
     manifest = emit_outputs(result, trajectory, oracle, config)
-    fallback = result.fallback and f"fallback: expm ({result.fallback})"
     return ExperimentReport(
         name=config.name,
         classification=outcome.kind,
@@ -267,7 +266,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         max_oracle_deviation=deviation,
         contact_time=trajectory.boundary_contact_time,
         manifest=manifest,
-        notes=tuple(n for n in (fallback, oracle.note) if n) + _snapshot_notes(result, config),
+        notes=((oracle.note,) if oracle.note else ()) + _snapshot_notes(result, config),
         window_truncated=outcome.window_truncated,
     )
 

@@ -13,7 +13,9 @@ restated as a complex synthesis over all 2n modes, and ``matrix_exp`` with
 a fresh array for every product, whose bits its buffered form must keep,
 beside the adaptive stopping rule that its fixed Taylor degree replaced.
 ``propagated`` joins ``propagate``'s blocks, and ``dense_bases`` assembles
-the N x N bases that the sine route keeps as maps.
+the N x N bases that the sine route keeps as maps.  ``eig_propagated`` evolves
+any square matrix through ``decompose``'s biorthogonal eigenbasis, the
+reference that shares nothing with either route.
 ``script`` imports a script under ``scripts/`` whose checks a test reuses.
 """
 
@@ -28,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from skinwave.errors import DimensionMismatch, InvalidGrid, InvalidParameter, NumericalOverflow
-from skinwave.evolve import ChiralModes, propagate
+from skinwave.evolve import ChiralModes, decompose, propagate
 from skinwave.model import BoundarySSH, ContinuousHN, DiscreteHN, ModelSpec, NonHermitianSSH, counterpart_t1
 from skinwave.oracle import width_series
 from skinwave.shortest import _DIGIT, _DOT, _E, _EXPONENT, _FIXED, _MINUS, _NUL, _PLUS, _SPLIT, _ZERO, WIDTH
@@ -230,13 +232,34 @@ def complex_chiral_frames(dec: ChiralModes, psi: np.ndarray, times) -> np.ndarra
 
 def propagated(h, psi0, times, method: str, spec: ModelSpec | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Unit amplitudes (frames x dim) and log-norms of ``propagate``'s blocks, concatenated over the grid."""
-    _, _, blocks = propagate(h, psi0, times, method, spec)
+    _, blocks = propagate(h, psi0, times, method, spec)
     _, amps, log_norms = zip(*blocks)
     return np.concatenate(amps), np.concatenate(log_norms)
 
 
+def eig_propagated(h, psi0, times) -> tuple[np.ndarray, np.ndarray]:
+    """Unit amplitudes (frames x dim) and log-norms of ``psi0`` under ``h`` from ``decompose``'s eigenbasis.
+
+    R (c exp(-i E t)) with c = L^H psi0.  The spectrum may be complex, so the
+    largest Im(E_n) t over the populated modes (c_n != 0) of each frame is
+    factored into its log-norm, and an empty mode's exponent is capped at 0.
+    Frames at zero elapsed time are psi0's amplitudes and log-norm.
+    """
+    dec = decompose(h)
+    ts = np.asarray(times, dtype=float)
+    coeff = dec.expand(psi0.amplitudes)
+    growth = np.outer(ts, dec.eigenvalues.imag)
+    mu = growth.max(axis=1, where=coeff != 0, initial=-np.inf)
+    amps = dec.synthesize(np.exp(np.outer(ts, -1j * dec.eigenvalues.real) + np.minimum(growth - mu[:, None], 0.0)) * coeff)
+    nrm = np.linalg.norm(amps, axis=1)
+    amps /= nrm[:, None]
+    log_norms = psi0.log_norm_offset + mu + np.log(nrm)
+    amps[ts == 0], log_norms[ts == 0] = psi0.amplitudes, psi0.log_norm
+    return amps, log_norms
+
+
 def dense_bases(dec) -> tuple[np.ndarray, np.ndarray]:
-    """Right (unit columns) and left bases, L^H R = I, of a sine or generic decomposition: its maps on the identity."""
+    """Right (unit columns) and left bases, L^H R = I, of a sine decomposition or ``decompose``'s: its maps on the identity."""
     eye = np.eye(dec.dim)
     right = dec.synthesize(eye).T
     norms = np.linalg.norm(right, axis=0)

@@ -719,8 +719,8 @@ def test_continuum_without_counterpart_has_no_oracle_deviation(tmp_path, capsys)
     assert len(rows) == 20 and all(row.endswith(",,,") for row in rows)
 
 
-def test_auto_fallback_names_its_reason(tmp_path):
-    """A refused decomposition says why the run took expm, in the result and the report."""
+def test_auto_fallback_names_its_reason(tmp_path, capsys):
+    """A chain without a counterpart takes expm under auto by rule, with no fallback note; spectral refuses it."""
     cfg = small_config(
         tmp_path / "out",
         model={"family": "non_hermitian_ssh", "t1": 1.0, "t2": 1.0, "gamma": 3.0, "n_cells": 60},
@@ -729,9 +729,8 @@ def test_auto_fallback_names_its_reason(tmp_path):
     )
     report = run_experiment(cfg)
     assert report.route == "expm"
-    fallback = [note for note in report.notes if note.startswith("fallback: expm (")]
-    assert len(fallback) == 1 and "exceeds 1e+12" in fallback[0]
-    assert fallback[0] in format_report(report)
-    # no fallback note where the decomposition was not refused
-    assert not any(n.startswith("fallback") for n in run_experiment(small_config(tmp_path / "a")).notes)
-    assert not any(n.startswith("fallback") for n in run_experiment(cfg.with_overrides(method="expm")).notes)
+    assert not any(note.startswith("fallback") for note in report.notes)
+    path = tmp_path / "cfg.json"
+    save_config(cfg, path)
+    assert main(["run", str(path), "--method", "spectral"]) == 2
+    assert "NonHermitianSSH has no Hermitian counterpart route" in capsys.readouterr().err

@@ -17,4 +17,4 @@ def test_library_use_example_runs(capsys):
     assert "sw.propagate(" in code
     exec(compile(code, str(README), "exec"), {})
     printed = capsys.readouterr().out.splitlines()
-    assert printed[-1].startswith("chiral None 0 (3, 1000) ")
+    assert printed[-1].startswith("chiral 0 (3, 1000) ")
