@@ -13,9 +13,11 @@ Two independent routes:
 and yields unit-normalised amplitudes with the total log-norm per frame (so
 norms of order exp(hundreds) stay representable), a block of frames at a time
 (``_BLOCK_CELLS`` cells, or one frame on the expm route).  A frame at zero
-elapsed time is the initial state itself.  ``evolve_series`` writes the
-blocks' densities into one (frames x dim) float array, so it never forms a
-complex (frames x dim) array.
+elapsed time is the initial state itself.  Times whose phases E t have lost
+their digits (``PHASE_LIMIT``, against a Gershgorin bound on |E|) are refused
+on the call, on every route.  ``evolve_series`` writes the blocks' densities
+into one (frames x dim) float array, so it never forms a complex
+(frames x dim) array.
 
 The spectral route is the paper's factorisation H = S Hbar S^-1: a spec whose
 real symmetric counterpart Hbar ``similarity.chain_similarity`` reads from the
@@ -42,8 +44,9 @@ small-S end lose eps * S_max / S_min).  No sine or chiral code forms an
 N x N array, and only a chiral block with an edge mode or more than two
 segments a dense half-size B (for its SVD); the expm route forms one N x N
 generator for a bare matrix only.  ``decompose`` (eig plus a polished
-inverse) serves no route: it is the biorthogonal reference the tests check
-the routes against.
+inverse) and ``matrix_exp`` (plain scaling and squaring) serve no route: they
+are the biorthogonal and the dense references the tests check the routes
+against, and both take their input through one check (``_as_matrix``).
 """
 
 from __future__ import annotations
@@ -66,6 +69,10 @@ METHODS = ("spectral", "expm", "auto")
 _BLOCK_CELLS = 32768
 
 _EPS = np.finfo(float).eps
+
+# eps * max|E| * t_max above this leaves the phases E t too few digits for
+# the 1e-7 agreement of the routes; every preset stays 1,895x inside it
+PHASE_LIMIT = 1e-8
 
 # a two-segment chiral block whose O(n) bound on sigma_min is below _EDGE_MODE
 # times max|a, b| may hold an edge mode (or a mode in the gap near sigma = 0,
@@ -129,7 +136,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     right: np.ndarray    # columns R_n
     left: np.ndarray     # columns L_n
-    condition: float     # max left-vector norm (diagnostic)
 
     @property
     def dim(self) -> int:
@@ -286,10 +292,11 @@ class EvolutionResult:
 
 
 def _as_matrix(h) -> np.ndarray:
+    """The dense complex matrix of ``h`` (a ``HamiltonianMatrix`` or a bare matrix): non-empty, square and finite."""
     m = h.matrix if isinstance(h, HamiltonianMatrix) else np.asarray(h)
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch("expected a square matrix")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise DimensionMismatch(f"expected a non-empty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidParameter("matrix has non-finite entries")
     return m
@@ -319,13 +326,7 @@ def decompose(h) -> SpectralDecomposition:
     if np.max(np.abs(scale - 1.0)) > 1e-8:
         raise DefectiveMatrix(f"left eigenvectors off biorthogonal by {np.max(np.abs(scale - 1.0)):.1e}")
     x /= scale[:, None]
-    left = x.conj().T
-    return SpectralDecomposition(
-        eigenvalues=w,
-        right=v,
-        left=left,
-        condition=float(np.max(np.linalg.norm(left, axis=0))),
-    )
+    return SpectralDecomposition(eigenvalues=w, right=v, left=x.conj().T)
 
 
 def _decompose_chain(bands: dict[int, np.ndarray]) -> SineModes | ChiralModes | None:
@@ -770,11 +771,6 @@ def decompose_model(h: HamiltonianMatrix, spec: ModelSpec | None) -> SineModes |
     return dec if dec is None or twin is spec else replace(dec, rotated=True)
 
 
-def _magnitudes(x: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """|x| of a complex ``x``, written as one contiguous float array into the first half of the free ``spare``."""
-    return np.abs(x, out=spare.view(float).reshape(-1)[: x.size].reshape(x.shape))
-
-
 # largest Taylor degree of an expm step, Al-Mohy and Higham's m_max: a higher
 # degree sums larger terms of exp(A / s) psi that cancel
 _MAX_DEGREE = 55
@@ -793,73 +789,37 @@ def _taylor_degree(x: float) -> int:
     return m
 
 
-def matrix_exp(m: np.ndarray) -> np.ndarray:
-    """exp(m) by scaling and squaring with a machine-precision Taylor core; ``m`` is only read.
-
-    Beside ``m``, the Horner result r and one squaring buffer are the only
-    dense matrices; the buffer is allocated once Horner's column blocks are
-    freed (see ``_exp``).
-    """
-    return _exp(np.asarray(m, dtype=complex), own=False)
-
-
-def _horner(m: np.ndarray, result: np.ndarray, degree: int, scale: float) -> None:
-    """Horner's steps result <- I + (m result) / (k scale) for k = degree - 1, ..., 1, in place.
-
-    (m r)[:, J] = m r[:, J], so each step overwrites r a column block at a
-    time, through a thin buffer of at most 129 columns.  Blocks start on
-    multiples of 8 columns, where BLAS's register tiles start in a whole
-    product, so they keep its bits; a last block of one column (a
-    matrix-vector product, other bits) joins the block before it.
-    """
-    n = len(m)
-    width = min(128, 8 * -(-n // 64))   # about an eighth of r, 8 to 128 columns
-    starts = range(0, max(n - 1, 1), width)
-    blocks = list(zip(starts, [*starts[1:], n]))
-    thin = np.empty(n * max(b - a for a, b in blocks), dtype=complex)
-    for k in range(degree - 1, 0, -1):
-        for a, b in blocks:
-            block = np.matmul(m, result[:, a:b], out=thin[: n * (b - a)].reshape(n, b - a))
-            block /= k * scale   # in the contiguous buffer: dividing into r's strided columns buffers a copy
-            result[:, a:b] = block
-        result.reshape(-1)[:: n + 1] += 1.0
-
-
-def _exp(m: np.ndarray, own: bool) -> np.ndarray:
-    """exp of the complex matrix ``m``; with ``own`` the caller gives ``m`` up and its storage serves the squarings.
+def matrix_exp(m) -> np.ndarray:
+    """exp(m) of a square matrix by scaling and squaring with a machine-precision Taylor core; ``m`` is only read.
 
     With a = m / 2^s of 1-norm at most 0.25, the Taylor polynomial of
     ``_taylor_degree`` terms is evaluated by Horner, r <- I + (a r) / k for
-    k = degree, ..., 1, and r is squared s times.  The scaling rides on each
-    Horner step's divisor, (m r) / (k 2^s), which gives the bits of
-    ((m / 2^s) r) / k, so no scaled copy of m is formed.  The first step's
-    product is m I, so r = I + m / (degree 2^s) is formed without one; the
-    others go in place on r (``_horner``), so m and r are the only dense
-    matrices during Horner.  The squarings then trade r with one buffer,
-    which is m's storage when ``own`` and a fresh matrix otherwise; between
-    products the buffer is free, and its first half holds |r| for the
-    squaring flush.  The result is C-ordered, as r is.
+    k = degree, ..., 1 from r = I, and r is squared s times.  Serves no
+    route: it is the dense exponential the tests check the routes against.
     """
-    norm1 = float(np.linalg.norm(m, 1))
-    if not math.isfinite(norm1):
-        raise NumericalOverflow("matrix_exp: input norm not finite")
+    m = _as_matrix(m)
+    with np.errstate(over="ignore"):   # a column sum past the float range is refused below
+        norm1 = float(np.linalg.norm(m, 1))
+    if not math.isfinite(norm1 / 0.25):
+        raise NumericalOverflow(f"matrix_exp: input 1-norm {norm1:.3g} past the float range")
     squarings = max(0, int(math.ceil(math.log2(norm1 / 0.25)))) if norm1 > 0.25 else 0
-    n = len(m)
-    degree = _taylor_degree(norm1 / 2.0 ** squarings)
-    result = np.divide(m, degree * 2.0 ** squarings, out=np.empty((n, n), dtype=complex))
-    result.reshape(-1)[:: n + 1] += 1.0
-    _horner(m, result, degree, 2.0 ** squarings)
-    # m's storage read as a C-ordered matrix, whatever its layout
-    buf = m.ravel("K").reshape(n, n) if own else np.empty_like(result)
-    # entries below sqrt(tiny) * max(1, max|R|) are zeroed before each squaring,
+    a = m * math.ldexp(1.0, -squarings)   # the bits of m / 2^s, where 2.0 ** s overflows at s = 1024
+    degree = _taylor_degree(math.ldexp(norm1, -squarings))
+    diagonal = slice(None, None, len(m) + 1)
+    result = a / degree
+    result.flat[diagonal] += 1.0
+    for k in range(degree - 1, 0, -1):
+        result = a @ result
+        result /= k
+        result.flat[diagonal] += 1.0
+    # entries below sqrt(tiny) * max(1, max|r|) are zeroed before each squaring,
     # so no product in it underflows into (slow) subnormal arithmetic
     floor = math.sqrt(np.finfo(float).tiny)
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow ends in the NumericalOverflow below
         for _ in range(squarings):
-            mag = _magnitudes(result, buf)
+            mag = np.abs(result)
             result[mag < floor * max(1.0, float(mag.max()))] = 0.0
-            del mag
-            result, buf = np.matmul(result, result, out=buf), result
+            result = result @ result
     if not np.all(np.isfinite(result)):
         raise NumericalOverflow("matrix_exp: overflow during squaring")
     return result
@@ -879,6 +839,25 @@ def _check_times(times, psi0: WaveState, dim: int) -> np.ndarray:
     if not (0 < np.linalg.norm(psi0.amplitudes) < np.inf and np.isfinite(psi0.log_norm_offset)):
         raise InvalidParameter("WaveState: amplitudes must be finite and nonzero")
     return ts
+
+
+def _check_phase_resolution(h, t_max: float) -> None:
+    """Refuse elapsed times up to ``t_max`` whose phases E t lose their digits, before anything is decomposed or stepped.
+
+    |E| is bounded by the largest Gershgorin row sum of |H|: ``energy_bound``
+    for a ``HamiltonianMatrix``, the rows of |h| for a (checked) bare matrix.
+    """
+    if isinstance(h, HamiltonianMatrix):
+        bound = h.energy_bound
+    else:
+        with np.errstate(over="ignore"):   # a sum past the float range is an infinite bound
+            bound = float(np.abs(h).sum(axis=1).max())
+    phase = float(np.finfo(float).eps) * bound * t_max   # a Python float overflows to inf silently
+    if phase > PHASE_LIMIT:
+        raise InvalidParameter(
+            f"times.t_max: {t_max:g} with |E| <= {bound:.6g} (Gershgorin) gives "
+            f"eps |E| t_max = {phase:.3g} > {PHASE_LIMIT:g}: the phases E t have lost their digits"
+        )
 
 
 def _normalise(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1043,16 +1022,19 @@ def propagate(h, psi0: WaveState, times, method: str = "auto", spec: ModelSpec |
     ``h`` is a ``HamiltonianMatrix``, or a bare square matrix with ``spec=None``.
     The method, the times and ``decompose_model`` run on the call: a spec with
     a counterpart route takes it under 'auto', and every other input takes
-    'expm' ('spectral' refuses it).  ``blocks`` yields (grid index of the
-    first frame, unit-normalised amplitudes (frames x dim), total log-norms):
-    ``_BLOCK_CELLS`` cells per block on a counterpart route (psi0 expanded
-    again for each), one frame per block on 'expm'.  A degenerate norm raises
-    NumericalOverflow naming its frame on the grid.
+    'expm' ('spectral' refuses it).  Times whose phases E t have lost their
+    digits (``PHASE_LIMIT``) are refused with InvalidParameter.  ``blocks``
+    yields (grid index of the first frame, unit-normalised amplitudes
+    (frames x dim), total log-norms): ``_BLOCK_CELLS`` cells per block on a
+    counterpart route (psi0 expanded again for each), one frame per block on
+    'expm'.  A degenerate norm raises NumericalOverflow naming its frame on
+    the grid.
     """
     if method not in METHODS:
         raise InvalidParameter(f"propagate: unknown method {method!r}")
     dim = h.dim if isinstance(h, HamiltonianMatrix) else len(_as_matrix(h))
     ts = _check_times(times, psi0, dim)
+    _check_phase_resolution(h, float(np.max(np.abs(ts))))
     dec = None if method == "expm" else decompose_model(h, spec)
     if dec is None and method == "spectral":
         what = "a bare matrix (spec=None)" if spec is None else type(spec).__name__

@@ -23,9 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, load_config
-from .errors import InvalidParameter
-from .evolve import EvolutionResult, evolve_series
-from .model import BoundarySSH, HamiltonianMatrix, ModelSpec, build_hamiltonian
+from .evolve import EvolutionResult, _check_phase_resolution, evolve_series
+from .model import BoundarySSH, ModelSpec, build_hamiltonian
 from .model import band_curvature, group_velocity
 from .oracle import GeneralOracleParams, general_peak, general_velocities, width_series
 from .presets import get_preset
@@ -226,27 +225,11 @@ def _snapshot_notes(result: EvolutionResult, config: ExperimentConfig) -> tuple[
     return tuple(notes)
 
 
-# eps * max|E| * t_max above this leaves the phases E t too few digits for
-# the 1e-7 agreement of the routes; every preset stays 1,895x inside it
-PHASE_LIMIT = 1e-8
-
-
-def _check_phase_resolution(h: HamiltonianMatrix, t_max: float) -> None:
-    """Refuse a run whose phases E t lose their digits before anything is decomposed."""
-    bound = h.energy_bound
-    phase = float(np.finfo(float).eps) * bound * t_max   # a Python float overflows to inf silently
-    if phase > PHASE_LIMIT:
-        raise InvalidParameter(
-            f"times.t_max: {t_max:g} with |E| <= {bound:.6g} (Gershgorin) gives "
-            f"eps |E| t_max = {phase:.3g} > {PHASE_LIMIT:g}: the phases E t have lost their digits"
-        )
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Full pipeline for one configuration."""
     spec = config.model
     h = build_hamiltonian(spec)
-    _check_phase_resolution(h, config.times.t_max)
+    _check_phase_resolution(h, config.times.t_max)   # before the packet's allocation
     psi0 = gaussian_state(h.geometry, config.packet)
     times = np.linspace(0.0, config.times.t_max, config.times.frame_count)
     result = evolve_series(h, psi0, times, method=config.method, spec=spec)

@@ -9,9 +9,9 @@ acceptance criteria check the runs against, and what the grid's own band
 law tends to on a fine grid.  The per-cell ``repr`` writer of density.csv
 states what ``skinwave.shortest`` must write byte for byte, and its tables
 are rebuilt here one entry at a time.  The chiral route's frames are
-restated as a complex synthesis over all 2n modes, and ``matrix_exp`` with
-a fresh array for every product, whose bits its buffered form must keep,
-beside the adaptive stopping rule that its fixed Taylor degree replaced.
+restated as a complex synthesis over all 2n modes, and
+``adaptive_taylor_terms`` is the adaptive stopping rule that the fixed
+Taylor degree of ``matrix_exp`` and the expm route replaced.
 ``propagated`` joins ``propagate``'s blocks, and ``dense_bases`` assembles
 the N x N bases that the sine route keeps as maps.  ``eig_propagated`` evolves
 any square matrix through ``decompose``'s biorthogonal eigenbasis, the
@@ -270,29 +270,6 @@ def dense_bidiagonal_svd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.n
     """U, descending sigma and V of B = diag(a) + diag(b, -1), B = U diag(sigma) V^T, from one dense SVD."""
     u, sigma, vt = np.linalg.svd(np.diag(a) + np.diag(b, -1))
     return u, sigma, vt.T
-
-
-def allocating_matrix_exp(m: np.ndarray) -> np.ndarray:
-    """``evolve.matrix_exp`` with a fresh array for every product and every |.|: its bits to match.
-
-    The same scaling, degree rule (the smallest m with x^m / m! <= 1e-18 e^-x
-    for the scaled norm x), Horner order and flushed squarings.
-    """
-    m = np.asarray(m, dtype=complex)
-    norm1 = float(np.linalg.norm(m, 1))
-    squarings = max(0, int(math.ceil(math.log2(norm1 / 0.25)))) if norm1 > 0.25 else 0
-    a = m / (2.0 ** squarings)
-    x = norm1 / 2.0 ** squarings
-    degree = next(k for k in range(1, 60) if x**k / math.factorial(k) <= 1e-18 * math.exp(-x))
-    result = np.eye(len(m), dtype=complex)
-    for k in range(degree, 0, -1):
-        result = np.eye(len(m)) + (a @ result) / k
-    floor = math.sqrt(np.finfo(float).tiny)
-    for _ in range(squarings):
-        mag = np.abs(result)
-        result[mag < floor * max(1.0, float(mag.max()))] = 0.0
-        result = result @ result
-    return result
 
 
 def adaptive_taylor_terms(a: np.ndarray) -> int:

@@ -20,7 +20,7 @@ from skinwave.config import (
     save_config,
 )
 from skinwave.errors import ConfigError, InvalidGrid, InvalidParameter, UnknownPreset
-from skinwave.evolve import EvolutionResult
+from skinwave.evolve import PHASE_LIMIT, EvolutionResult
 from skinwave.model import Geometry
 from skinwave.presets import get_preset, preset_names
 from skinwave.runner import OracleSeries, emit_outputs, format_report, run_experiment, run_preset
@@ -686,7 +686,7 @@ def test_every_preset_resolves_its_phases():
     for name in preset_names():
         cfg = get_preset(name)
         phase = np.finfo(float).eps * sw.build_hamiltonian(cfg.model).energy_bound * cfg.times.t_max
-        assert runner.PHASE_LIMIT / phase >= 1895, name
+        assert PHASE_LIMIT / phase >= 1895, name
 
 
 @pytest.mark.parametrize("name, sigma", [("fig5c", 0.001), ("fig1a", 0.005)])

@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import math
 import re
+import signal
 import tracemalloc
 import warnings
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 import skinwave as sw
 from skinwave import evolve
-from skinwave.errors import DefectiveMatrix, InvalidParameter, NumericalOverflow
+from skinwave.errors import DefectiveMatrix, DimensionMismatch, InvalidParameter, NumericalOverflow
 from skinwave.evolve import _bidiagonal_svd, _edge_mode, _resolved, decompose, decompose_model, evolve_series, matrix_exp
 from skinwave.model import axis_y_twin
 from skinwave.presets import get_preset, preset_names
@@ -19,7 +21,6 @@ from skinwave.similarity import chain_similarity
 
 from reference import (
     adaptive_taylor_terms,
-    allocating_matrix_exp,
     complex_chiral_frames,
     dense_bases,
     dense_bidiagonal_svd,
@@ -209,6 +210,60 @@ def test_propagate_refuses_a_directly_built_zero_state():
             sw.propagate(np.diag([1.0, 2.0]), sw.WaveState(amps + 0j), [0, 1], "expm")
     with pytest.raises(InvalidParameter):
         sw.propagate(np.diag([1.0, 2.0]), sw.WaveState(np.ones(2, complex), np.inf), [0, 1])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [matrix_exp, decompose, lambda m: sw.propagate(m, sw.WaveState(np.ones(3, complex)), [0.0, 1.0])],
+    ids=["matrix_exp", "decompose", "propagate"],
+)
+@pytest.mark.parametrize(
+    "m, error",
+    [
+        (np.ones(3), DimensionMismatch),
+        (np.ones((2, 3)), DimensionMismatch),
+        (np.zeros((0, 0)), DimensionMismatch),
+        (np.diag([1.0, np.nan, 2.0]), InvalidParameter),
+    ],
+    ids=["vector", "not square", "empty", "nan"],
+)
+def test_dense_entry_points_refuse_what_is_not_a_finite_square_matrix(entry, m, error):
+    with pytest.raises(error):
+        entry(m)
+
+
+@contextlib.contextmanager
+def _within(seconds: float):
+    """Raise TimeoutError in the block once ``seconds`` of wall time have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+_SHORT_CHAIN = sw.DiscreteHN(1.0, 2.0, 3)
+
+
+@pytest.mark.parametrize(
+    "h, spec, t_max, method",
+    [
+        (sw.build_hamiltonian(_SHORT_CHAIN), None, 1e300, "expm"),
+        (sw.build_hamiltonian(_SHORT_CHAIN), _SHORT_CHAIN, 1e300, "auto"),
+        (np.full((3, 3), 1e308), None, 1.0, "expm"),
+    ],
+    ids=["expm t_max 1e300", "sine t_max 1e300", "expm row sums past the float range"],
+)
+def test_propagate_refuses_times_whose_phases_lost_their_digits(h, spec, t_max, method):
+    """eps |E| t_max > 1e-8 is refused before any step: not some 1e298 Taylor steps, nor an overflow warning."""
+    with _within(10.0), pytest.raises(InvalidParameter, match="lost their digits"):
+        propagated(h, sw.WaveState(np.ones(3, complex)), [0.0, t_max], method, spec)
 
 
 def test_similarity_dynamics_identity():
@@ -816,14 +871,13 @@ def test_evolution_memory_stays_near_its_density_array(spec, packet):
     assert (peak - density) - (small_peak - small) <= 0.02 * density   # the excess does not grow with the frames
 
 
-def test_matrix_exp_keeps_its_input_and_the_unbuffered_bits():
+def test_matrix_exp_only_reads_its_input():
     rng = np.random.default_rng(3)
     for n, scale in ((1, 0.1), (7, 0.02), (40, 0.3), (60, 5.0)):
         m = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * scale
         before = m.copy()
-        out = matrix_exp(m)
+        matrix_exp(m)
         assert np.array_equal(m, before)
-        assert np.array_equal(out, allocating_matrix_exp(m))
 
 
 @settings(max_examples=150, deadline=None)
@@ -852,24 +906,20 @@ def test_taylor_degree_is_never_below_the_adaptive_term_count(kind, n, x, seed):
 
 
 def test_sm_boundary_step_takes_twelve_terms_and_nine_squarings(monkeypatch):
-    """matrix_exp scales a generator of 1-norm 82.41 (sm-boundary's gap) by 2^-9: 12 Horner terms and 9 squarings.
-
-    The first Horner step's product is m I, formed without a product, so 11
-    Horner products (one column block each at 8 x 8) and 9 squarings are taken.
-    """
+    """matrix_exp scales a generator of 1-norm 82.41 (sm-boundary's gap) by 2^-9: 12 Horner terms and 9 squarings."""
     rng = np.random.default_rng(5)
     m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     m *= 82.41 / np.linalg.norm(m, 1)
-    calls = []
-    matmul = np.matmul
+    degrees = []
+    taylor_degree = evolve._taylor_degree
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return matmul(*args, **kwargs)
+    def recorded(x):
+        degrees.append((x, taylor_degree(x)))
+        return degrees[-1][1]
 
-    monkeypatch.setattr(np, "matmul", counted)
+    monkeypatch.setattr(evolve, "_taylor_degree", recorded)
     matrix_exp(m)
-    assert len(calls) == 20
+    assert degrees == [(np.linalg.norm(m, 1) / 2**9, 12)]   # the norm seen by the degree rule: 9 halvings
 
 
 def _traced_peak(call) -> int:
@@ -879,13 +929,6 @@ def _traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def test_matrix_exp_holds_two_dense_matrices_beside_its_input():
-    """The Horner result and one product buffer: a complex input is neither copied nor scaled."""
-    rng = np.random.default_rng(6)
-    m = (rng.normal(size=(200, 200)) + 1j * rng.normal(size=(200, 200))) * 0.3
-    assert _traced_peak(lambda: matrix_exp(m)) <= 2.1 * m.nbytes
 
 
 def test_bare_real_matrix_expm_evolution_holds_two_dense_matrices():
@@ -919,13 +962,13 @@ def test_expm_on_a_non_uniform_grid_keeps_one_propagator():
 def test_expm_route_forms_no_dense_matrix(monkeypatch):
     """The Taylor action steps vectors on H's bands: no matrix exponential, and nothing N x N beside the densities."""
     calls = []
-    exp = evolve._exp
+    exp = evolve.matrix_exp
 
     def counted(*args, **kwargs):
         calls.append(1)
         return exp(*args, **kwargs)
 
-    monkeypatch.setattr(evolve, "_exp", counted)
+    monkeypatch.setattr(evolve, "matrix_exp", counted)
     h, _ = _chain(1000)
     psi0 = random_state(1000)
     times = np.linspace(0.0, 2.0, 21)
@@ -960,11 +1003,18 @@ def test_expm_route_keeps_a_state_below_the_squares_underflow():
 
 
 def test_matrix_exp_overflow_ends_in_its_numerical_overflow():
-    """Squaring diag(e^-1000, e^1000) overflows: NumericalOverflow, with no RuntimeWarning on the way."""
+    """Squaring diag(e^-1000, e^1000) overflows: NumericalOverflow, with no RuntimeWarning on the way.
+
+    So do 1-norms that take 1,024 squarings (3 * 2^1020) or whose scaling
+    overflows (3 * 2^1021, and column sums past the float range).
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalOverflow, match="overflow during squaring"):
             matrix_exp(np.diag([-1000.0, 1000.0]) + 0j)
+        for entry in (1.5 * 2.0**1020, 1.5 * 2.0**1021, 1e308):
+            with pytest.raises(NumericalOverflow):
+                matrix_exp(np.full((2, 2), entry))
 
 
 def test_sm_boundary_gap_takes_ten_steps_of_degree_54():
@@ -982,9 +1032,3 @@ def test_steps_take_the_fewest_products(norm1):
         degree = evolve._taylor_degree(norm1 / other)
         assert degree > evolve._MAX_DEGREE or other * degree >= s * m
 
-
-def test_matrix_exp_in_several_column_blocks_keeps_the_unbuffered_bits():
-    """n = 300 takes blocks of 40 columns (the last of 20): the same bits as whole products."""
-    rng = np.random.default_rng(9)
-    m = (rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300))) * 0.1
-    assert np.array_equal(matrix_exp(m), allocating_matrix_exp(m))
