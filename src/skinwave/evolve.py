@@ -9,15 +9,16 @@ Two independent routes:
   over the frame grid with products on H's bands (no eigensolve, no
   similarity).
 
-``propagate`` is the one interface to both: it takes a grid of elapsed times
-and yields unit-normalised amplitudes with the total log-norm per frame (so
-norms of order exp(hundreds) stay representable), a block of frames at a time
-(``_BLOCK_CELLS`` cells, or one frame on the expm route).  A frame at zero
-elapsed time is the initial state itself.  Times whose phases E t have lost
-their digits (``PHASE_LIMIT``, against a Gershgorin bound on |E|) are refused
-on the call, on every route.  ``evolve_series`` writes the blocks' densities
-into one (frames x dim) float array, so it never forms a complex
-(frames x dim) array.
+``propagate`` is the one interface to both, and it takes one operator form:
+a banded ``HamiltonianMatrix`` (``build_hamiltonian``).  It takes a grid of
+elapsed times and yields unit-normalised amplitudes with the total log-norm
+per frame (so norms of order exp(hundreds) stay representable), a block of
+frames at a time (``_BLOCK_CELLS`` cells, or one frame on the expm route).  A
+frame at zero elapsed time is the initial state itself.  Times whose phases
+E t have lost their digits (``PHASE_LIMIT``, against the operator's
+Gershgorin bound on |E|) are refused on the call, on every route.
+``evolve_series`` writes the blocks' densities into one (frames x dim) float
+array, so it never forms a complex (frames x dim) array.
 
 The spectral route is the paper's factorisation H = S Hbar S^-1: a spec whose
 real symmetric counterpart Hbar ``similarity.chain_similarity`` reads from the
@@ -37,16 +38,16 @@ of the whole chain:
 * ...+rotation: the gain/loss two-band chains use their asymmetric-hop twin,
   rotating psi0 into it and the frames back cell by cell.
 
-Every other input (a chain without a counterpart, or a bare matrix) takes
-expm.  States are mapped through S^-1 and S, which stays accurate far past
-where inverting a right-eigenvector matrix fails (states weighted at the
-small-S end lose eps * S_max / S_min).  No sine or chiral code forms an
-N x N array, and only a chiral block with an edge mode or more than two
-segments a dense half-size B (for its SVD); the expm route forms one N x N
-generator for a bare matrix only.  ``decompose`` (eig plus a polished
-inverse) and ``matrix_exp`` (plain scaling and squaring) serve no route: they
-are the biorthogonal and the dense references the tests check the routes
-against, and both take their input through one check (``_as_matrix``).
+Every other input (a chain without a counterpart, or an operator passed
+without its spec) takes expm.  States are mapped through S^-1 and S, which
+stays accurate far past where inverting a right-eigenvector matrix fails
+(states weighted at the small-S end lose eps * S_max / S_min).  No route
+forms an N x N array: only a chiral block with an edge mode or more than two
+segments forms a dense half-size B (for its SVD), and the expm route keeps
+its generator as bands.  ``decompose`` (eig plus a polished inverse) and
+``matrix_exp`` (plain scaling and squaring) serve no route: they are the
+biorthogonal and the dense references the tests check the routes against,
+and both take their input through one check (``_as_matrix``).
 """
 
 from __future__ import annotations
@@ -286,10 +287,6 @@ class EvolutionResult:
     geometry: Geometry
     route: str                   # 'sine', 'chiral' (either '+rotation') or 'expm'
 
-    @property
-    def method(self) -> str:
-        return "expm" if self.route == "expm" else "spectral"
-
 
 def _as_matrix(h) -> np.ndarray:
     """The dense complex matrix of ``h`` (a ``HamiltonianMatrix`` or a bare matrix): non-empty, square and finite."""
@@ -428,9 +425,9 @@ def _standing_waves(pa: float, pb: float, n: int) -> tuple[np.ndarray, np.ndarra
 
     k_m = m pi/(n+1) + delta_m, with delta_m in (0, m pi/(n(n+1))) bisected
     from |a| sin((n+1) delta) = |b| sin(m pi/(n+1) - n delta);
-    sigma_m^2 = a^2 + b^2 + 2|ab| cos k_m; u_c ~ sin(k_m (n-c)), its phase
-    reduced exactly as (m (n-c) mod 2(n+1)) pi/(n+1) + delta_m (n-c); v is u
-    reversed (B^T is B reversed) with the sign (-1)^(m+1) that gives
+    sigma_m^2 = a^2 + b^2 + 2|ab| cos k_m; u_c ~ sin(k_m (n-c)) / sin k_m,
+    the rows of ``_sine_rows`` (phases reduced exactly, as in ``_waves``); v
+    is u reversed (B^T is B reversed) with the sign (-1)^(m+1) that gives
     B v = sigma u.
     """
     m = np.arange(1, n + 1)
@@ -443,13 +440,8 @@ def _standing_waves(pa: float, pb: float, n: int) -> tuple[np.ndarray, np.ndarra
     delta = 0.5 * (lo + hi)
     # (|a| - |b|)^2 + 4|ab| cos^2(k/2), free of the cancellation near k = pi
     sigma = np.sqrt((pa - pb) ** 2 + 4.0 * pa * pb * np.sin(0.5 * ((n + 1 - m) * step - delta)) ** 2)
-    j = np.arange(n, 0, -1)
-    phase = np.multiply.outer(j, m)
-    phase %= 2 * (n + 1)
-    u = np.multiply(phase, step, out=np.empty((n, n)))
-    del phase
-    u += np.outer(j, delta)
-    np.sin(u, out=u)
+    u = np.empty((n, n))
+    _sine_rows(m, n + 1, delta, n, n, n, -1, u)
     u /= np.linalg.norm(u, axis=0)
     v = u[::-1] * (-1.0) ** (m + 1)
     return u, sigma, v
@@ -758,7 +750,7 @@ def _two_segments(a1: float, a2: float, b: float, n1: int, n2: int) -> tuple[np.
 
 
 def decompose_model(h: HamiltonianMatrix, spec: ModelSpec | None) -> SineModes | ChiralModes | None:
-    """Counterpart route of a model spec; None for a chain without a counterpart, or a bare matrix (no spec).
+    """Counterpart route of a model spec; None for a chain without a counterpart, or without a spec.
 
     Every spec goes through ``_decompose_chain`` on its bands; a gain/loss
     two-band chain goes through the bands of its asymmetric-hop twin, rotated
@@ -812,13 +804,12 @@ def matrix_exp(m) -> np.ndarray:
         result = a @ result
         result /= k
         result.flat[diagonal] += 1.0
-    # entries below sqrt(tiny) * max(1, max|r|) are zeroed before each squaring,
-    # so no product in it underflows into (slow) subnormal arithmetic
+    # entries below sqrt(tiny) are zeroed before each squaring, so two kept
+    # entries multiply to at least tiny: no product is (slow) subnormal
     floor = math.sqrt(np.finfo(float).tiny)
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow ends in the NumericalOverflow below
         for _ in range(squarings):
-            mag = np.abs(result)
-            result[mag < floor * max(1.0, float(mag.max()))] = 0.0
+            result[np.abs(result) < floor] = 0.0
             result = result @ result
     if not np.all(np.isfinite(result)):
         raise NumericalOverflow("matrix_exp: overflow during squaring")
@@ -841,17 +832,12 @@ def _check_times(times, psi0: WaveState, dim: int) -> np.ndarray:
     return ts
 
 
-def _check_phase_resolution(h, t_max: float) -> None:
+def _check_phase_resolution(h: HamiltonianMatrix, t_max: float) -> None:
     """Refuse elapsed times up to ``t_max`` whose phases E t lose their digits, before anything is decomposed or stepped.
 
-    |E| is bounded by the largest Gershgorin row sum of |H|: ``energy_bound``
-    for a ``HamiltonianMatrix``, the rows of |h| for a (checked) bare matrix.
+    |E| is bounded by the largest Gershgorin row sum of |H|, ``energy_bound``.
     """
-    if isinstance(h, HamiltonianMatrix):
-        bound = h.energy_bound
-    else:
-        with np.errstate(over="ignore"):   # a sum past the float range is an infinite bound
-            bound = float(np.abs(h).sum(axis=1).max())
+    bound = h.energy_bound
     phase = float(np.finfo(float).eps) * bound * t_max   # a Python float overflows to inf silently
     if phase > PHASE_LIMIT:
         raise InvalidParameter(
@@ -892,41 +878,34 @@ def _spectral_frames(dec: SineModes | ChiralModes, psi0: WaveState, ts: np.ndarr
     return amps, log_norms
 
 
-def _generator(h, gap: float):
+def _generator(h: HamiltonianMatrix, gap: float):
     """The generator A = -i H gap - shift as its product v -> A v, its 1-norm and its shift.
 
     The shift is the mean real diagonal of -i H gap, so exp(-i H gap) =
-    e^shift exp(A).  A ``HamiltonianMatrix`` keeps A as bands (offset ->
-    array) and its product is one pass over them, as ``energy_bound`` loops;
-    a bare matrix is converted once into a complex A, whose product is ``@``.
-    The 1-norm (largest column sum of |A|) is read from the bands in O(N).
+    e^shift exp(A).  A is kept as H's bands (offset -> array), and its
+    product is one pass over them, as ``energy_bound`` loops.  The 1-norm
+    (largest column sum of |A|) is read from the bands in O(N).
     """
-    if isinstance(h, HamiltonianMatrix):
-        diagonal = h.bands.get(0, np.zeros(h.dim)) * (-1j * gap)
-        shift = float(np.mean(diagonal.real))
-        diagonal -= shift
-        # each off-diagonal band of A with the rows it writes and the entries of v it reads
-        hops = [
-            (band * (-1j * gap), slice(max(-k, 0), max(-k, 0) + len(band)), slice(max(k, 0), max(k, 0) + len(band)))
-            for k, band in h.bands.items()
-            if k != 0 and len(band)
-        ]
-        columns = np.abs(diagonal)
-        for band, _, reads in hops:
-            columns[reads] += np.abs(band)
+    diagonal = h.bands.get(0, np.zeros(h.dim)) * (-1j * gap)
+    shift = float(np.mean(diagonal.real))
+    diagonal -= shift
+    # each off-diagonal band of A with the rows it writes and the entries of v it reads
+    hops = [
+        (band * (-1j * gap), slice(max(-k, 0), max(-k, 0) + len(band)), slice(max(k, 0), max(k, 0) + len(band)))
+        for k, band in h.bands.items()
+        if k != 0 and len(band)
+    ]
+    columns = np.abs(diagonal)
+    for band, _, reads in hops:
+        columns[reads] += np.abs(band)
 
-        def product(v: np.ndarray) -> np.ndarray:
-            out = diagonal * v
-            for band, rows, reads in hops:
-                out[rows] += band * v[reads]
-            return out
+    def product(v: np.ndarray) -> np.ndarray:
+        out = diagonal * v
+        for band, rows, reads in hops:
+            out[rows] += band * v[reads]
+        return out
 
-        return product, float(columns.max()), shift
-    gen = np.array(h, dtype=complex)
-    gen *= -1j * gap
-    shift = float(np.mean(gen.diagonal().real))
-    gen.flat[:: len(gen) + 1] -= shift
-    return gen.__matmul__, float(np.linalg.norm(gen, 1)), shift
+    return product, float(columns.max()), shift
 
 
 def _fewest_steps(norm1: float, degree: int, s: int) -> int:
@@ -978,7 +957,7 @@ def _unit(amps: np.ndarray) -> tuple[np.ndarray, float]:
         return amps, float(np.log(top) + np.log(nrm))
 
 
-def _expm_frames(h, psi0: WaveState, ts: np.ndarray):
+def _expm_frames(h: HamiltonianMatrix, psi0: WaveState, ts: np.ndarray):
     """Yield psi0 stepped to each of the checked times ``ts``: its unit amplitudes and its unchecked log-norm.
 
     Each gap exp(-i H gap) psi = e^shift exp(A) psi is taken as s steps of
@@ -989,8 +968,8 @@ def _expm_frames(h, psi0: WaveState, ts: np.ndarray):
     are quantised to 12 digits to pick the generator, so one serves every
     equal gap of a uniform grid, and each step scales it to the exact gap
     (the degree's truncation bound moves by a factor below 1 + 3e-10).
-    Only length-N vectors are formed beside the generator: no N x N array
-    for a ``HamiltonianMatrix``, one complex A for a bare matrix.
+    Only length-N vectors are formed beside the generator's bands: no N x N
+    array.
     """
     state, log_norm, prev_t, gen_gap = psi0.amplitudes, psi0.log_norm_offset, 0.0, None
     for t in ts:
@@ -998,7 +977,6 @@ def _expm_frames(h, psi0: WaveState, ts: np.ndarray):
         if gap != 0.0:
             quantised = float(f"{gap:.12g}")
             if quantised != gen_gap:
-                product = None   # a bare matrix's generator is freed before the next is formed
                 product, norm1, shift = _generator(h, quantised)
                 steps, degree = _steps(norm1)
                 gen_gap = quantised
@@ -1016,33 +994,35 @@ def _expm_frames(h, psi0: WaveState, ts: np.ndarray):
         prev_t = t
 
 
-def propagate(h, psi0: WaveState, times, method: str = "auto", spec: ModelSpec | None = None):
-    """Evolve psi0 to every elapsed time in ``times``; returns (route, blocks).
+def propagate(h: HamiltonianMatrix, psi0: WaveState, times, method: str = "auto", spec: ModelSpec | None = None):
+    """Evolve psi0 under the banded ``h`` to every elapsed time in ``times``; returns (route, blocks).
 
-    ``h`` is a ``HamiltonianMatrix``, or a bare square matrix with ``spec=None``.
-    The method, the times and ``decompose_model`` run on the call: a spec with
-    a counterpart route takes it under 'auto', and every other input takes
-    'expm' ('spectral' refuses it).  Times whose phases E t have lost their
-    digits (``PHASE_LIMIT``) are refused with InvalidParameter.  ``blocks``
-    yields (grid index of the first frame, unit-normalised amplitudes
-    (frames x dim), total log-norms): ``_BLOCK_CELLS`` cells per block on a
-    counterpart route (psi0 expanded again for each), one frame per block on
-    'expm'.  A degenerate norm raises NumericalOverflow naming its frame on
-    the grid.
+    ``h`` is a ``HamiltonianMatrix`` (``build_hamiltonian``); any other
+    operator is refused with InvalidParameter.  The operator, the method, the
+    times and ``decompose_model`` run on the call: a spec with a counterpart
+    route takes it under 'auto', and every other input (``spec=None`` among
+    them) takes 'expm' ('spectral' refuses it).  Times whose phases E t have
+    lost their digits (``PHASE_LIMIT``) are refused with InvalidParameter.
+    ``blocks`` yields (grid index of the first frame, unit-normalised
+    amplitudes (frames x dim), total log-norms): ``_BLOCK_CELLS`` cells per
+    block on a counterpart route (psi0 expanded again for each), one frame
+    per block on 'expm'.  A degenerate norm raises NumericalOverflow naming
+    its frame on the grid.
     """
+    if not isinstance(h, HamiltonianMatrix):
+        raise InvalidParameter(f"propagate: the operator must be a HamiltonianMatrix, got {type(h).__name__}")
     if method not in METHODS:
         raise InvalidParameter(f"propagate: unknown method {method!r}")
-    dim = h.dim if isinstance(h, HamiltonianMatrix) else len(_as_matrix(h))
-    ts = _check_times(times, psi0, dim)
+    ts = _check_times(times, psi0, h.dim)
     _check_phase_resolution(h, float(np.max(np.abs(ts))))
     dec = None if method == "expm" else decompose_model(h, spec)
     if dec is None and method == "spectral":
-        what = "a bare matrix (spec=None)" if spec is None else type(spec).__name__
+        what = "an operator without its spec (spec=None)" if spec is None else type(spec).__name__
         raise InvalidParameter(f"method 'spectral': {what} has no Hermitian counterpart route; use 'auto' or 'expm'")
     if dec is None:
         frames = ((k, state[None], np.array([ln])) for k, (state, ln) in enumerate(_expm_frames(h, psi0, ts)))
     else:
-        step = max(1, _BLOCK_CELLS // dim)
+        step = max(1, _BLOCK_CELLS // h.dim)
         frames = ((a, *_spectral_frames(dec, psi0, ts[a : a + step])) for a in range(0, len(ts), step))
     route = "expm" if dec is None else dec.route
     return route, ((a, amps, _check_frames(log_norms, ts, a)) for a, amps, log_norms in frames)

@@ -12,10 +12,12 @@ are rebuilt here one entry at a time.  The chiral route's frames are
 restated as a complex synthesis over all 2n modes, and
 ``adaptive_taylor_terms`` is the adaptive stopping rule that the fixed
 Taylor degree of ``matrix_exp`` and the expm route replaced.
-``propagated`` joins ``propagate``'s blocks, and ``dense_bases`` assembles
-the N x N bases that the sine route keeps as maps.  ``eig_propagated`` evolves
-any square matrix through ``decompose``'s biorthogonal eigenbasis, the
-reference that shares nothing with either route.
+``banded`` stores a dense matrix's nonzero diagonals as the
+``HamiltonianMatrix`` that ``propagate`` takes, ``propagated`` joins
+``propagate``'s blocks, and ``dense_bases`` assembles the N x N bases that
+the sine route keeps as maps.  ``eig_propagated`` evolves any square matrix
+through ``decompose``'s biorthogonal eigenbasis, the reference that shares
+nothing with either route.
 ``script`` imports a script under ``scripts/`` whose checks a test reuses.
 """
 
@@ -31,7 +33,16 @@ import numpy as np
 
 from skinwave.errors import DimensionMismatch, InvalidGrid, InvalidParameter, NumericalOverflow
 from skinwave.evolve import ChiralModes, decompose, propagate
-from skinwave.model import BoundarySSH, ContinuousHN, DiscreteHN, ModelSpec, NonHermitianSSH, counterpart_t1
+from skinwave.model import (
+    BoundarySSH,
+    ContinuousHN,
+    DiscreteHN,
+    Geometry,
+    HamiltonianMatrix,
+    ModelSpec,
+    NonHermitianSSH,
+    counterpart_t1,
+)
 from skinwave.oracle import width_series
 from skinwave.shortest import _DIGIT, _DOT, _E, _EXPONENT, _FIXED, _MINUS, _NUL, _PLUS, _SPLIT, _ZERO, WIDTH
 from skinwave.similarity import skin_factor
@@ -228,6 +239,13 @@ def complex_chiral_frames(dec: ChiralModes, psi: np.ndarray, times) -> np.ndarra
     if dec.rotated:
         amps = (amps.reshape(len(amps), -1, 2) @ w.T).reshape(amps.shape)
     return amps
+
+
+def banded(m) -> HamiltonianMatrix:
+    """The square matrix ``m`` as a ``HamiltonianMatrix``: its nonzero diagonals as bands, on unit-spaced sites."""
+    m = np.asarray(m, dtype=complex)
+    bands = {k: m.diagonal(k).copy() for k in range(1 - len(m), len(m)) if np.any(m.diagonal(k))}
+    return HamiltonianMatrix(bands=bands, geometry=Geometry(positions=np.arange(float(len(m))), dx=1.0))
 
 
 def propagated(h, psi0, times, method: str, spec: ModelSpec | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -14,13 +14,23 @@ from hypothesis import strategies as st
 import skinwave as sw
 from skinwave import evolve
 from skinwave.errors import DefectiveMatrix, DimensionMismatch, InvalidParameter, NumericalOverflow
-from skinwave.evolve import _bidiagonal_svd, _edge_mode, _resolved, decompose, decompose_model, evolve_series, matrix_exp
+from skinwave.evolve import (
+    METHODS,
+    _bidiagonal_svd,
+    _edge_mode,
+    _resolved,
+    decompose,
+    decompose_model,
+    evolve_series,
+    matrix_exp,
+)
 from skinwave.model import axis_y_twin
 from skinwave.presets import get_preset, preset_names
 from skinwave.similarity import chain_similarity
 
 from reference import (
     adaptive_taylor_terms,
+    banded,
     complex_chiral_frames,
     dense_bases,
     dense_bidiagonal_svd,
@@ -119,7 +129,7 @@ def test_propagation_composition():
 def test_expm_nilpotent_exact():
     n = np.array([[0.0, 1.0], [0.0, 0.0]])
     psi = sw.WaveState(amplitudes=np.array([0.0, 1.0 + 0j]))
-    (amps,), (log_norm,) = propagated(n, psi, [1.0], "expm")
+    (amps,), (log_norm,) = propagated(banded(n), psi, [1.0], "expm")
     total = np.exp(log_norm) * amps
     assert np.allclose(total, [-1.0j, 1.0], atol=1e-15)
     assert np.allclose(matrix_exp(-1.0j * n), [[1.0, -1.0j], [0.0, 1.0]], atol=1e-15)
@@ -139,7 +149,7 @@ def test_expm_matches_spectral_on_random_matrices():
         psi = random_state(50, rng)
         for t in (0.3, 1.7):
             (a,), (a_ln,) = eig_propagated(m, psi, [t])
-            (b,), (b_ln,) = propagated(m, psi, [t], "expm")
+            (b,), (b_ln,) = propagated(banded(m), psi, [t], "expm")
             assert np.linalg.norm(a - b) < 1e-8
             assert a_ln == pytest.approx(b_ln, abs=1e-8)
 
@@ -167,7 +177,7 @@ def test_evolve_series_result_invariants():
     res = evolve_series(h, psi, np.linspace(0.0, 5.0, 9), spec=spec)
     assert np.all(res.site_densities >= 0.0)
     assert np.all(np.isfinite(res.log_norms))
-    assert res.method == "spectral"
+    assert res.route == "sine"
 
 
 def test_evolve_series_spectral_vs_expm_framewise():
@@ -187,7 +197,7 @@ def test_evolve_series_auto_falls_back_to_expm():
     psi = random_state(100)
     res = evolve_series(h, psi, np.linspace(0.0, 1.0, 4), method="auto")
     assert res.route == "expm"
-    with pytest.raises(InvalidParameter, match=re.escape("a bare matrix (spec=None) has no Hermitian counterpart")):
+    with pytest.raises(InvalidParameter, match=re.escape("an operator without its spec (spec=None) has no Hermitian")):
         evolve_series(h, psi, [0.0, 1.0], method="spectral")
 
 
@@ -203,20 +213,29 @@ def test_evolve_series_validates_times_and_method():
 
 
 def test_propagate_refuses_a_directly_built_zero_state():
+    h = banded(np.diag([1.0, 2.0]))
     with pytest.raises(InvalidParameter, match="nonzero"):
-        sw.propagate(np.diag([1.0, 2.0]), sw.WaveState(np.zeros(2, complex)), [0, 1], "spectral")
+        sw.propagate(h, sw.WaveState(np.zeros(2, complex)), [0, 1], "spectral")
     for amps in (np.array([np.nan, 1.0]), np.array([np.inf, 1.0])):
         with pytest.raises(InvalidParameter, match="finite"):
-            sw.propagate(np.diag([1.0, 2.0]), sw.WaveState(amps + 0j), [0, 1], "expm")
+            sw.propagate(h, sw.WaveState(amps + 0j), [0, 1], "expm")
     with pytest.raises(InvalidParameter):
-        sw.propagate(np.diag([1.0, 2.0]), sw.WaveState(np.ones(2, complex), np.inf), [0, 1])
+        sw.propagate(h, sw.WaveState(np.ones(2, complex), np.inf), [0, 1])
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [matrix_exp, decompose, lambda m: sw.propagate(m, sw.WaveState(np.ones(3, complex)), [0.0, 1.0])],
-    ids=["matrix_exp", "decompose", "propagate"],
-)
+def test_propagate_refuses_a_bare_matrix():
+    """A dense ndarray, of any shape, is no operator form of ``propagate``: only a banded HamiltonianMatrix is."""
+    for m in (np.eye(2), np.ones(3), np.ones((2, 3)), np.zeros((0, 0)), np.diag([1.0, np.nan])):
+        for method in METHODS:
+            with pytest.raises(InvalidParameter, match="must be a HamiltonianMatrix, got ndarray"):
+                sw.propagate(m, sw.WaveState(np.ones(2, complex)), [0.0, 1.0], method)
+
+
+def _propagate_bare(m):
+    sw.propagate(m, sw.WaveState(np.ones(3, complex)), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("entry", [matrix_exp, decompose, _propagate_bare], ids=["matrix_exp", "decompose", "propagate"])
 @pytest.mark.parametrize(
     "m, error",
     [
@@ -228,6 +247,9 @@ def test_propagate_refuses_a_directly_built_zero_state():
     ids=["vector", "not square", "empty", "nan"],
 )
 def test_dense_entry_points_refuse_what_is_not_a_finite_square_matrix(entry, m, error):
+    """matrix_exp and decompose name what is wrong with the matrix; propagate refuses any bare ndarray before its shape."""
+    if entry is _propagate_bare:
+        error = InvalidParameter
     with pytest.raises(error):
         entry(m)
 
@@ -256,7 +278,7 @@ _SHORT_CHAIN = sw.DiscreteHN(1.0, 2.0, 3)
     [
         (sw.build_hamiltonian(_SHORT_CHAIN), None, 1e300, "expm"),
         (sw.build_hamiltonian(_SHORT_CHAIN), _SHORT_CHAIN, 1e300, "auto"),
-        (np.full((3, 3), 1e308), None, 1.0, "expm"),
+        (banded(np.full((3, 3), 1e308)), None, 1.0, "expm"),
     ],
     ids=["expm t_max 1e300", "sine t_max 1e300", "expm row sums past the float range"],
 )
@@ -541,17 +563,27 @@ def test_evolve_series_names_its_route(spec, method, route):
     psi0 = random_state(h.dim, np.random.default_rng(3))
     res = evolve_series(h, psi0, [0.0, 1.0], method=method, spec=spec)
     assert res.route == route
-    assert res.method == ("expm" if route == "expm" else "spectral")
     if method != "expm":
         dec = decompose_model(h, spec)
         assert (dec.route if dec else "expm") == route
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 500])
-@pytest.mark.parametrize("ratio", [0.05, 0.5, 1.0])
-@pytest.mark.parametrize("sign_a, sign_b", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+@pytest.mark.parametrize(
+    "sign_a, sign_b, ratio, n",
+    [
+        (sign_a, sign_b, ratio, n)
+        for sign_a, sign_b in [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+        for ratio in [0.05, 0.5, 1.0]
+        for n in [1, 2, 3, 500]
+    ]
+    + [(1, 1, 0.999, 2048)],
+)
 def test_uniform_bidiagonal_modes_in_closed_form(n, ratio, sign_a, sign_b, monkeypatch):
-    """A uniform B with |b| <= |a| is decomposed without an SVD, to roundoff."""
+    """A uniform B with |b| <= |a| is decomposed without an SVD, to roundoff.
+
+    n = 2048 is the largest chiral block at ``MAX_DIM``, where the angle
+    addition of ``_sine_rows`` carries its rows furthest.
+    """
     a, b = 1.5 * sign_a, 1.5 * ratio * sign_b
     diag, sub = np.full(n, a), np.full(n - 1, b)
     dense = np.diag(diag) + np.diag(sub, -1)
@@ -931,15 +963,6 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def test_bare_real_matrix_expm_evolution_holds_two_dense_matrices():
-    """A bare real H is converted once per gap into the complex generator; the Taylor action adds only vectors (and |A| for its norm)."""
-    rng = np.random.default_rng(7)
-    h = rng.normal(size=(200, 200)) * 0.05
-    psi0 = random_state(200, rng)
-    peak = _traced_peak(lambda: propagated(h, psi0, np.linspace(0.0, 1.0, 5), "expm"))
-    assert peak <= 2.25 * h.size * 16
-
-
 def _drained(h, psi0, times, method):
     """Run ``propagate`` over every block and keep none of them."""
     _, blocks = evolve.propagate(h, psi0, times, method)
@@ -948,15 +971,19 @@ def _drained(h, psi0, times, method):
 
 
 def test_expm_on_a_non_uniform_grid_keeps_one_propagator():
-    """41 distinct gaps: each generator is dropped before the next is formed, not cached per gap."""
-    rng = np.random.default_rng(8)
-    h = rng.normal(size=(60, 60)) * 0.05
-    psi0 = random_state(60, rng)
+    """41 distinct gaps: each generator is dropped once the next is formed, not cached per gap.
+
+    The generator's bands take as many bytes as H's; beside them stand its
+    column sums while it is formed and a few state vectors, about 3x its
+    bytes at the peak, against 41x for one generator per gap.
+    """
+    h, _ = _chain(2000)
+    psi0 = random_state(2000, np.random.default_rng(8))
     times = np.cumsum(np.concatenate([[0.0], 0.01 + 0.001 * np.arange(41)]))
     assert len({float(f"{g:.12g}") for g in np.diff(times)}) == 41
     _drained(h, psi0, times, "expm")   # a first call's one-time allocations (a few KB) stay out of the peak
     peak = _traced_peak(lambda: _drained(h, psi0, times, "expm"))
-    assert peak <= 2.25 * h.size * 16
+    assert peak <= 3.5 * sum(band.nbytes for band in h.bands.values())
 
 
 def test_expm_route_forms_no_dense_matrix(monkeypatch):
@@ -984,7 +1011,7 @@ def test_expm_route_follows_an_amplification_past_the_float_range():
     psi0 = sw.WaveState(np.ones(2, dtype=complex))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        (_, end), (_, log_norm) = propagated(np.diag([0.0, 2000.0j]), psi0, [0.0, 1.0], "expm")
+        (_, end), (_, log_norm) = propagated(banded(np.diag([0.0, 2000.0j])), psi0, [0.0, 1.0], "expm")
         with pytest.raises(NumericalOverflow):
             matrix_exp(-1j * np.diag([0.0, 2000.0j]))
     assert log_norm == pytest.approx(2000.0, rel=1e-12)   # ln |(1, e^2000)| = 2000 + ln(1 + e^-4000) / 2
@@ -998,7 +1025,7 @@ def test_expm_route_keeps_a_state_below_the_squares_underflow():
     eps e^(2 x) per step at 1-norm x = 8.3): 1e-10 bounds the drift.
     """
     psi0 = sw.WaveState(np.array([1e-200, 1.0], dtype=complex))
-    _, log_norms = propagated(np.diag([0.0, -1000.0j]), psi0, [0.0, 0.2, 0.4], "expm")
+    _, log_norms = propagated(banded(np.diag([0.0, -1000.0j])), psi0, [0.0, 0.2, 0.4], "expm")
     assert log_norms[2] == pytest.approx(-400.0, rel=1e-10)
 
 
@@ -1015,6 +1042,18 @@ def test_matrix_exp_overflow_ends_in_its_numerical_overflow():
         for entry in (1.5 * 2.0**1020, 1.5 * 2.0**1021, 1e308):
             with pytest.raises(NumericalOverflow):
                 matrix_exp(np.full((2, 2), entry))
+
+
+def test_matrix_exp_flushes_below_an_absolute_floor():
+    """exp([[0, 1e160], [0, 0]]) is [[1, 1e160], [0, 1]], exactly: 534 squarings of I + a, powers of two throughout.
+
+    Only entries below sqrt(tiny) are zeroed before a squaring; a floor
+    scaled by max|r| (past 1 once the corner is 7e153) zeroes the unit
+    diagonal, and the result with it.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(matrix_exp(np.array([[0.0, 1e160], [0.0, 0.0]])), [[1.0, 1e160], [0.0, 1.0]])
 
 
 def test_sm_boundary_gap_takes_ten_steps_of_degree_54():
