@@ -7,7 +7,7 @@ Two independent routes:
   (no step accumulation);
 * expm: the truncated Taylor action of exp(-i H t) on the state, stepped
   over the frame grid with products on H's bands (no eigensolve, no
-  similarity).
+  similarity); one unit-time generator serves every gap, scaled by it.
 
 ``propagate`` is the one interface to both, and it takes one operator form:
 a banded ``HamiltonianMatrix`` (``build_hamiltonian``).  It takes a grid of
@@ -52,6 +52,7 @@ and both take their input through one check (``_as_matrix``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -878,20 +879,21 @@ def _spectral_frames(dec: SineModes | ChiralModes, psi0: WaveState, ts: np.ndarr
     return amps, log_norms
 
 
-def _generator(h: HamiltonianMatrix, gap: float):
-    """The generator A = -i H gap - shift as its product v -> A v, its 1-norm and its shift.
+def _generator(h: HamiltonianMatrix):
+    """The unit-time generator A = -i H - shift as its product v -> A v, its 1-norm and its shift.
 
-    The shift is the mean real diagonal of -i H gap, so exp(-i H gap) =
-    e^shift exp(A).  A is kept as H's bands (offset -> array), and its
-    product is one pass over them, as ``energy_bound`` loops.  The 1-norm
-    (largest column sum of |A|) is read from the bands in O(N).
+    The shift is the mean real diagonal of -i H, so exp(-i H gap) =
+    e^(shift gap) exp(A gap) for every gap, and A gap has 1-norm |gap| times
+    A's.  A is kept as H's bands (offset -> array), and its product is one
+    pass over them, as ``energy_bound`` loops.  The 1-norm (largest column
+    sum of |A|) is read from the bands in O(N).
     """
-    diagonal = h.bands.get(0, np.zeros(h.dim)) * (-1j * gap)
+    diagonal = h.bands.get(0, np.zeros(h.dim)) * -1j
     shift = float(np.mean(diagonal.real))
     diagonal -= shift
     # each off-diagonal band of A with the rows it writes and the entries of v it reads
     hops = [
-        (band * (-1j * gap), slice(max(-k, 0), max(-k, 0) + len(band)), slice(max(k, 0), max(k, 0) + len(band)))
+        (band * -1j, slice(max(-k, 0), max(-k, 0) + len(band)), slice(max(k, 0), max(k, 0) + len(band)))
         for k, band in h.bands.items()
         if k != 0 and len(band)
     ]
@@ -923,13 +925,15 @@ def _fewest_steps(norm1: float, degree: int, s: int) -> int:
     return hi
 
 
+@functools.cache
 def _steps(norm1: float) -> tuple[int, int]:
     """Steps s and Taylor degree m = ``_taylor_degree(norm1 / s)`` <= ``_MAX_DEGREE`` with the fewest products s m.
 
     m never rises with s, so only the fewest steps of each degree can cost
     least, and no s at or past the best s m can (every degree is at least 1).
     The search starts at s = norm1 / 55: a degree m needs x = norm1 / s < m,
-    since every term x^k / k! with k <= x is at least 1.
+    since every term x^k / k! with k <= x is at least 1.  Memoised, so a
+    grid runs it once per distinct float gap (a handful on a uniform grid).
     """
     if not math.isfinite(norm1):
         raise NumericalOverflow("expm: generator norm not finite")
@@ -960,33 +964,27 @@ def _unit(amps: np.ndarray) -> tuple[np.ndarray, float]:
 def _expm_frames(h: HamiltonianMatrix, psi0: WaveState, ts: np.ndarray):
     """Yield psi0 stepped to each of the checked times ``ts``: its unit amplitudes and its unchecked log-norm.
 
-    Each gap exp(-i H gap) psi = e^shift exp(A) psi is taken as s steps of
-    the truncated Taylor action psi <- sum_{k <= m} (A / s)^k psi / k!
+    Each gap exp(-i H gap) psi = e^(shift gap) exp(A gap) psi, with the one
+    unit-time generator A of ``_generator``, is taken as s steps of the
+    truncated Taylor action psi <- sum_{k <= m} (A gap / s)^k psi / k!
     (Al-Mohy and Higham, SIAM J. Sci. Comput. 33 (2011) 488-511), with the s
-    and m of ``_steps``; every step is unit-normalised into the log-norm, so
-    amplifying spectra overflow neither the state nor the exponential.  Gaps
-    are quantised to 12 digits to pick the generator, so one serves every
-    equal gap of a uniform grid, and each step scales it to the exact gap
-    (the degree's truncation bound moves by a factor below 1 + 3e-10).
-    Only length-N vectors are formed beside the generator's bands: no N x N
-    array.
+    and m of ``_steps`` at A gap's 1-norm; every step is unit-normalised into
+    the log-norm, so amplifying spectra overflow neither the state nor the
+    exponential.  Only length-N vectors are formed beside the generator's
+    bands: no N x N array.
     """
-    state, log_norm, prev_t, gen_gap = psi0.amplitudes, psi0.log_norm_offset, 0.0, None
+    product, norm1, shift = _generator(h)
+    state, log_norm, prev_t = psi0.amplitudes, psi0.log_norm_offset, 0.0
     for t in ts:
         gap = t - prev_t
         if gap != 0.0:
-            quantised = float(f"{gap:.12g}")
-            if quantised != gen_gap:
-                product, norm1, shift = _generator(h, quantised)
-                steps, degree = _steps(norm1)
-                gen_gap = quantised
-            scale = gap / gen_gap   # the exact gap's A is the generator's times this, within 5e-12 of 1
-            log_norm += shift * scale
+            steps, degree = _steps(norm1 * abs(gap))
+            log_norm += shift * gap
             for _ in range(steps):
                 term, state = state, state.copy()
                 for k in range(1, degree + 1):
                     term = product(term)
-                    term *= scale / (steps * k)
+                    term *= gap / (steps * k)
                     state += term
                 state, log_nrm = _unit(state)
                 log_norm += log_nrm

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, load_config
+from .errors import ConfigError
 from .evolve import EvolutionResult, _check_phase_resolution, evolve_series
 from .model import BoundarySSH, ModelSpec, build_hamiltonian
 from .model import band_curvature, group_velocity
@@ -180,12 +181,25 @@ def _write(path: Path, chunks: Iterable[bytes | np.ndarray]) -> str:
     ``density.csv`` on ext4).
     """
     digest = hashlib.sha256()
-    path.unlink(missing_ok=True)
-    with path.open("wb") as fh:
-        for chunk in chunks:
-            digest.update(chunk)
-            fh.write(chunk)
+    try:
+        path.unlink(missing_ok=True)
+        with path.open("wb") as fh:
+            for chunk in chunks:
+                digest.update(chunk)
+                fh.write(chunk)
+    except OSError as exc:
+        raise ConfigError(f"output.directory: cannot write {path}: {exc.strerror or exc}") from exc
     return digest.hexdigest()
+
+
+def _output_directory(config: ExperimentConfig) -> Path:
+    """``output.directory``, created with its parents if missing; an OSError ends in a ConfigError naming the field."""
+    out_dir = Path(config.output.directory)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output.directory: cannot create {out_dir}: {exc.strerror or exc}") from exc
+    return out_dir
 
 
 def emit_outputs(
@@ -194,10 +208,13 @@ def emit_outputs(
     oracle: OracleSeries,
     config: ExperimentConfig,
 ) -> dict[str, str]:
-    """Write the requested artifacts and return a name -> sha256 manifest."""
+    """Write the requested artifacts and return a name -> sha256 manifest.
+
+    A directory or file that cannot be written ends in a ConfigError naming
+    ``output.directory`` and the path.
+    """
     opts = config.output
-    out_dir = Path(opts.directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_directory(config)
     dens = aggregate_density(result.site_densities, result.geometry)
     tr = trajectory
     files = {"density.csv": _density_frames(result, dens)} if opts.density_csv else {}
@@ -230,6 +247,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     spec = config.model
     h = build_hamiltonian(spec)
     _check_phase_resolution(h, config.times.t_max)   # before the packet's allocation
+    _output_directory(config)   # an unwritable location is refused before anything is evolved
     psi0 = gaussian_state(h.geometry, config.packet)
     times = np.linspace(0.0, config.times.t_max, config.times.frame_count)
     result = evolve_series(h, psi0, times, method=config.method, spec=spec)

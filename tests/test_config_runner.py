@@ -667,7 +667,7 @@ _LOST_PHASES = {
 
 
 def _never_evolved(*args, **kwargs):
-    raise AssertionError("evolved a run whose phases have lost their digits")
+    raise AssertionError("evolved a run that is refused before its evolution")
 
 
 @pytest.mark.parametrize("case", sorted(_LOST_PHASES))
@@ -679,6 +679,32 @@ def test_runs_whose_phases_lost_their_digits_exit_2(case, tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert "times.t_max" in err and "|E| <=" in err and "lost their digits" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_cli_refuses_an_output_location_that_is_a_file_before_evolving(out, tmp_path, capsys, monkeypatch):
+    """--out naming a file, or a path under one: one error line naming output.directory, exit 2, nothing evolved.
+
+    A directory that cannot be written for want of permission is refused
+    the same way, but permission bits do not stop root, so no test provokes it.
+    """
+    monkeypatch.setattr(runner, "evolve_series", _never_evolved)
+    (tmp_path / "file").write_text("")
+    assert main(["preset", "sm-spread-fast", "--out", str(tmp_path / out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: output.directory: cannot create") and str(tmp_path / out) in line
+
+
+def test_cli_refuses_a_directory_in_the_place_of_an_output_file(tmp_path, capsys):
+    """A directory named density.csv inside --out: one error line naming the file, exit 2."""
+    (tmp_path / "out" / "density.csv").mkdir(parents=True)
+    path = tmp_path / "cfg.json"
+    save_config(small_config(tmp_path / "elsewhere"), path)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: output.directory: cannot write") and str(tmp_path / "out" / "density.csv") in line
 
 
 def test_every_preset_resolves_its_phases():

@@ -970,18 +970,22 @@ def _drained(h, psi0, times, method):
         pass
 
 
-def test_expm_on_a_non_uniform_grid_keeps_one_propagator():
-    """41 distinct gaps: each generator is dropped once the next is formed, not cached per gap.
+def test_expm_on_a_non_uniform_grid_keeps_one_propagator(monkeypatch):
+    """41 distinct gaps: one unit-time generator serves every gap, scaled by it, and none is formed per gap.
 
     The generator's bands take as many bytes as H's; beside them stand its
     column sums while it is formed and a few state vectors, about 3x its
-    bytes at the peak, against 41x for one generator per gap.
+    bytes at the peak.
     """
     h, _ = _chain(2000)
     psi0 = random_state(2000, np.random.default_rng(8))
     times = np.cumsum(np.concatenate([[0.0], 0.01 + 0.001 * np.arange(41)]))
-    assert len({float(f"{g:.12g}") for g in np.diff(times)}) == 41
+    assert len(set(np.diff(times))) == 41
+    calls = []
+    generator = evolve._generator
+    monkeypatch.setattr(evolve, "_generator", lambda *args: calls.append(1) or generator(*args))
     _drained(h, psi0, times, "expm")   # a first call's one-time allocations (a few KB) stay out of the peak
+    assert len(calls) == 1
     peak = _traced_peak(lambda: _drained(h, psi0, times, "expm"))
     assert peak <= 3.5 * sum(band.nbytes for band in h.bands.values())
 
@@ -1059,6 +1063,33 @@ def test_matrix_exp_flushes_below_an_absolute_floor():
 def test_sm_boundary_gap_takes_ten_steps_of_degree_54():
     """A generator of 1-norm 82.41, sm-boundary's gap: 540 products, the fewest of any step count."""
     assert evolve._steps(82.41) == (10, 54)
+
+
+# each preset's expm plan (steps, degree), the same for every gap of its grid
+_PRESET_PLANS = {
+    **dict.fromkeys(["fig1a", "fig1b", "fig1c", "fig1d", "fig3"], (14, 55)),
+    "fig4": (6, 52), "fig5b": (2, 39), "fig5c": (2, 41), "sm-meet": (2, 42),
+    "sm-spread-slow": (6, 51), "sm-spread-fast": (8, 52), "sm-boundary": (10, 54),
+}
+
+
+def test_every_preset_keeps_its_expm_plan_per_gap():
+    """``_steps`` at the unit-time generator's 1-norm times each gap of a preset's own grid gives one plan."""
+    assert sorted(_PRESET_PLANS) == sorted(preset_names())
+    for name, plan in _PRESET_PLANS.items():
+        cfg = get_preset(name)
+        _, norm1, _ = evolve._generator(sw.build_hamiltonian(cfg.model))
+        gaps = np.diff(np.linspace(0.0, cfg.times.t_max, cfg.times.frame_count))
+        assert {evolve._steps(norm1 * gap) for gap in gaps} == {plan}, name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 60.0), st.floats(0.0, 60.0))
+@example(0.0, 1e-300)
+def test_taylor_degree_never_falls_as_the_norm_rises(x, y):
+    """``_fewest_steps``' bisection and the memoised plan rely on the degree being monotone in x."""
+    lo, hi = sorted((x, y))
+    assert evolve._taylor_degree(lo) <= evolve._taylor_degree(hi)
 
 
 @settings(max_examples=60, deadline=None)
