@@ -3,20 +3,26 @@
 Output files are byte-deterministic: every number is written as ``repr``
 writes it, by the whole-array formatter of ``shortest`` (which hands the few
 values it cannot decide to ``repr`` itself), and no timestamps or
-environment data enter the files.  One serial writer streams each file in
-chunks (``density.csv`` and ``heatmap.pgm`` a few frames at a time) and
-hashes every chunk as it writes it, so no file is read back.  A rerun
-unlinks each previous file and writes a new one in its place, so a reader
-that has the old file open keeps the old bytes.  The report
-(returned and printed by the CLI) carries classification, velocity fits,
-oracle deviations, and that sha256 manifest of everything written.
+environment data enter the files.  One writer streams each file in chunks
+(``density.csv`` and ``heatmap.pgm`` a few frames at a time) and hashes
+every chunk as it writes it, so no file is read back.  ``density.csv``'s
+digits are computed on one helper thread, at most two chunks ahead of the
+writer, which lays out, hashes and writes the chunks in order; the helper
+ends with the file.  A rerun unlinks each previous file and writes a new
+one in its place, so a reader that has the old file open keeps the old
+bytes.  The report (returned and printed by the CLI) carries
+classification, velocity fits, oracle deviations, and that sha256 manifest
+of everything written.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import hashlib
 import math
-from collections.abc import Iterable
+import threading
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,7 +35,7 @@ from .model import BoundarySSH, ModelSpec, build_hamiltonian
 from .model import band_curvature, group_velocity
 from .oracle import GeneralOracleParams, general_peak, general_velocities, width_series
 from .presets import get_preset
-from .shortest import shortest_repr
+from .shortest import _gather, _sources, shortest_repr
 from .similarity import skin_factor
 from .wavepacket import (
     LinearFit,
@@ -139,8 +145,8 @@ def _lines(*cells: np.ndarray) -> np.ndarray:
 
 
 # density cells formatted per chunk: a few frames, so the formatter's arrays
-# stay small (about 2 MB of temporaries per chunk)
-_CHUNK_CELLS = 8192
+# stay small (under 1 MB of temporaries per chunk on each of the two threads)
+_CHUNK_CELLS = 4096
 
 
 def _chunks(dens: np.ndarray):
@@ -149,16 +155,57 @@ def _chunks(dens: np.ndarray):
     return ((a, dens[a : a + step]) for a in range(0, len(dens), step))
 
 
+def _ahead(fn: Callable, items: Sequence) -> Iterator:
+    """``fn(item)`` for each of ``items`` in order, computed on one helper thread at most two items ahead.
+
+    An exception in ``fn`` is raised here, at its item.  However the
+    generator ends (its last item, an exception, ``close()``), it stops the
+    helper and joins it, so no thread outlives it.
+    """
+    done = collections.deque()
+    free, ready, stop = threading.Semaphore(2), threading.Semaphore(0), threading.Event()
+
+    def work():
+        try:
+            for item in items:
+                free.acquire()
+                if stop.is_set():
+                    return
+                done.append((fn(item), None))
+                ready.release()
+        except BaseException as exc:   # raised again in the caller, at its item
+            done.append((None, exc))
+            ready.release()
+
+    helper = threading.Thread(target=work, daemon=True)
+    helper.start()
+    try:
+        for _ in items:
+            ready.acquire()
+            value, exc = done.popleft()
+            if exc is not None:
+                raise exc
+            free.release()
+            yield value
+    finally:
+        stop.set()
+        free.release()
+        helper.join()
+
+
 def _density_frames(result: EvolutionResult, dens: np.ndarray):
     """density.csv as bytes: its header, then the (t, x, density, log_norm) rows a chunk of frames at a time.
 
-    The table is never held whole.
+    The table is never held whole.  Each chunk's digits (``_sources``) come
+    from ``_ahead``'s helper thread; this thread lays them out in order.
     """
     xs, ts, lns = map(shortest_repr, (result.geometry.density_positions, result.times, result.log_norms))
     yield b"t,x,density,log_norm\n"
-    for a, frames in _chunks(dens):
-        cells = shortest_repr(frames).reshape(frames.shape + (-1,))
-        yield _lines(ts[a : a + len(frames), None], xs[None], cells, lns[a : a + len(frames), None])
+    chunks = list(_chunks(dens))
+    with contextlib.closing(_ahead(_sources, [frames.ravel() for _, frames in chunks])) as digits:
+        for (a, frames), sources in zip(chunks, digits):
+            cells = _gather(frames.ravel(), *sources).reshape(frames.shape + (-1,))
+            yield _lines(ts[a : a + len(frames), None], xs[None], cells, lns[a : a + len(frames), None])
 
 
 def _heatmap_pgm(dens: np.ndarray):
@@ -171,8 +218,17 @@ def _heatmap_pgm(dens: np.ndarray):
         yield np.round(255.0 * rows / np.where(peak > 0, peak, np.inf)).astype(np.uint8)
 
 
-def _write(path: Path, chunks: Iterable[bytes | np.ndarray]) -> str:
+def _table(head: str, cols) -> Iterator[bytes | np.ndarray]:
+    """A CSV file as bytes: its header line, then its rows, each column formatted whole."""
+    yield head.encode() + b"\n"
+    yield _lines(*map(shortest_repr, cols))
+
+
+def _write(path: Path, chunks: Iterator[bytes | np.ndarray]) -> str:
     """Stream ``chunks`` to a new file at ``path``, hashing each as it is written; the file's sha256 hex.
+
+    Only one chunk is held at a time, and the generator ``chunks`` is closed
+    however the write ends, so a producer stopped early stops its helper.
 
     A file already at ``path`` is unlinked, not truncated, so the file is
     always new: a reader holding the old file keeps its bytes, a symlink is
@@ -187,8 +243,11 @@ def _write(path: Path, chunks: Iterable[bytes | np.ndarray]) -> str:
             for chunk in chunks:
                 digest.update(chunk)
                 fh.write(chunk)
+                del chunk   # not held while the next one is formed
     except OSError as exc:
         raise ConfigError(f"output.directory: cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        chunks.close()
     return digest.hexdigest()
 
 
@@ -226,7 +285,7 @@ def emit_outputs(
     )
     for on, name, head, cols in tables:
         if on:
-            files[name] = head.encode() + b"\n", _lines(*map(shortest_repr, cols))
+            files[name] = _table(head, cols)
     if opts.heatmap:
         files["heatmap.pgm"] = _heatmap_pgm(dens)
     return {name: _write(out_dir / name, chunks) for name, chunks in files.items()}

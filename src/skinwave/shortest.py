@@ -180,7 +180,9 @@ def _layouts() -> tuple[np.ndarray, np.ndarray]:
 def _sources(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per value of ``a``: its source row (``_SOURCE`` ascii bytes), its layout key into ``_layouts``, and decided.
 
-    Its own temporaries end with it, so only these are alive beside the gather index.
+    The digit stage of ``shortest_repr``: numpy arithmetic only, with no
+    Python object per value, so it can run on a thread of its own.  Its
+    temporaries end with it, so only these are alive beside ``_gather``.
     """
     x = np.abs(a)
     digits, count, point, decided = _decide(x)
@@ -202,13 +204,8 @@ def _sources(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return source, (np.signbit(a) * (_FIXED + 4) + cls) * 18 + count, decided
 
 
-def shortest_repr(values) -> np.ndarray:
-    """``repr`` of every value as one row of ascii bytes, NUL-padded on the right; nan as no bytes.
-
-    The rows are as wide as the longest of them, at most ``WIDTH``.
-    """
-    a = np.asarray(values, dtype=float).ravel()
-    source, key, decided = _sources(a)
+def _gather(a: np.ndarray, source: np.ndarray, key: np.ndarray, decided: np.ndarray) -> np.ndarray:
+    """The layout stage of ``shortest_repr``: the rows of ``a`` from its ``_sources``, undecided values by ``repr``."""
     table, lengths = _layouts()
     index = np.take(table, key, axis=0)
     index += (np.arange(len(a)) * _SOURCE)[:, None]
@@ -220,3 +217,12 @@ def shortest_repr(values) -> np.ndarray:
         out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
         width = max(width, len(text))
     return out[:, :width]
+
+
+def shortest_repr(values) -> np.ndarray:
+    """``repr`` of every value as one row of ascii bytes, NUL-padded on the right; nan as no bytes.
+
+    The rows are as wide as the longest of them, at most ``WIDTH``.
+    """
+    a = np.asarray(values, dtype=float).ravel()
+    return _gather(a, *_sources(a))

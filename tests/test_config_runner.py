@@ -1,6 +1,10 @@
 import dataclasses
+import errno
 import hashlib
 import json
+import os
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -390,15 +394,101 @@ def _adversarial_run():
 @pytest.mark.parametrize("case", ["fig1a_full", "fig4_full", "adversarial"])
 def test_density_csv_matches_the_per_cell_repr_writer(case, request, tmp_path, monkeypatch):
     if case == "adversarial":
-        monkeypatch.setattr(runner, "_CHUNK_CELLS", 1)   # one frame per chunk: every frame ends a chunk
         result, dens = _adversarial_run()
-        runner._write(tmp_path / "density.csv", runner._density_frames(result, dens))
-        written = (tmp_path / "density.csv").read_bytes()
+        written = {}
+        # one frame per chunk, chunks of two frames with the last one short, one chunk for the whole grid
+        for chunk_cells in (1, dens.shape[1] * 5 // 2, dens.size):
+            monkeypatch.setattr(runner, "_CHUNK_CELLS", chunk_cells)
+            runner._write(tmp_path / "density.csv", runner._density_frames(result, dens))
+            written[chunk_cells] = (tmp_path / "density.csv").read_bytes()
     else:
         result = request.getfixturevalue(case)[0]
         dens = sw.wavepacket.aggregate_density(result.site_densities, result.geometry)
-        written = _emit_density(request.getfixturevalue(case), tmp_path)
-    assert written == repr_density_csv(result.geometry.density_positions, result.times, result.log_norms, dens)
+        written = {None: _emit_density(request.getfixturevalue(case), tmp_path)}
+    expected = repr_density_csv(result.geometry.density_positions, result.times, result.log_norms, dens)
+    assert written == dict.fromkeys(written, expected)
+
+
+def test_ahead_runs_one_helper_per_caller_in_order_at_most_two_items_ahead():
+    """Four callers (more than the cores), each with its own helper, under a 1 us switch interval."""
+    def drive(results):
+        caller, started, helpers = threading.get_ident(), [], set()
+
+        def square(item):
+            helpers.add(threading.get_ident())
+            started.append(item)
+            return item * item
+
+        for k, value in enumerate(runner._ahead(square, list(range(500)))):
+            results.append(value == k * k and max(started) <= k + 2)
+        results.append(started == list(range(500)) and len(helpers) == 1 and caller not in helpers)
+
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = [[] for _ in range(4)]
+        callers = [threading.Thread(target=drive, args=(r,)) for r in results]
+        for c in callers:
+            c.start()
+        for c in callers:
+            c.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(c.is_alive() for c in callers)
+    assert results == [[True] * 501] * 4 and threading.active_count() == threads
+
+
+@pytest.mark.parametrize("stage", ["_sources", "_gather"], ids=["digits", "layout"])
+def test_an_error_in_either_stage_is_raised_at_its_chunk_and_no_thread_is_left(stage, fig1a_full, tmp_path, monkeypatch):
+    """The third chunk's digits (on the helper) or layout (on the caller) fail: the error leaves emit_outputs after two chunks."""
+    full = _emit_density(fig1a_full, tmp_path / "full")
+    calls, real = [], getattr(runner, stage)
+
+    def failing(a, *sources):
+        calls.append(len(a))
+        if len(calls) == 3:
+            raise RuntimeError("third chunk")
+        return real(a, *sources)
+
+    monkeypatch.setattr(runner, stage, failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="third chunk") as caught:   # held, as a caller's handler holds it
+        _emit_density(fig1a_full, tmp_path / "out")
+    assert threading.active_count() == threads
+    written = (tmp_path / "out" / "density.csv").read_bytes()
+    assert written == full[: len(written)] and written.count(b"\n") == 1 + 2 * calls[0]
+
+
+def test_a_write_error_part_way_through_density_csv_names_the_file_and_leaves_no_thread(
+    fig1a_full, tmp_path, monkeypatch
+):
+    """The disk fills at density.csv's third write, with the helper chunks ahead: a ConfigError naming the file."""
+    class FillsUp:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, chunk):
+            self.writes += 1
+            if self.writes == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return self.fh.write(chunk)
+
+    def opener(open_):
+        return lambda path, *args, **kwargs: (
+            FillsUp(open_(path, *args, **kwargs)) if path.name == "density.csv" else open_(path, *args, **kwargs))
+
+    monkeypatch.setattr(Path, "open", opener(Path.open))
+    result, trajectory, oracle, config = fig1a_full
+    threads = threading.active_count()
+    with pytest.raises(ConfigError, match=r"output.directory: cannot write .*density.csv: No space left on device") as caught:   # held
+        emit_outputs(result, trajectory, oracle, config.with_overrides(out_dir=tmp_path))
+    assert threading.active_count() == threads
 
 
 def test_formatter_decides_nearly_every_density_cell(fig1a_full):
