@@ -33,17 +33,16 @@ from .model import (
     NonHermitianSSH,
     band_curvature,
     build_hamiltonian,
+    chain_similarity,
+    counterpart,
     group_velocity,
+    skin_factor,
 )
 from .oracle import (
     GeneralOracleParams,
     general_peak,
     general_velocities,
     width_series,
-)
-from .similarity import (
-    chain_similarity,
-    skin_factor,
 )
 from .wavepacket import (
     AnalysisOptions,

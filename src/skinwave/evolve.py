@@ -21,10 +21,9 @@ Gershgorin bound on |E|) are refused on the call, on every route.
 array, so it never forms a complex (frames x dim) array.
 
 The spectral route is the paper's factorisation H = S Hbar S^-1: a spec whose
-real symmetric counterpart Hbar ``similarity.chain_similarity`` reads from the
-operator's three bands, with the positive diagonal S, is evolved through its
-modes; the route is chosen from Hbar's bands and none solves an eigenproblem
-of the whole chain:
+real symmetric counterpart Hbar and positive diagonal S ``model.counterpart``
+reads from its three bands is evolved through Hbar's modes; the route is
+chosen from Hbar's bands and none solves an eigenproblem of the whole chain:
 
 * sine: a uniform Hbar (continuum and discrete chains); its modes are the
   DST-I, so expansion and synthesis are one FFT each and only S is stored;
@@ -59,8 +58,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DefectiveMatrix, DimensionMismatch, InvalidParameter, NumericalOverflow
-from .model import Geometry, HamiltonianMatrix, ModelSpec, axis_y_twin, build_hamiltonian
-from .similarity import chain_similarity
+from .model import Geometry, HamiltonianMatrix, ModelSpec, counterpart
 
 CONDITION_LIMIT = 1e12
 
@@ -327,15 +325,14 @@ def decompose(h) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, right=v, left=x.conj().T)
 
 
-def _decompose_chain(bands: dict[int, np.ndarray]) -> SineModes | ChiralModes | None:
-    """Counterpart route chosen from the structure of the counterpart's bands; None where none fits.
+def _decompose_chain(sim) -> SineModes | ChiralModes | None:
+    """Counterpart route chosen from the structure of ``sim`` = (S, diagonal, off-diagonal); None where none fits.
 
     A uniform counterpart d + c (shift + shift^T) takes 'sine', E_n = d + 2 c
     cos(n pi / (N+1)); a zero-diagonal one on an even number of sites takes
     'chiral', the singular modes of the half-size B (``_bidiagonal_svd``).
-    No eigensolve of the whole chain.
+    No eigensolve of the whole chain; None for ``sim`` None (no counterpart).
     """
-    sim = chain_similarity(bands)
     if sim is None:
         return None
     s, diag, off = sim
@@ -753,15 +750,17 @@ def _two_segments(a1: float, a2: float, b: float, n1: int, n2: int) -> tuple[np.
 def decompose_model(h: HamiltonianMatrix, spec: ModelSpec | None) -> SineModes | ChiralModes | None:
     """Counterpart route of a model spec; None for a chain without a counterpart, or without a spec.
 
-    Every spec goes through ``_decompose_chain`` on its bands; a gain/loss
-    two-band chain goes through the bands of its asymmetric-hop twin, rotated
-    back cell by cell.
+    Every spec goes through ``_decompose_chain`` on its ``counterpart``; a
+    gain/loss two-band chain's modes are those of its asymmetric-hop twin,
+    rotated back cell by cell.  A spec whose dimension is not ``h``'s raises
+    DimensionMismatch.
     """
     if spec is None:
         return None
-    twin = axis_y_twin(spec)
-    dec = _decompose_chain(h.bands if twin is spec else build_hamiltonian(twin).bands)
-    return dec if dec is None or twin is spec else replace(dec, rotated=True)
+    dec = _decompose_chain(counterpart(spec))
+    if dec is not None and len(dec.s) != h.dim:
+        raise DimensionMismatch(f"decompose_model: the spec has dimension {len(dec.s)}, the operator {h.dim}")
+    return replace(dec, rotated=True) if dec is not None and getattr(spec, "axis", "y") == "z" else dec
 
 
 # largest Taylor degree of an expm step, Al-Mohy and Higham's m_max: a higher

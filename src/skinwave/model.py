@@ -10,10 +10,18 @@ Conventions used throughout:
   non-Hermiticity on the intracell hops (t1 +/- gamma/2); the gain/loss
   variant carries it as +i gamma/2 on A and -i gamma/2 on B sites.
 * Every family is banded (|offset| <= 3) and is stored as its bands.
+
+The Hermitian counterpart is read from the bands in one place, ``counterpart``:
+a real tridiagonal H with same-sign off-diagonals a (super) and b (sub) is
+S Hbar S^-1, with S = diag(1, cumprod(sqrt(b/a))) positive and Hbar real
+symmetric (same diagonal, off-diagonals sign(a) sqrt(a b)).  S carries the skin
+effect and Hbar the Hermitian spreading; the counterpart routes, the skin
+factor and the band laws all read them there.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -22,8 +30,6 @@ from typing import Union
 import numpy as np
 
 from .errors import ExceptionalParameter, InvalidGrid, InvalidParameter
-
-_SQ = math.sqrt
 
 # largest dimension a spec may ask for: the chiral route's mode tables are (dim/2) x (dim/2)
 MAX_DIM = 4096
@@ -143,11 +149,6 @@ class BoundarySSH:
 ModelSpec = Union[ContinuousHN, DiscreteHN, NonHermitianSSH, BoundarySSH]
 
 
-def axis_y_twin(spec: ModelSpec) -> ModelSpec:
-    """Axis-'y' twin of an axis-'z' two-band spec (equal up to a per-cell rotation); others as they are."""
-    return replace(spec, axis="y") if getattr(spec, "axis", "y") == "z" else spec
-
-
 @dataclass(frozen=True)
 class Geometry:
     """Map from matrix index to physical coordinate."""
@@ -259,36 +260,71 @@ def build_hamiltonian(spec: ModelSpec) -> HamiltonianMatrix:
     return HamiltonianMatrix(bands=bands, geometry=geom)
 
 
-def counterpart_t1(spec: NonHermitianSSH | BoundarySSH) -> float:
-    """Intracell hop of the Hermitian counterpart, sqrt((t1-g/2)(t1+g/2))."""
-    gamma = spec.gamma if isinstance(spec, NonHermitianSSH) else 0.0
-    prod = (spec.t1 - gamma / 2.0) * (spec.t1 + gamma / 2.0)
-    if prod <= 0:
-        raise InvalidParameter("counterpart_t1: no Hermitian counterpart for |gamma/2| > |t1|")
-    return _SQ(prod)
+def chain_similarity(bands: dict[int, np.ndarray]):
+    """``(S, diagonal, off_diagonal)`` of the symmetric counterpart, or None where H has none.
+
+    None for dim < 2, an imaginary entry, a nonzero entry off the three bands,
+    a b <= 0 anywhere, or a product a b, a ratio b/a or an S past the float range.
+    """
+    n = len(bands.get(1, ())) + 1
+    diag, sup, sub = (bands.get(k, np.zeros(n - abs(k))).real for k in (0, 1, -1))
+    if n < 2 or any(np.count_nonzero(b.imag) or (abs(k) > 1 and np.count_nonzero(b)) for k, b in bands.items()):
+        return None
+    with np.errstate(over="ignore"):   # a product, ratio or S past the float range: no counterpart
+        prod = sup * sub
+        if not np.all((0 < prod) & (prod < math.inf)):
+            return None
+        s = np.concatenate([[1.0], np.cumprod(np.sqrt(sub / sup))])
+    if not np.all(np.isfinite(s)):
+        return None
+    return s, diag, np.sign(sup) * np.sqrt(prod)
 
 
-def _counterpart_hop(spec: ContinuousHN | DiscreteHN) -> tuple[float, float]:
-    """(c, dx): the counterpart hop c = sign(sup) sqrt(sup sub) of a single-band chain, and its spacing."""
-    dx, _, sup, sub = _chain_stencil(spec)
-    if not 0.0 < sup * sub < math.inf:
-        raise InvalidParameter(f"{type(spec).__name__}: no Hermitian counterpart (hops {sup:.6g}, {sub:.6g})")
-    return math.copysign(_SQ(sup * sub), sup), dx
+def counterpart(spec: ModelSpec):
+    """``chain_similarity`` of the spec's bands: the one reader of S and Hbar, or None where there is none.
+
+    An axis-'z' two-band spec is read through its axis-'y' twin, equal up to a
+    per-cell rotation.
+    """
+    twin = replace(spec, axis="y") if getattr(spec, "axis", "y") == "z" else spec
+    return chain_similarity(build_hamiltonian(twin).bands)
+
+
+def skin_factor(spec: ModelSpec) -> float | None:
+    """Bulk ratio r = S[cell] / S[0] of the spec's similarity; r = 1 iff the bulk is Hermitian.
+
+    Per site for chains, per cell for two-band chains (the intracell ratio if
+    there is one cell).  None without a Hermitian counterpart: strong gamma,
+    a continuum grid with 2 m b dx >= 1, or hops or an S past the float range.
+    """
+    if (sim := counterpart(spec)) is None:
+        return None
+    s = sim[0]
+    return float(s[min(2 if isinstance(spec, (NonHermitianSSH, BoundarySSH)) else 1, len(s) - 1)] / s[0])
+
+
+@functools.cache
+def _first_hop(spec: ModelSpec) -> float:
+    """The counterpart's first hop, signed: a chain's uniform c, a two-band chain's intracell hop."""
+    if (sim := counterpart(spec)) is None:
+        raise InvalidParameter(f"{type(spec).__name__}: no Hermitian counterpart")
+    return float(sim[2][0])
 
 
 def group_velocity(spec: ModelSpec, k, band: int = 1):
     """dE/dk of the Hermitian counterpart in closed form, for scalar or array ``k``.
 
-    A single-band chain's counterpart band is E = d + 2 c cos(k dx), read from
-    its own stencil (the continuum's grid band, not its dx -> 0 limit k^2/2m).
+    A chain's counterpart band is E = d + 2 c cos(k dx) (the continuum's grid
+    band, not its dx -> 0 limit k^2/2m), a two-band chain's E = +-|c + t2 e^{ik}|,
+    with c the counterpart's first hop, signed, and t2 the spec's intercell hop.
     ``band`` = +1/-1 picks the band of two-band chains; chains ignore it.
     """
     if isinstance(spec, (ContinuousHN, DiscreteHN)):
-        c, dx = _counterpart_hop(spec)
+        c, dx = _first_hop(spec), getattr(spec, "dx", 1.0)
         return -2.0 * c * dx * np.sin(k * dx)
     if band not in (1, -1):
         raise InvalidParameter("group_velocity: band must be +1 or -1")
-    tbar = counterpart_t1(spec)
+    tbar = _first_hop(spec)
     return -band * tbar * spec.t2 * np.sin(k) / np.abs(tbar + spec.t2 * np.exp(1j * k))
 
 
@@ -299,10 +335,10 @@ def band_curvature(spec: ModelSpec, k, band: int = 1):
     ``group_velocity``.
     """
     if isinstance(spec, (ContinuousHN, DiscreteHN)):
-        c, dx = _counterpart_hop(spec)
+        c, dx = _first_hop(spec), getattr(spec, "dx", 1.0)
         return -2.0 * c * dx * dx * np.cos(k * dx)
     v = group_velocity(spec, k, band)   # checks the band
-    tbar = counterpart_t1(spec)
+    tbar = _first_hop(spec)
     return -band * (tbar * spec.t2 * np.cos(k) + v * v) / np.abs(tbar + spec.t2 * np.exp(1j * k))
 
 

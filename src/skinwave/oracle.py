@@ -5,10 +5,10 @@ x(t) = x0 + v0 t + 2 kappa [sigma(t)^2 - sigma(0)^2], with kappa = ln r per
 unit length, v0 the counterpart's group velocity at k0, and sigma(t) the
 width of the counterpart packet, spreading at the band curvature E''(k0):
 sigma(t)^2 = sigma^2 + (E'' t)^2 / (4 sigma^2).  Every uniform chain, the
-continuum grid included, supplies ln r of its similarity and the velocity and
-curvature of its own counterpart band.  Nothing is read from the run.  The
-paper's dx -> 0 forms of the continuum (kappa = b m, v0 = k0/m, E'' = 1/m)
-are what these tend to on a fine grid.
+continuum grid included, reads all three from its one ``model.counterpart``:
+ln r from S, v0 and E'' from the band of Hbar.  Nothing is read from the
+run.  The paper's dx -> 0 forms of the continuum (kappa = b m, v0 = k0/m,
+E'' = 1/m) are what these tend to on a fine grid.
 """
 
 from __future__ import annotations

@@ -32,11 +32,10 @@ from .config import ExperimentConfig, load_config
 from .errors import ConfigError
 from .evolve import EvolutionResult, _check_phase_resolution, evolve_series
 from .model import BoundarySSH, ModelSpec, build_hamiltonian
-from .model import band_curvature, group_velocity
+from .model import band_curvature, group_velocity, skin_factor
 from .oracle import GeneralOracleParams, general_peak, general_velocities, width_series
 from .presets import get_preset
 from .shortest import _gather, _sources, shortest_repr
-from .similarity import skin_factor
 from .wavepacket import (
     LinearFit,
     ReflectionOutcome,

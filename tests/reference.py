@@ -41,11 +41,10 @@ from skinwave.model import (
     HamiltonianMatrix,
     ModelSpec,
     NonHermitianSSH,
-    counterpart_t1,
+    skin_factor,
 )
 from skinwave.oracle import width_series
 from skinwave.shortest import _DIGIT, _DOT, _E, _EXPONENT, _FIXED, _MINUS, _NUL, _PLUS, _SPLIT, _ZERO, WIDTH
-from skinwave.similarity import skin_factor
 
 _SQ = math.sqrt
 
@@ -94,13 +93,18 @@ def bloch_dispersion(spec: ModelSpec, k: float):
     """Periodic-boundary dispersion.
 
     Chains return the (complex) single-band energy; two-band chains return the
-    Hermitian-counterpart pair ``array([E_minus, E_plus])``.
+    Hermitian-counterpart pair ``array([E_minus, E_plus])``, whose intracell
+    hop is sign(t1 + gamma/2) sqrt((t1 - gamma/2)(t1 + gamma/2)) (bulk gamma).
     """
     if isinstance(spec, ContinuousHN):
         return k * k / (2.0 * spec.m) + 1j * spec.b * k + spec.e0
     if isinstance(spec, DiscreteHN):
         return spec.t1 * np.exp(1j * k) + spec.t_minus1 * np.exp(-1j * k)
-    tbar = counterpart_t1(spec)
+    gamma = spec.gamma if isinstance(spec, NonHermitianSSH) else 0.0
+    prod = (spec.t1 - gamma / 2.0) * (spec.t1 + gamma / 2.0)
+    if prod <= 0:
+        raise InvalidParameter("bloch_dispersion: no Hermitian counterpart for |gamma/2| > |t1|")
+    tbar = math.copysign(_SQ(prod), spec.t1 + gamma / 2.0)
     e = _SQ((tbar + spec.t2 * math.cos(k)) ** 2 + (spec.t2 * math.sin(k)) ** 2)
     return np.array([-e, e])
 

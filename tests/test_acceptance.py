@@ -9,10 +9,9 @@ import pytest
 
 import skinwave as sw
 from skinwave.evolve import evolve_series
-from skinwave.model import build_hamiltonian
+from skinwave.model import build_hamiltonian, chain_similarity
 from skinwave.presets import get_preset
 from skinwave.runner import run_preset
-from skinwave.similarity import chain_similarity
 from skinwave.wavepacket import extract_trajectory, gaussian_state
 
 from reference import HNOracleParams, banded, eig_propagated, hn_peak, propagated

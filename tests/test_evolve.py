@@ -24,9 +24,8 @@ from skinwave.evolve import (
     evolve_series,
     matrix_exp,
 )
-from skinwave.model import axis_y_twin
+from skinwave.model import chain_similarity, counterpart
 from skinwave.presets import get_preset, preset_names
-from skinwave.similarity import chain_similarity
 
 from reference import (
     adaptive_taylor_terms,
@@ -210,6 +209,8 @@ def test_evolve_series_validates_times_and_method():
         evolve_series(h, psi, [0.0, np.inf], spec=spec)
     with pytest.raises(InvalidParameter):
         evolve_series(h, psi, [0.0, 1.0], method="verlet", spec=spec)
+    with pytest.raises(DimensionMismatch, match="the spec has dimension 12, the operator 10"):
+        evolve_series(h, psi, [0.0, 1.0], spec=_chain(12)[1])
 
 
 def test_propagate_refuses_a_directly_built_zero_state():
@@ -501,7 +502,7 @@ def test_auto_matches_expm_on_small_specs(spec, t_max, seed):
     times = np.linspace(0.0, t_max, 5)
     auto = evolve_series(h, psi0, times, method="auto", spec=spec)
     ref = evolve_series(h, psi0, times, method="expm", spec=spec)
-    if chain_similarity(sw.build_hamiltonian(axis_y_twin(spec)).bands) is not None:
+    if counterpart(spec) is not None:
         assert auto.route in _COUNTERPART_ROUTES
     else:
         assert auto.route == "expm"
@@ -514,7 +515,7 @@ def test_auto_matches_expm_on_small_specs(spec, t_max, seed):
 def test_every_preset_has_a_chain_similarity():
     for name in preset_names():
         spec = get_preset(name).model
-        assert chain_similarity(sw.build_hamiltonian(axis_y_twin(spec)).bands) is not None, name
+        assert counterpart(spec) is not None, name
 
 
 def _no_eigensolve(*args, **kwargs):
@@ -652,7 +653,7 @@ def test_no_preset_decomposition_calls_an_eigensolver(name, monkeypatch):
 
 
 def _sm_boundary_block() -> tuple[np.ndarray, np.ndarray]:
-    _, _, off = chain_similarity(sw.build_hamiltonian(axis_y_twin(get_preset("sm-boundary").model)).bands)
+    _, _, off = counterpart(get_preset("sm-boundary").model)
     return off[0::2], off[1::2]
 
 

@@ -336,6 +336,37 @@ def test_band_curvature_is_derivative_of_group_velocity():
                 band_curvature(spec, 0.5, 0)
 
 
+def test_band_laws_keep_the_sign_of_t1():
+    """t1 < 0: the counterpart's intracell hop is -sqrt((t1 - gamma/2)(t1 + gamma/2)), and
+    v and E'' are the derivatives of the Bloch band built from that signed hop."""
+    spec = sw.NonHermitianSSH(-2.0, 1.0, -0.2, 10)
+    h = 1e-4
+    for band in (1, -1):
+        for k in (-2.9, -1.3, -0.4, 0.3, 1.0, 2.0, 2.8):
+            e = [hermitian_dispersion(spec, k + d, band) for d in (-h, 0.0, h)]
+            assert group_velocity(spec, k, band) == pytest.approx((e[2] - e[0]) / (2.0 * h), rel=1e-7)
+            assert band_curvature(spec, k, band) == pytest.approx((e[2] - 2.0 * e[1] + e[0]) / h**2, abs=1e-6)
+    assert group_velocity(spec, 1.0, band=-1) == pytest.approx(-0.99889, abs=1e-5)
+
+
+def test_band_laws_of_an_all_gamma_boundary_chain_are_the_uniform_chain_laws():
+    """gamma on every cell of a BoundarySSH makes it the uniform chain: its counterpart hop carries gamma."""
+    ks = np.linspace(-np.pi, np.pi, 41)
+    uniform = sw.NonHermitianSSH(2.0, 1.0, -0.2, 10)
+    for axis in ("y", "z"):
+        boundary = sw.BoundarySSH(2.0, 1.0, -0.2, 10, boundary_cells=10, axis=axis)
+        for band in (1, -1):
+            for law in (group_velocity, band_curvature):
+                assert np.array_equal(law(boundary, ks, band), law(uniform, ks, band))
+        assert sw.skin_factor(boundary) == sw.skin_factor(uniform)
+        assert group_velocity(boundary, 1.0, band=-1) == pytest.approx(0.62866, abs=1e-5)
+
+
+def test_one_cell_keeps_the_intercell_hop_of_its_spec():
+    """A one-cell chain's counterpart has no intercell hop; the laws keep t2 from the spec."""
+    assert group_velocity(sw.NonHermitianSSH(2.0, 1.0, -0.2, 1), 1.0, band=-1) == pytest.approx(0.62866, abs=1e-5)
+
+
 def test_momentum_solver_hits_target_velocity():
     spec = sw.NonHermitianSSH(t1=20.0, t2=10.0, gamma=-2.0, n_cells=50, axis="y")
     k = solve_momentum_for_velocity(spec, 1.0, band=-1)

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skinwave as sw
+from skinwave.config import ExperimentConfig, OutputOptions, TimeGrid
 from skinwave.errors import InvalidParameter
 from skinwave.model import group_velocity
 from skinwave.presets import get_preset
-from skinwave.runner import oracle_series
+from skinwave.runner import oracle_series, run_experiment
 from skinwave.wavepacket import TrajectorySeries
 
 from reference import HNOracleParams, hn_density, hn_peak, norm_amplification, sigma_sq_t
@@ -231,6 +232,21 @@ def test_lattice_oracle_columns_state_the_band_curvature_law():
     np.testing.assert_allclose(oracle.v_in[:ci], (v0 + drift)[:ci], rtol=1e-12, atol=0)
     np.testing.assert_allclose(oracle.v_ref[ci:], (-v0 + drift)[ci:], rtol=1e-12, atol=0)
     assert np.all(np.isnan(oracle.x_peak[ci:])) and np.all(np.isnan(oracle.v_ref[:ci]))
+
+
+def test_oracle_follows_a_chain_with_negative_t1(tmp_path):
+    """t1 < 0 flips the sign of the counterpart band's velocity: launched at k0 = 1 the
+    packet moves left at v0 = -0.999, and the oracle follows it within a cell."""
+    cfg = ExperimentConfig(
+        model=sw.NonHermitianSSH(-2.0, 1.0, -0.2, 200),
+        packet=sw.GaussianParams(sigma=10.0, x0=100.0, k0=1.0),
+        times=TimeGrid(t_max=600.0, frame_count=120),
+        analysis=sw.AnalysisOptions(smoothing_window=5, contact_threshold=6.0, guard_band=5),
+        output=OutputOptions(directory=str(tmp_path), density_csv=False, heatmap=False),
+    )
+    report = run_experiment(cfg)
+    assert report.max_oracle_deviation is not None
+    assert report.max_oracle_deviation <= 1.0
 
 
 def test_predict_stuck_threshold():

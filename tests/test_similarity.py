@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import skinwave as sw
 from skinwave.evolve import _decompose_chain
-from skinwave.model import axis_y_twin, band_curvature, group_velocity
+from skinwave.model import band_curvature, counterpart, group_velocity
 
 from reference import dense_bases, hermiticity_residual, skin_factor_per_unit_length
 
@@ -101,6 +101,26 @@ def test_band_functions_refuse_a_grid_without_counterpart():
                 law(spec, 0.3)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "spec",
+    [
+        sw.ContinuousHN(m=1e-300, b=0.0, length=1.0, dx=0.01),   # hops -5e303: a b overflows
+        sw.DiscreteHN(1e-300, 1e300, 10),   # a b = 1, but b / a overflows
+        sw.DiscreteHN(1.0, 1e10, 4096),   # r = 1e5 per site: S overflows past site 61
+    ],
+)
+def test_a_counterpart_past_the_float_range_is_none_without_a_warning(spec):
+    """The reader, the skin factor, the routes and the band laws all say "no counterpart"."""
+    h = sw.build_hamiltonian(spec)
+    assert sw.chain_similarity(h.bands) is None and counterpart(spec) is None
+    assert sw.skin_factor(spec) is None
+    assert sw.decompose_model(h, spec) is None
+    for law in (group_velocity, band_curvature):
+        with pytest.raises(sw.InvalidParameter, match="no Hermitian counterpart"):
+            law(spec, 0.3)
+
+
 def test_build_similarity_discrete_pattern():
     s, _, _ = sw.chain_similarity(sw.build_hamiltonian(sw.DiscreteHN(1.0, 4.0, 3)).bands)   # r = 2
     assert np.allclose(s, [1.0, 2.0, 4.0], rtol=1e-12)
@@ -111,7 +131,7 @@ def test_build_similarity_ssh_pattern():
     # t1 = 5/3, gamma = -2 gives r = 2 per cell, on both axes
     for axis in ("y", "z"):
         spec = sw.NonHermitianSSH(t1=5.0 / 3.0, t2=1.0, gamma=-2.0, n_cells=2, axis=axis)
-        s, _, _ = sw.chain_similarity(sw.build_hamiltonian(axis_y_twin(spec)).bands)
+        s, _, _ = counterpart(spec)
         assert np.allclose(s, [1.0, 2.0, 2.0, 4.0], rtol=1e-12)
         assert sw.skin_factor(spec) == pytest.approx(2.0)
 
@@ -126,7 +146,7 @@ def test_build_similarity_boundary_ssh_identity_flagged():
     and r only across the gamma cells; its bulk skin factor is 1."""
     spec = sw.BoundarySSH(20.0, 10.0, -2.0, 6, boundary_cells=2)
     assert sw.chain_similarity(sw.build_hamiltonian(spec).bands) is None   # axis z: imaginary hops
-    s, _, _ = sw.chain_similarity(sw.build_hamiltonian(axis_y_twin(spec)).bands)
+    s, _, _ = counterpart(spec)
     r = np.sqrt(21.0 / 19.0)
     assert np.allclose(s, [1.0] * 9 + [r, r, r * r], rtol=1e-12)
     assert sw.skin_factor(spec) == 1.0
@@ -209,11 +229,11 @@ def test_conjugation_preserves_spectrum(spec):
 def test_chain_symmetric_counterpart():
     spec = sw.DiscreteHN(1.0, 2.0, 10)
     h = sw.build_hamiltonian(spec)
-    dec = _decompose_chain(h.bands)
+    dec = _decompose_chain(sw.chain_similarity(h.bands))
     right, left = dense_bases(dec)
     biorth = left.conj().T @ right - np.eye(10)
     rebuilt = (right * dec.eigenvalues) @ left.conj().T - h.matrix
     assert np.max(np.abs(biorth)) < 1e-12
     assert np.max(np.abs(rebuilt)) < 1e-12
     # sign-mixed off-diagonals admit no positive-diagonal symmetrizer: [[0, 1], [-1, 0]]
-    assert _decompose_chain({0: np.zeros(2), 1: np.array([1.0]), -1: np.array([-1.0])}) is None
+    assert _decompose_chain(sw.chain_similarity({0: np.zeros(2), 1: np.array([1.0]), -1: np.array([-1.0])})) is None
