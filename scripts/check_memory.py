@@ -55,7 +55,7 @@ def traced(spec, packet, times, method: str):
     psi0 = gaussian_state(h.geometry, packet)
     tracemalloc.start()
     start = time.perf_counter()
-    result = evolve_series(h, psi0, times, method=method, spec=spec)
+    result = evolve_series(h, psi0, times, method=method)
     seconds = time.perf_counter() - start
     peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
     tracemalloc.stop()

@@ -47,8 +47,8 @@ def route_gaps(name: str) -> tuple[str, str, float, float]:
     spec, packet, times, method = case(name)
     h = build_hamiltonian(spec)
     psi0 = gaussian_state(h.geometry, packet)
-    default = evolve_series(h, psi0, times, method=method, spec=spec)
-    path = decompose_model(h, spec).path if default.route.startswith("chiral") else "-"
+    default = evolve_series(h, psi0, times, method=method)
+    path = decompose_model(h).path if default.route.startswith("chiral") else "-"
     expm = evolve_series(h, psi0, times, method="expm")
     return (
         default.route,

@@ -10,20 +10,22 @@ Two independent routes:
   similarity); one unit-time generator serves every gap, scaled by it.
 
 ``propagate`` is the one interface to both, and it takes one operator form:
-a banded ``HamiltonianMatrix`` (``build_hamiltonian``).  It takes a grid of
-elapsed times and yields unit-normalised amplitudes with the total log-norm
-per frame (so norms of order exp(hundreds) stay representable), a block of
-frames at a time (``_BLOCK_CELLS`` cells, or one frame on the expm route).  A
-frame at zero elapsed time is the initial state itself.  Times whose phases
-E t have lost their digits (``PHASE_LIMIT``, against the operator's
-Gershgorin bound on |E|) are refused on the call, on every route.
+a banded ``HamiltonianMatrix`` (``build_hamiltonian``), which carries the spec
+it was built from, so one input picks the route.  It takes a grid of elapsed
+times and yields unit-normalised amplitudes with the total log-norm per frame
+(so norms of order exp(hundreds) stay representable), a block of frames at a
+time (``_BLOCK_CELLS`` cells, or one frame on the expm route).  A frame at
+zero elapsed time is the initial state itself.  Times whose phases E t have
+lost their digits (``PHASE_LIMIT``, against the operator's Gershgorin bound
+on |E|) are refused on the call, on every route.
 ``evolve_series`` writes the blocks' densities into one (frames x dim) float
 array, so it never forms a complex (frames x dim) array.
 
-The spectral route is the paper's factorisation H = S Hbar S^-1: a spec whose
-real symmetric counterpart Hbar and positive diagonal S ``model.counterpart``
-reads from its three bands is evolved through Hbar's modes; the route is
-chosen from Hbar's bands and none solves an eigenproblem of the whole chain:
+The spectral route is the paper's factorisation H = S Hbar S^-1: an operator
+whose spec has a real symmetric counterpart Hbar and positive diagonal S
+(``model.counterpart``, read from its three bands) is evolved through Hbar's
+modes; the route is chosen from Hbar's bands and none solves an eigenproblem
+of the whole chain:
 
 * sine: a uniform Hbar (continuum and discrete chains); its modes are the
   DST-I, so expansion and synthesis are one FFT each and only S is stored;
@@ -37,8 +39,8 @@ chosen from Hbar's bands and none solves an eigenproblem of the whole chain:
 * ...+rotation: the gain/loss two-band chains use their asymmetric-hop twin,
   rotating psi0 into it and the frames back cell by cell.
 
-Every other input (a chain without a counterpart, or an operator passed
-without its spec) takes expm.  States are mapped through S^-1 and S, which
+Every other input (a chain without a counterpart, or an operator built
+without a spec) takes expm.  States are mapped through S^-1 and S, which
 stays accurate far past where inverting a right-eigenvector matrix fails
 (states weighted at the small-S end lose eps * S_max / S_min).  No route
 forms an N x N array: only a chiral block with an edge mode or more than two
@@ -53,12 +55,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DefectiveMatrix, DimensionMismatch, InvalidParameter, NumericalOverflow
-from .model import Geometry, HamiltonianMatrix, ModelSpec, counterpart
+from .model import Geometry, HamiltonianMatrix, counterpart
 
 CONDITION_LIMIT = 1e12
 
@@ -323,29 +325,6 @@ def decompose(h) -> SpectralDecomposition:
         raise DefectiveMatrix(f"left eigenvectors off biorthogonal by {np.max(np.abs(scale - 1.0)):.1e}")
     x /= scale[:, None]
     return SpectralDecomposition(eigenvalues=w, right=v, left=x.conj().T)
-
-
-def _decompose_chain(sim) -> SineModes | ChiralModes | None:
-    """Counterpart route chosen from the structure of ``sim`` = (S, diagonal, off-diagonal); None where none fits.
-
-    A uniform counterpart d + c (shift + shift^T) takes 'sine', E_n = d + 2 c
-    cos(n pi / (N+1)); a zero-diagonal one on an even number of sites takes
-    'chiral', the singular modes of the half-size B (``_bidiagonal_svd``).
-    No eigensolve of the whole chain; None for ``sim`` None (no counterpart).
-    """
-    if sim is None:
-        return None
-    s, diag, off = sim
-    if s.min() < np.finfo(float).tiny:
-        raise NumericalOverflow("similarity S underflows: S^-1 is not representable")
-    n = len(s)
-    if np.all(diag == diag[0]) and np.all(off == off[0]):
-        energies = diag[0] + 2.0 * off[0] * np.cos(np.arange(1, n + 1) * (math.pi / (n + 1)))
-        return SineModes(energies.astype(complex), s, False)
-    if n % 2 == 0 and not np.any(diag):
-        u, sigma, v, path = _bidiagonal_svd(off[0::2], off[1::2])
-        return ChiralModes(np.concatenate([sigma, -sigma]).astype(complex), s, False, u, v, path)
-    return None
 
 
 def _bidiagonal_svd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
@@ -747,20 +726,26 @@ def _two_segments(a1: float, a2: float, b: float, n1: int, n2: int) -> tuple[np.
     return u, sigma * unit, v
 
 
-def decompose_model(h: HamiltonianMatrix, spec: ModelSpec | None) -> SineModes | ChiralModes | None:
-    """Counterpart route of a model spec; None for a chain without a counterpart, or without a spec.
+def decompose_model(h: HamiltonianMatrix) -> SineModes | ChiralModes | None:
+    """Counterpart route of the operator's spec, chosen from its ``counterpart``; None without one, or without a spec.
 
-    Every spec goes through ``_decompose_chain`` on its ``counterpart``; a
-    gain/loss two-band chain's modes are those of its asymmetric-hop twin,
-    rotated back cell by cell.  A spec whose dimension is not ``h``'s raises
-    DimensionMismatch.
+    A uniform counterpart d + c (shift + shift^T) takes 'sine', E_n = d + 2 c
+    cos(n pi / (N+1)); every other one is a zero-diagonal two-band chain and
+    takes 'chiral', the singular modes of the half-size B (``_bidiagonal_svd``).
+    A gain/loss two-band chain's modes are those of its asymmetric-hop twin,
+    rotated back cell by cell.  No eigensolve of the whole chain.
     """
-    if spec is None:
+    if h.spec is None or (sim := counterpart(h.spec)) is None:
         return None
-    dec = _decompose_chain(counterpart(spec))
-    if dec is not None and len(dec.s) != h.dim:
-        raise DimensionMismatch(f"decompose_model: the spec has dimension {len(dec.s)}, the operator {h.dim}")
-    return replace(dec, rotated=True) if dec is not None and getattr(spec, "axis", "y") == "z" else dec
+    s, diag, off = sim
+    if s.min() < np.finfo(float).tiny:
+        raise NumericalOverflow("similarity S underflows: S^-1 is not representable")
+    n, rotated = len(s), getattr(h.spec, "axis", "y") == "z"
+    if np.all(diag == diag[0]) and np.all(off == off[0]):
+        energies = diag[0] + 2.0 * off[0] * np.cos(np.arange(1, n + 1) * (math.pi / (n + 1)))
+        return SineModes(energies.astype(complex), s, rotated)
+    u, sigma, v, path = _bidiagonal_svd(off[0::2], off[1::2])
+    return ChiralModes(np.concatenate([sigma, -sigma]).astype(complex), s, rotated, u, v, path)
 
 
 # largest Taylor degree of an expm step, Al-Mohy and Higham's m_max: a higher
@@ -991,20 +976,20 @@ def _expm_frames(h: HamiltonianMatrix, psi0: WaveState, ts: np.ndarray):
         prev_t = t
 
 
-def propagate(h: HamiltonianMatrix, psi0: WaveState, times, method: str = "auto", spec: ModelSpec | None = None):
+def propagate(h: HamiltonianMatrix, psi0: WaveState, times, method: str = "auto"):
     """Evolve psi0 under the banded ``h`` to every elapsed time in ``times``; returns (route, blocks).
 
     ``h`` is a ``HamiltonianMatrix`` (``build_hamiltonian``); any other
     operator is refused with InvalidParameter.  The operator, the method, the
-    times and ``decompose_model`` run on the call: a spec with a counterpart
-    route takes it under 'auto', and every other input (``spec=None`` among
-    them) takes 'expm' ('spectral' refuses it).  Times whose phases E t have
-    lost their digits (``PHASE_LIMIT``) are refused with InvalidParameter.
-    ``blocks`` yields (grid index of the first frame, unit-normalised
-    amplitudes (frames x dim), total log-norms): ``_BLOCK_CELLS`` cells per
-    block on a counterpart route (psi0 expanded again for each), one frame
-    per block on 'expm'.  A degenerate norm raises NumericalOverflow naming
-    its frame on the grid.
+    times and ``decompose_model`` run on the call: an operator whose spec
+    (``h.spec``) has a counterpart route takes it under 'auto', and every other
+    one (an operator without a spec among them) takes 'expm' ('spectral'
+    refuses it).  Times whose phases E t have lost their digits
+    (``PHASE_LIMIT``) are refused with InvalidParameter.  ``blocks`` yields
+    (grid index of the first frame, unit-normalised amplitudes (frames x dim),
+    total log-norms): ``_BLOCK_CELLS`` cells per block on a counterpart route
+    (psi0 expanded again for each), one frame per block on 'expm'.  A
+    degenerate norm raises NumericalOverflow naming its frame on the grid.
     """
     if not isinstance(h, HamiltonianMatrix):
         raise InvalidParameter(f"propagate: the operator must be a HamiltonianMatrix, got {type(h).__name__}")
@@ -1012,9 +997,9 @@ def propagate(h: HamiltonianMatrix, psi0: WaveState, times, method: str = "auto"
         raise InvalidParameter(f"propagate: unknown method {method!r}")
     ts = _check_times(times, psi0, h.dim)
     _check_phase_resolution(h, float(np.max(np.abs(ts))))
-    dec = None if method == "expm" else decompose_model(h, spec)
+    dec = None if method == "expm" else decompose_model(h)
     if dec is None and method == "spectral":
-        what = "an operator without its spec (spec=None)" if spec is None else type(spec).__name__
+        what = "an operator without a spec" if h.spec is None else type(h.spec).__name__
         raise InvalidParameter(f"method 'spectral': {what} has no Hermitian counterpart route; use 'auto' or 'expm'")
     if dec is None:
         frames = ((k, state[None], np.array([ln])) for k, (state, ln) in enumerate(_expm_frames(h, psi0, ts)))
@@ -1025,20 +1010,14 @@ def propagate(h: HamiltonianMatrix, psi0: WaveState, times, method: str = "auto"
     return route, ((a, amps, _check_frames(log_norms, ts, a)) for a, amps, log_norms in frames)
 
 
-def evolve_series(
-    h: HamiltonianMatrix,
-    psi0: WaveState,
-    times,
-    method: str = "auto",
-    spec: ModelSpec | None = None,
-) -> EvolutionResult:
+def evolve_series(h: HamiltonianMatrix, psi0: WaveState, times, method: str = "auto") -> EvolutionResult:
     """Sample the evolution on a grid of elapsed times: the densities of ``propagate``'s blocks.
 
     Each block's |amplitude|^2 is written into one preallocated (frames x dim)
     float array and its log-norms into one vector, so the densities are the
     run's only frames x dim array.
     """
-    route, blocks = propagate(h, psi0, times, method, spec)
+    route, blocks = propagate(h, psi0, times, method)
     ts = np.asarray(times, dtype=float)
     densities = np.empty((len(ts), h.dim))
     log_norms = np.empty(len(ts))

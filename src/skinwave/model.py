@@ -169,10 +169,15 @@ class Geometry:
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """Complex operator as bands, ``bands[k] = numpy.diagonal(H, k)`` (absent = 0), plus geometry."""
+    """Complex operator as bands, ``bands[k] = numpy.diagonal(H, k)`` (absent = 0), plus geometry.
+
+    ``spec`` is the model spec the bands were built from (``build_hamiltonian``),
+    None for bands given directly; the counterpart routes read it.
+    """
 
     bands: dict[int, np.ndarray]
     geometry: Geometry
+    spec: ModelSpec | None = None
 
     @property
     def dim(self) -> int:
@@ -240,7 +245,7 @@ def _chain_stencil(spec: ContinuousHN | DiscreteHN) -> tuple[float, float, float
 
 
 def build_hamiltonian(spec: ModelSpec) -> HamiltonianMatrix:
-    """Open-boundary Hamiltonian of any model family, stored as its bands."""
+    """Open-boundary Hamiltonian of any model family, stored as its bands, with ``spec`` on it."""
     if isinstance(spec, (ContinuousHN, DiscreteHN)):
         n = spec.n_sites
         dx, diag, sup, sub = _chain_stencil(spec)
@@ -257,14 +262,15 @@ def build_hamiltonian(spec: ModelSpec) -> HamiltonianMatrix:
         raise InvalidParameter(f"unknown model spec {type(spec).__name__}")
     if not all(np.all(np.isfinite(band)) for band in bands.values()):
         raise InvalidParameter("build_hamiltonian: non-finite matrix entry")
-    return HamiltonianMatrix(bands=bands, geometry=geom)
+    return HamiltonianMatrix(bands, geom, spec)
 
 
 def chain_similarity(bands: dict[int, np.ndarray]):
     """``(S, diagonal, off_diagonal)`` of the symmetric counterpart, or None where H has none.
 
     None for dim < 2, an imaginary entry, a nonzero entry off the three bands,
-    a b <= 0 anywhere, or a product a b, a ratio b/a or an S past the float range.
+    a b <= 0 anywhere, or a product a b, a ratio b/a or an S past the float range
+    (a ratio that underflows to 0 among them).
     """
     n = len(bands.get(1, ())) + 1
     diag, sup, sub = (bands.get(k, np.zeros(n - abs(k))).real for k in (0, 1, -1))
@@ -274,7 +280,10 @@ def chain_similarity(bands: dict[int, np.ndarray]):
         prod = sup * sub
         if not np.all((0 < prod) & (prod < math.inf)):
             return None
-        s = np.concatenate([[1.0], np.cumprod(np.sqrt(sub / sup))])
+        ratio = sub / sup
+        if not np.all(ratio > 0):
+            return None
+        s = np.concatenate([[1.0], np.cumprod(np.sqrt(ratio))])
     if not np.all(np.isfinite(s)):
         return None
     return s, diag, np.sign(sup) * np.sqrt(prod)

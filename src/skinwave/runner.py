@@ -308,7 +308,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     _output_directory(config)   # an unwritable location is refused before anything is evolved
     psi0 = gaussian_state(h.geometry, config.packet)
     times = np.linspace(0.0, config.times.t_max, config.times.frame_count)
-    result = evolve_series(h, psi0, times, method=config.method, spec=spec)
+    result = evolve_series(h, psi0, times, method=config.method)
     trajectory = extract_trajectory(result, config.analysis)
     outcome: ReflectionOutcome = classify_reflection(trajectory, options=config.analysis)
     oracle, deviation = oracle_series(

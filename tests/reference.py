@@ -252,9 +252,9 @@ def banded(m) -> HamiltonianMatrix:
     return HamiltonianMatrix(bands=bands, geometry=Geometry(positions=np.arange(float(len(m))), dx=1.0))
 
 
-def propagated(h, psi0, times, method: str, spec: ModelSpec | None = None) -> tuple[np.ndarray, np.ndarray]:
+def propagated(h, psi0, times, method: str) -> tuple[np.ndarray, np.ndarray]:
     """Unit amplitudes (frames x dim) and log-norms of ``propagate``'s blocks, concatenated over the grid."""
-    _, blocks = propagate(h, psi0, times, method, spec)
+    _, blocks = propagate(h, psi0, times, method)
     _, amps, log_norms = zip(*blocks)
     return np.concatenate(amps), np.concatenate(log_norms)
 

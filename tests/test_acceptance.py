@@ -28,7 +28,7 @@ def fig1a(tmp_path_factory):
     h = build_hamiltonian(cfg.model)
     psi0 = gaussian_state(h.geometry, cfg.packet)
     times = np.linspace(0.0, cfg.times.t_max, cfg.times.frame_count)
-    result = evolve_series(h, psi0, times, method=cfg.method, spec=cfg.model)
+    result = evolve_series(h, psi0, times, method=cfg.method)
     trajectory = extract_trajectory(result, cfg.analysis)
     return cfg, h, psi0, result, trajectory
 
@@ -86,7 +86,7 @@ def test_criterion_3_inelastic_reflection(tmp_path):
 
 def test_criterion_4_amplification(fig1a):
     _, h, psi0, _, _ = fig1a
-    _, (log_norm,) = propagated(h, psi0, [0.5], "spectral", get_preset("fig1a").model)
+    _, (log_norm,) = propagated(h, psi0, [0.5], "spectral")
     ratio = np.exp(2.0 * (log_norm - psi0.log_norm))
     assert ratio == pytest.approx(np.exp(2.0), rel=0.05)
     _ok(4, f"norm ratio at t=0.5 is {ratio:.4f}, within 5% of e^2 = {np.exp(2):.4f}")
@@ -136,7 +136,7 @@ def test_criterion_8_propagator_cross_validation():
     h = build_hamiltonian(spec)
     psi0 = gaussian_state(h.geometry, sw.GaussianParams(sigma=5.0, x0=50.0, k0=-1.0))
     times = np.linspace(0.0, 10.0, 21)
-    a = evolve_series(h, psi0, times, method="spectral", spec=spec)
+    a = evolve_series(h, psi0, times, method="spectral")
     b = evolve_series(h, psi0, times, method="expm")
     dens_err = float(np.max(np.abs(a.site_densities - b.site_densities)))
     ln_err = float(np.max(np.abs(a.log_norms - b.log_norms)))
@@ -172,7 +172,7 @@ def test_criterion_9_structure_suites():
         h_i = build_hamiltonian(spec_i)
         s, _, _ = chain_similarity(h_i.bands)
         psi0 = gaussian_state(h_i.geometry, packet)
-        (lhs,), _ = propagated(h_i, psi0, [t], "spectral", spec_i)
+        (lhs,), _ = propagated(h_i, psi0, [t], "spectral")
         hbar = h_i.matrix * (s[None, :] / s[:, None])
         rhs = s * (matrix_exp(-1j * hbar * t) @ (psi0.amplitudes / s))
         rhs /= np.linalg.norm(rhs)
@@ -183,7 +183,7 @@ def test_criterion_9_structure_suites():
     spec_h = sw.DiscreteHN(1.3, 1.3, 80)
     h_h = build_hamiltonian(spec_h)
     psi0 = gaussian_state(h_h.geometry, sw.GaussianParams(sigma=6.0, x0=40.0, k0=0.4))
-    res = evolve_series(h_h, psi0, np.linspace(0.0, 40.0, 60), spec=spec_h)
+    res = evolve_series(h_h, psi0, np.linspace(0.0, 40.0, 60))
     drift = float(np.max(np.abs(np.exp(res.log_norms - res.log_norms[0]) - 1.0)))
     assert drift < 1e-9
 

@@ -54,7 +54,7 @@ def test_decompose_diagonal_matrix():
 def test_decompose_biorthogonality_and_reconstruction():
     spec = sw.DiscreteHN(1.0, 2.0, 50)
     h = sw.build_hamiltonian(spec)
-    for dec in (decompose(h), decompose_model(h, spec)):
+    for dec in (decompose(h), decompose_model(h)):
         right, left = dense_bases(dec)
         gram = left.conj().T @ right
         assert np.max(np.abs(gram - np.eye(50))) < 1e-8
@@ -82,7 +82,7 @@ def test_decompose_refuses_extreme_conditioning():
 def test_structured_route_survives_extreme_conditioning():
     spec = sw.DiscreteHN(1.0, 2.0, 100)
     h = sw.build_hamiltonian(spec)
-    right, left = dense_bases(decompose_model(h, spec))
+    right, left = dense_bases(decompose_model(h))
     gram = left.conj().T @ right
     assert np.max(np.abs(gram - np.eye(100))) < 1e-12
 
@@ -90,37 +90,36 @@ def test_structured_route_survives_extreme_conditioning():
 def test_similarity_underflow_is_refused():
     spec = sw.DiscreteHN(100.0, 0.01, 200)   # S falls as 1e-2 per site, below the smallest float
     with pytest.raises(NumericalOverflow):
-        decompose_model(sw.build_hamiltonian(spec), spec)
+        decompose_model(sw.build_hamiltonian(spec))
 
 
 def test_propagate_spectral_t0_is_identity():
-    h, spec = _chain(40)
+    h = _chain(40)
     psi = random_state(40)
-    (amps,), (log_norm,) = propagated(h, psi, [0.0], "spectral", spec)
+    (amps,), (log_norm,) = propagated(h, psi, [0.0], "spectral")
     assert np.allclose(amps, psi.amplitudes, atol=1e-12)
     assert log_norm == pytest.approx(psi.log_norm, abs=1e-12)
 
 
 def _chain(n, t1=1.0, tm1=2.0):
-    spec = sw.DiscreteHN(t1, tm1, n)
-    return sw.build_hamiltonian(spec), spec
+    return sw.build_hamiltonian(sw.DiscreteHN(t1, tm1, n))
 
 
 def test_propagate_spectral_hermitian_norm_constant():
-    h, spec = _chain(60, 1.4, 1.4)
+    h = _chain(60, 1.4, 1.4)
     psi = random_state(60)
     for t in (0.5, 3.0, 10.0):
-        _, (log_norm,) = propagated(h, psi, [t], "spectral", spec)
+        _, (log_norm,) = propagated(h, psi, [t], "spectral")
         assert log_norm == pytest.approx(psi.log_norm, abs=1e-10)
 
 
 def test_propagation_composition():
-    h, spec = _chain(50)
+    h = _chain(50)
     psi = random_state(50)
-    (one,), (one_ln,) = propagated(h, psi, [3.1], "spectral", spec)
-    (mid,), (mid_ln,) = propagated(h, psi, [1.9], "spectral", spec)
+    (one,), (one_ln,) = propagated(h, psi, [3.1], "spectral")
+    (mid,), (mid_ln,) = propagated(h, psi, [1.9], "spectral")
     mid_state = sw.WaveState(amplitudes=mid, log_norm_offset=mid_ln)
-    (two,), (two_ln,) = propagated(h, mid_state, [1.2], "spectral", spec)
+    (two,), (two_ln,) = propagated(h, mid_state, [1.2], "spectral")
     assert np.linalg.norm(one - two) < 1e-9
     assert one_ln == pytest.approx(two_ln, rel=1e-9, abs=1e-9)
 
@@ -135,7 +134,7 @@ def test_expm_nilpotent_exact():
 
 
 def test_expm_t0_is_identity():
-    h, _ = _chain(30)
+    h = _chain(30)
     psi = random_state(30)
     (amps,), _ = propagated(h, psi, [0.0], "expm")
     assert np.allclose(amps, psi.amplitudes, atol=1e-14)
@@ -158,22 +157,22 @@ def test_amplification_factor_continuous_rest_packet():
     spec = sw.ContinuousHN(m=1.0, b=1.0, length=10.0, dx=0.01)
     h = sw.build_hamiltonian(spec)
     psi0 = sw.gaussian_state(h.geometry, sw.GaussianParams(sigma=0.25, x0=5.0))
-    _, (log_norm,) = propagated(h, psi0, [0.5], "spectral", spec)
+    _, (log_norm,) = propagated(h, psi0, [0.5], "spectral")
     ratio = np.exp(2.0 * (log_norm - psi0.log_norm))
     assert ratio == pytest.approx(np.exp(2.0), rel=0.05)
 
 
 def test_evolve_series_single_time_is_initial_density():
-    h, spec = _chain(30)
+    h = _chain(30)
     psi = random_state(30)
-    res = evolve_series(h, psi, [0.0], spec=spec)
+    res = evolve_series(h, psi, [0.0])
     assert np.allclose(res.site_densities[0], np.abs(psi.amplitudes) ** 2, atol=1e-12)
 
 
 def test_evolve_series_result_invariants():
-    h, spec = _chain(40)
+    h = _chain(40)
     psi = random_state(40)
-    res = evolve_series(h, psi, np.linspace(0.0, 5.0, 9), spec=spec)
+    res = evolve_series(h, psi, np.linspace(0.0, 5.0, 9))
     assert np.all(res.site_densities >= 0.0)
     assert np.all(np.isfinite(res.log_norms))
     assert res.route == "sine"
@@ -184,33 +183,31 @@ def test_evolve_series_spectral_vs_expm_framewise():
     h = sw.build_hamiltonian(spec)
     psi0 = sw.gaussian_state(h.geometry, sw.GaussianParams(sigma=5.0, x0=50.0, k0=-1.0))
     times = np.linspace(0.0, 10.0, 21)
-    a = evolve_series(h, psi0, times, method="spectral", spec=spec)
+    a = evolve_series(h, psi0, times, method="spectral")
     b = evolve_series(h, psi0, times, method="expm")
     assert np.max(np.abs(a.site_densities - b.site_densities)) < 1e-7
     assert np.max(np.abs(a.log_norms - b.log_norms)) < 1e-7
 
 
 def test_evolve_series_auto_falls_back_to_expm():
-    """An operator passed without its spec has no counterpart route: auto takes expm, and spectral is refused."""
-    h = sw.build_hamiltonian(sw.DiscreteHN(1.0, 2.0, 100))
+    """An operator without a spec has no counterpart route: auto takes expm, and spectral is refused."""
+    h = dataclasses.replace(sw.build_hamiltonian(sw.DiscreteHN(1.0, 2.0, 100)), spec=None)
     psi = random_state(100)
     res = evolve_series(h, psi, np.linspace(0.0, 1.0, 4), method="auto")
     assert res.route == "expm"
-    with pytest.raises(InvalidParameter, match=re.escape("an operator without its spec (spec=None) has no Hermitian")):
+    with pytest.raises(InvalidParameter, match="an operator without a spec has no Hermitian counterpart route"):
         evolve_series(h, psi, [0.0, 1.0], method="spectral")
 
 
 def test_evolve_series_validates_times_and_method():
-    h, spec = _chain(10)
+    h = _chain(10)
     psi = random_state(10)
     with pytest.raises(InvalidParameter):
-        evolve_series(h, psi, [1.0, 0.5], spec=spec)
+        evolve_series(h, psi, [1.0, 0.5])
     with pytest.raises(InvalidParameter):
-        evolve_series(h, psi, [0.0, np.inf], spec=spec)
+        evolve_series(h, psi, [0.0, np.inf])
     with pytest.raises(InvalidParameter):
-        evolve_series(h, psi, [0.0, 1.0], method="verlet", spec=spec)
-    with pytest.raises(DimensionMismatch, match="the spec has dimension 12, the operator 10"):
-        evolve_series(h, psi, [0.0, 1.0], spec=_chain(12)[1])
+        evolve_series(h, psi, [0.0, 1.0], method="verlet")
 
 
 def test_propagate_refuses_a_directly_built_zero_state():
@@ -286,7 +283,7 @@ _SHORT_CHAIN = sw.DiscreteHN(1.0, 2.0, 3)
 def test_propagate_refuses_times_whose_phases_lost_their_digits(h, spec, t_max, method):
     """eps |E| t_max > 1e-8 is refused before any step: not some 1e298 Taylor steps, nor an overflow warning."""
     with _within(10.0), pytest.raises(InvalidParameter, match="lost their digits"):
-        propagated(h, sw.WaveState(np.ones(3, complex)), [0.0, t_max], method, spec)
+        propagated(h, sw.WaveState(np.ones(3, complex)), [0.0, t_max], method)
 
 
 def test_similarity_dynamics_identity():
@@ -309,7 +306,7 @@ def test_similarity_dynamics_identity():
         h = sw.build_hamiltonian(spec)
         s, _, _ = chain_similarity(h.bands)
         psi0 = sw.gaussian_state(h.geometry, packet)
-        (lhs,), (lhs_ln,) = propagated(h, psi0, [t], "spectral", spec)
+        (lhs,), (lhs_ln,) = propagated(h, psi0, [t], "spectral")
         hbar = h.matrix * (s[None, :] / s[:, None])
         rhs = s * (matrix_exp(-1j * hbar * t) @ (psi0.amplitudes / s))
         nrm = np.linalg.norm(rhs)
@@ -321,7 +318,7 @@ def test_hermitian_series_norm_drift():
     spec = sw.DiscreteHN(1.3, 1.3, 80)
     h = sw.build_hamiltonian(spec)
     psi0 = sw.gaussian_state(h.geometry, sw.GaussianParams(sigma=6.0, x0=40.0, k0=0.4))
-    res = evolve_series(h, psi0, np.linspace(0.0, 40.0, 60), spec=spec)
+    res = evolve_series(h, psi0, np.linspace(0.0, 40.0, 60))
     drift = np.abs(np.exp(res.log_norms - res.log_norms[0]) - 1.0)
     assert np.max(drift) < 1e-9
 
@@ -335,15 +332,15 @@ def test_global_phase_immunity():
     for spec in (base, shifted):
         h = sw.build_hamiltonian(spec)
         psi = sw.gaussian_state(h.geometry, packet)
-        frames.append(evolve_series(h, psi, times, spec=spec).site_densities)
+        frames.append(evolve_series(h, psi, times).site_densities)
     assert np.max(np.abs(frames[0] - frames[1])) < 1e-12
 
 
 def test_error_carries_frame_context():
-    h, spec = _chain(10)
+    h = _chain(10)
     psi = random_state(11)
     with pytest.raises(Exception, match="frame 0"):
-        evolve_series(h, psi, [0.0, 1.0], spec=spec)
+        evolve_series(h, psi, [0.0, 1.0])
 
 
 @settings(max_examples=10, deadline=None)
@@ -369,7 +366,7 @@ def test_strong_gamma_ssh_spectral_matches_expm(axis):
     psi0 = sw.gaussian_state(h.geometry, sw.GaussianParams(sigma=1.0, x0=4.5, k0=0.5))
     times = np.linspace(0.0, 3.0, 13)
     amps, log_norms = eig_propagated(h, psi0, times)
-    b = evolve_series(h, psi0, times, method="auto", spec=spec)
+    b = evolve_series(h, psi0, times, method="auto")
     assert b.route == "expm"
     assert np.max(np.abs(np.abs(amps) ** 2 - b.site_densities)) < 1e-7
     assert np.max(np.abs(log_norms - b.log_norms)) < 1e-7
@@ -426,22 +423,22 @@ def test_chain_route_never_assembles_dense_matrix(spec, method, monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", _no_eigensolve)
     with pytest.raises(_DenseAssembled):
         h.matrix
-    amps, log_norms = propagated(h, psi0, times, method, spec)
+    amps, log_norms = propagated(h, psi0, times, method)
     assert np.max(np.abs(np.abs(amps) ** 2 - np.abs(ref_amps) ** 2)) <= 1e-7
     assert np.max(np.abs(log_norms - ref_log_norms)) <= 1e-7
 
 
 def test_spectral_grid_matches_per_frame_products():
-    h, spec = _chain(40)
+    h = _chain(40)
     psi = random_state(40)
     times = np.array([0.0, 0.0, 0.7, 2.0, 2.0, 5.5])
-    amps, log_norms = propagated(h, psi, times, "spectral", spec)
+    amps, log_norms = propagated(h, psi, times, "spectral")
     assert amps.shape == (6, 40)
     for k in (0, 1):
         assert np.array_equal(amps[k], psi.amplitudes)
         assert log_norms[k] == psi.log_norm
     # reference: one matrix-vector product per frame
-    dec = decompose_model(h, spec)
+    dec = decompose_model(h)
     right, left = dense_bases(dec)
     coeff = left.conj().T @ psi.amplitudes
     for k in (2, 3, 5):
@@ -500,8 +497,8 @@ def test_auto_matches_expm_on_small_specs(spec, t_max, seed):
     rng = np.random.default_rng(seed)
     psi0 = sw.WaveState.from_amplitudes(rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim))
     times = np.linspace(0.0, t_max, 5)
-    auto = evolve_series(h, psi0, times, method="auto", spec=spec)
-    ref = evolve_series(h, psi0, times, method="expm", spec=spec)
+    auto = evolve_series(h, psi0, times, method="auto")
+    ref = evolve_series(h, psi0, times, method="expm")
     if counterpart(spec) is not None:
         assert auto.route in _COUNTERPART_ROUTES
     else:
@@ -543,7 +540,7 @@ def test_preset_decomposition_holds_no_full_size_basis(name, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", _no_eigensolve if sine else _half_size_eigh(h.dim))
     monkeypatch.setattr(np.linalg, "eig", _no_eigensolve)
     monkeypatch.setattr(np.linalg, "svd", _no_eigensolve)
-    dec = decompose_model(h, spec)
+    dec = decompose_model(h)
     assert dec.route in _COUNTERPART_ROUTES
     largest = h.dim if dec.route.startswith("sine") else (h.dim // 2) ** 2
     fields = [getattr(dec, f.name) for f in dataclasses.fields(dec)]
@@ -557,15 +554,16 @@ def test_preset_decomposition_holds_no_full_size_basis(name, monkeypatch):
         (sw.BoundarySSH(2.0, 1.0, -0.8, 8, 3, axis="z"), "auto", "chiral+rotation"),
         (sw.NonHermitianSSH(0.5, 1.0, 2.0, 8, axis="y"), "auto", "expm"),
         (sw.DiscreteHN(1.0, 2.0, 12), "expm", "expm"),
+        (sw.NonHermitianSSH(2.0, 1.0, -0.2, 8, axis="z"), "auto", "chiral+rotation"),
     ],
 )
 def test_evolve_series_names_its_route(spec, method, route):
     h = sw.build_hamiltonian(spec)
     psi0 = random_state(h.dim, np.random.default_rng(3))
-    res = evolve_series(h, psi0, [0.0, 1.0], method=method, spec=spec)
+    res = evolve_series(h, psi0, [0.0, 1.0], method=method)
     assert res.route == route
     if method != "expm":
-        dec = decompose_model(h, spec)
+        dec = decompose_model(h)
         assert (dec.route if dec else "expm") == route
 
 
@@ -609,7 +607,7 @@ def _count_svd(monkeypatch) -> list:
 def test_uniform_two_band_presets_skip_the_svd(name, monkeypatch):
     spec = get_preset(name).model
     calls = _count_svd(monkeypatch)
-    assert decompose_model(sw.build_hamiltonian(spec), spec).route == "chiral"
+    assert decompose_model(sw.build_hamiltonian(spec)).route == "chiral"
     assert calls == []
 
 
@@ -619,7 +617,7 @@ def test_non_uniform_block_takes_no_svd(axis, monkeypatch):
     spec = dataclasses.replace(get_preset("sm-boundary").model, axis=axis)
     calls = _count_svd(monkeypatch)
     monkeypatch.setattr(np.linalg, "eigh", _no_eigensolve)
-    dec = decompose_model(sw.build_hamiltonian(spec), spec)
+    dec = decompose_model(sw.build_hamiltonian(spec))
     assert dec.route == "chiral" + ("+rotation" if axis == "z" else "")
     assert dec.path == "two segments"
     assert calls == []
@@ -629,7 +627,7 @@ def test_edge_mode_chain_keeps_one_svd(monkeypatch):
     """t1 < t2: a uniform block with |b| > |a|, whose edge mode has sigma near 0, takes one dense SVD."""
     spec = sw.NonHermitianSSH(1.0, 2.0, -0.2, 40)
     calls = _count_svd(monkeypatch)
-    assert decompose_model(sw.build_hamiltonian(spec), spec).route == "chiral"
+    assert decompose_model(sw.build_hamiltonian(spec)).route == "chiral"
     assert calls == [1]
 
 
@@ -639,7 +637,7 @@ def test_two_segment_edge_mode_goes_straight_to_the_svd(monkeypatch):
     calls = _count_svd(monkeypatch)
     monkeypatch.setattr(np.linalg, "eigh", _no_eigensolve)
     monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigensolve)
-    dec = decompose_model(sw.build_hamiltonian(spec), spec)
+    dec = decompose_model(sw.build_hamiltonian(spec))
     assert (dec.route, dec.path) == ("chiral+rotation", "dense SVD")
     assert calls == [1]
 
@@ -649,7 +647,7 @@ def test_no_preset_decomposition_calls_an_eigensolver(name, monkeypatch):
     spec = get_preset(name).model
     for solver in ("eig", "eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, solver, _no_eigensolve)
-    assert decompose_model(sw.build_hamiltonian(spec), spec).route in _COUNTERPART_ROUTES
+    assert decompose_model(sw.build_hamiltonian(spec)).route in _COUNTERPART_ROUTES
 
 
 def _sm_boundary_block() -> tuple[np.ndarray, np.ndarray]:
@@ -777,7 +775,7 @@ def test_closed_form_chiral_route_matches_expm(axis):
     h = sw.build_hamiltonian(spec)
     psi0 = sw.gaussian_state(h.geometry, sw.GaussianParams(sigma=6.0, x0=50.0, k0=1.0))
     times = np.linspace(0.0, 60.0, 13)
-    a = evolve_series(h, psi0, times, method="spectral", spec=spec)
+    a = evolve_series(h, psi0, times, method="spectral")
     b = evolve_series(h, psi0, times, method="expm")
     assert a.route == "chiral" + ("+rotation" if axis == "z" else "")
     assert np.max(np.abs(a.site_densities - b.site_densities)) <= 1e-7
@@ -794,7 +792,7 @@ def test_chiral_frames_match_the_complex_synthesis(spec, axis):
     """One real cos/sin table and one real product per sublattice give the frames of exp(-iEt) over all 2n modes."""
     spec = dataclasses.replace(spec, axis=axis)
     h = sw.build_hamiltonian(spec)
-    dec = decompose_model(h, spec)
+    dec = decompose_model(h)
     assert dec.route == "chiral" + ("+rotation" if axis == "z" else "")
     rng = np.random.default_rng(11)
     psi = rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim)
@@ -828,11 +826,11 @@ def test_blocked_series_matches_per_frame_propagation(spec, method, frames, monk
     psi0 = random_state(h.dim, np.random.default_rng(frames))
     times = np.linspace(0.0, 3.0, frames)
     times[: frames // 3] = 0.0
-    res = evolve_series(h, psi0, times, method=method, spec=spec)
+    res = evolve_series(h, psi0, times, method=method)
     if method == "expm":
         amps, log_norms = propagated(h, psi0, times, method)
     else:
-        amps, log_norms = map(np.concatenate, zip(*(propagated(h, psi0, [t], method, spec) for t in times)))
+        amps, log_norms = map(np.concatenate, zip(*(propagated(h, psi0, [t], method) for t in times)))
     density = np.abs(amps) ** 2
     assert res.site_densities.shape == (frames, h.dim)
     if res.route in ("sine", "expm"):
@@ -845,12 +843,12 @@ def test_blocked_series_matches_per_frame_propagation(spec, method, frames, monk
 
 
 def test_block_budget_below_one_frame_still_takes_a_frame(monkeypatch):
-    h, spec = _chain(40)
+    h = _chain(40)
     psi0 = random_state(40)
     times = np.linspace(0.0, 2.0, 5)
-    ref = evolve_series(h, psi0, times, spec=spec)
+    ref = evolve_series(h, psi0, times)
     monkeypatch.setattr(evolve, "_BLOCK_CELLS", 1)
-    res = evolve_series(h, psi0, times, spec=spec)
+    res = evolve_series(h, psi0, times)
     assert np.array_equal(res.site_densities, ref.site_densities)
     assert np.array_equal(res.log_norms, ref.log_norms)
 
@@ -870,7 +868,7 @@ def test_degenerate_norm_in_a_later_block_names_its_grid_frame(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalOverflow, match=re.escape("frame 4 (t=400.0): state norm degenerate")):
-            evolve_series(h, psi0, times, method="spectral", spec=spec)
+            evolve_series(h, psi0, times, method="spectral")
 
 
 def _traced_evolution(spec, packet, frames: int) -> tuple[int, int]:
@@ -879,7 +877,7 @@ def _traced_evolution(spec, packet, frames: int) -> tuple[int, int]:
     psi0 = sw.gaussian_state(h.geometry, packet)
     tracemalloc.start()
     try:
-        res = evolve_series(h, psi0, np.linspace(0.0, 1.0, frames), spec=spec)
+        res = evolve_series(h, psi0, np.linspace(0.0, 1.0, frames))
         return tracemalloc.get_traced_memory()[1], res.site_densities.nbytes
     finally:
         tracemalloc.stop()
@@ -978,7 +976,7 @@ def test_expm_on_a_non_uniform_grid_keeps_one_propagator(monkeypatch):
     column sums while it is formed and a few state vectors, about 3x its
     bytes at the peak.
     """
-    h, _ = _chain(2000)
+    h = _chain(2000)
     psi0 = random_state(2000, np.random.default_rng(8))
     times = np.cumsum(np.concatenate([[0.0], 0.01 + 0.001 * np.arange(41)]))
     assert len(set(np.diff(times))) == 41
@@ -1001,7 +999,7 @@ def test_expm_route_forms_no_dense_matrix(monkeypatch):
         return exp(*args, **kwargs)
 
     monkeypatch.setattr(evolve, "matrix_exp", counted)
-    h, _ = _chain(1000)
+    h = _chain(1000)
     psi0 = random_state(1000)
     times = np.linspace(0.0, 2.0, 21)
     evolve_series(h, psi0, times, method="expm")   # a first call's one-time allocations stay out of the peak

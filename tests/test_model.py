@@ -394,6 +394,7 @@ def test_geometry_labels_and_density_grid():
 )
 def test_energy_bound_is_the_largest_gershgorin_row_sum(spec):
     h = sw.build_hamiltonian(spec)
+    assert h.spec is spec   # the operator carries the spec it was built from
     rows = np.abs(h.matrix).sum(axis=1)
     assert h.energy_bound == pytest.approx(rows.max(), rel=1e-15)
     assert np.max(np.abs(np.linalg.eigvals(h.matrix))) <= h.energy_bound

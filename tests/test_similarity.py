@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skinwave as sw
-from skinwave.evolve import _decompose_chain
 from skinwave.model import band_curvature, counterpart, group_velocity
 
 from reference import dense_bases, hermiticity_residual, skin_factor_per_unit_length
@@ -107,6 +106,7 @@ def test_band_functions_refuse_a_grid_without_counterpart():
     [
         sw.ContinuousHN(m=1e-300, b=0.0, length=1.0, dx=0.01),   # hops -5e303: a b overflows
         sw.DiscreteHN(1e-300, 1e300, 10),   # a b = 1, but b / a overflows
+        sw.DiscreteHN(1e300, 1e-300, 40),   # a b = 1, but b / a underflows to 0
         sw.DiscreteHN(1.0, 1e10, 4096),   # r = 1e5 per site: S overflows past site 61
     ],
 )
@@ -115,7 +115,7 @@ def test_a_counterpart_past_the_float_range_is_none_without_a_warning(spec):
     h = sw.build_hamiltonian(spec)
     assert sw.chain_similarity(h.bands) is None and counterpart(spec) is None
     assert sw.skin_factor(spec) is None
-    assert sw.decompose_model(h, spec) is None
+    assert sw.decompose_model(h) is None
     for law in (group_velocity, band_curvature):
         with pytest.raises(sw.InvalidParameter, match="no Hermitian counterpart"):
             law(spec, 0.3)
@@ -229,11 +229,11 @@ def test_conjugation_preserves_spectrum(spec):
 def test_chain_symmetric_counterpart():
     spec = sw.DiscreteHN(1.0, 2.0, 10)
     h = sw.build_hamiltonian(spec)
-    dec = _decompose_chain(sw.chain_similarity(h.bands))
+    dec = sw.decompose_model(h)
     right, left = dense_bases(dec)
     biorth = left.conj().T @ right - np.eye(10)
     rebuilt = (right * dec.eigenvalues) @ left.conj().T - h.matrix
     assert np.max(np.abs(biorth)) < 1e-12
     assert np.max(np.abs(rebuilt)) < 1e-12
     # sign-mixed off-diagonals admit no positive-diagonal symmetrizer: [[0, 1], [-1, 0]]
-    assert _decompose_chain(sw.chain_similarity({0: np.zeros(2), 1: np.array([1.0]), -1: np.array([-1.0])})) is None
+    assert sw.chain_similarity({0: np.zeros(2), 1: np.array([1.0]), -1: np.array([-1.0])}) is None

@@ -348,7 +348,7 @@ def hermitian_bounce():
     h = sw.build_hamiltonian(spec)
     psi0 = sw.gaussian_state(h.geometry, sw.GaussianParams(sigma=0.25, x0=5.0, k0=20.0))
     times = np.linspace(0.0, 0.55, 180)
-    return evolve_series(h, psi0, times, spec=spec)
+    return evolve_series(h, psi0, times)
 
 
 def test_hermitian_reflection_is_elastic(hermitian_bounce):
@@ -376,7 +376,7 @@ def hermitian_rest():
     h = sw.build_hamiltonian(spec)
     psi0 = sw.gaussian_state(h.geometry, sw.GaussianParams(sigma=0.25, x0=5.0))
     times = np.linspace(0.0, 0.5, 60)
-    return evolve_series(h, psi0, times, spec=spec), times
+    return evolve_series(h, psi0, times), times
 
 
 def test_hermitian_rest_packet_is_stationary(hermitian_rest):
