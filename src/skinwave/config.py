@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -40,7 +41,11 @@ _FAMILY_NAMES = {cls: name for name, cls in _FAMILIES.items()}
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Frame grid 0..t_max; at most MAX_DIM frames keeps frames x dim within MAX_DIM^2."""
+    """Frame grid 0..t_max; at most MAX_DIM frames keeps frames x dim within MAX_DIM^2.
+
+    A frame step whose square underflows is refused: the velocity's finite
+    differences could not divide by it.
+    """
 
     t_max: float
     frame_count: int
@@ -55,6 +60,12 @@ class TimeGrid:
             )
         object.__setattr__(self, "t_max", float(self.t_max))
         object.__setattr__(self, "frame_count", int(self.frame_count))
+        step = self.t_max / (self.frame_count - 1)
+        if step * step < sys.float_info.min:
+            raise InvalidGrid(
+                f"TimeGrid: t_max {self.t_max!r} over {self.frame_count} frames gives a frame step "
+                f"{step:.3g} whose square underflows"
+            )
 
 
 @dataclass(frozen=True)

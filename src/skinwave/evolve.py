@@ -210,9 +210,9 @@ class SineModes(_CounterpartModes):
 
     name = "sine"
 
-    def frames(self, psi: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """Unnormalised amplitudes (frames x dim) of ``psi`` at the elapsed times ``ts``: R (c exp(-i E t)), c = L^H psi."""
-        return self.synthesize(np.exp(np.outer(ts, -1j * self.eigenvalues.real)) * self.expand(psi))
+    def frames(self, coeff: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """Unnormalised amplitudes (frames x dim) at the elapsed times ``ts`` of the mode coefficients c = ``expand(psi)``: R (c exp(-i E t))."""
+        return self.synthesize(np.exp(np.outer(ts, -1j * self.eigenvalues.real)) * coeff)
 
     def expand(self, psi: np.ndarray) -> np.ndarray:
         """Mode coefficients L^H psi = Q S^-1 W^H psi of the states ``psi`` (..., dim)."""
@@ -233,7 +233,7 @@ class ChiralModes(_CounterpartModes):
     """Route 'chiral': a zero-diagonal counterpart, [[0, B], [B^T, 0]] between even and odd sites.
 
     With B = U diag(sigma) V^T, the modes are (u_n, +-v_n) / sqrt(2) at
-    E = +-sigma_n, and ``frames`` takes two half-size products each way.
+    E = +-sigma_n; ``expand`` takes two half-size products in, ``frames`` two out.
     Every product is real: complex operands go in as their real and imaginary
     parts stacked into one operand, so U and V are never copied to complex.
     """
@@ -243,8 +243,9 @@ class ChiralModes(_CounterpartModes):
     path: str   # how B was decomposed: 'standing waves', 'two segments' or 'dense SVD'
     name = "chiral"
 
-    def _sublattices(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """U^T x_A and V^T x_B of counterpart site amplitudes ``x`` (..., dim), each stacked [Re, Im]."""
+    def expand(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mode coefficients (p, q) of the states ``psi`` (..., dim): U^T x_A and V^T x_B of x = S^-1 W^H psi, each stacked [Re, Im]."""
+        x = self._to_counterpart(psi)
         return _stacked(x[..., 0::2]) @ self.u, _stacked(x[..., 1::2]) @ self.v
 
     def _products(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -260,15 +261,15 @@ class ChiralModes(_CounterpartModes):
             parts[..., sub, 0], parts[..., sub, 1] = prod
         return amps
 
-    def frames(self, psi: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """Unnormalised amplitudes (frames x dim) of ``psi`` at the elapsed times ``ts``, in real arithmetic.
+    def frames(self, coeff: tuple[np.ndarray, np.ndarray], ts: np.ndarray) -> np.ndarray:
+        """Unnormalised amplitudes (frames x dim) at the elapsed times ``ts`` of the coefficients ``expand(psi)``, in real arithmetic.
 
-        With p = U^T x_A and q = V^T x_B (x = S^-1 W^H psi), the mode pair
-        +-sigma carries p cos(sigma t) - i q sin(sigma t) on the even
-        sublattice and q cos(sigma t) - i p sin(sigma t) on the odd one, so one
-        cos/sin table serves both halves of the spectrum.
+        With (p, q) = ``coeff``, the mode pair +-sigma carries
+        p cos(sigma t) - i q sin(sigma t) on the even sublattice and
+        q cos(sigma t) - i p sin(sigma t) on the odd one, so one cos/sin table
+        serves both halves of the spectrum.
         """
-        (pr, pi), (qr, qi) = self._sublattices(self._to_counterpart(psi))
+        (pr, pi), (qr, qi) = coeff
         cos = np.outer(ts, self.eigenvalues[: self.u.shape[0]].real)
         sin = np.sin(cos)
         np.cos(cos, out=cos)
@@ -848,14 +849,14 @@ def _check_frames(log_norms: np.ndarray, ts: np.ndarray, first: int) -> np.ndarr
     return log_norms
 
 
-def _spectral_frames(dec: SineModes | ChiralModes, psi0: WaveState, ts: np.ndarray):
+def _spectral_frames(dec: SineModes | ChiralModes, coeff, psi0: WaveState, ts: np.ndarray):
     """Unit-normalised amplitudes (frames x dim) of psi0 at the checked times ``ts``, and their unchecked log-norms.
 
-    The counterpart's spectrum is real, so the frames' phases never grow and
-    the norm's growth is all in S.  Frames at zero elapsed time are psi0's
-    amplitudes and log-norm unchanged.
+    ``coeff`` is psi0's ``dec.expand``.  The counterpart's spectrum is real, so
+    the frames' phases never grow and the norm's growth is all in S.  Frames at
+    zero elapsed time are psi0's amplitudes and log-norm unchanged.
     """
-    amps, log_nrm = _normalise(dec.frames(psi0.amplitudes, ts))
+    amps, log_nrm = _normalise(dec.frames(coeff, ts))
     log_norms = psi0.log_norm_offset + log_nrm
     at_start = ts == 0
     amps[at_start] = psi0.amplitudes
@@ -981,15 +982,15 @@ def propagate(h: HamiltonianMatrix, psi0: WaveState, times, method: str = "auto"
 
     ``h`` is a ``HamiltonianMatrix`` (``build_hamiltonian``); any other
     operator is refused with InvalidParameter.  The operator, the method, the
-    times and ``decompose_model`` run on the call: an operator whose spec
-    (``h.spec``) has a counterpart route takes it under 'auto', and every other
-    one (an operator without a spec among them) takes 'expm' ('spectral'
-    refuses it).  Times whose phases E t have lost their digits
-    (``PHASE_LIMIT``) are refused with InvalidParameter.  ``blocks`` yields
-    (grid index of the first frame, unit-normalised amplitudes (frames x dim),
-    total log-norms): ``_BLOCK_CELLS`` cells per block on a counterpart route
-    (psi0 expanded again for each), one frame per block on 'expm'.  A
-    degenerate norm raises NumericalOverflow naming its frame on the grid.
+    times, ``decompose_model`` and psi0's one expansion into its modes run on
+    the call: an operator whose spec (``h.spec``) has a counterpart route takes
+    it under 'auto', and every other one (an operator without a spec among
+    them) takes 'expm' ('spectral' refuses it).  Times whose phases E t have
+    lost their digits (``PHASE_LIMIT``) are refused with InvalidParameter.
+    ``blocks`` yields (grid index of the first frame, unit-normalised amplitudes
+    (frames x dim), total log-norms): ``_BLOCK_CELLS`` cells per block on a
+    counterpart route, each synthesised from that expansion, one frame per
+    block on 'expm'.  A degenerate norm raises NumericalOverflow naming its grid frame.
     """
     if not isinstance(h, HamiltonianMatrix):
         raise InvalidParameter(f"propagate: the operator must be a HamiltonianMatrix, got {type(h).__name__}")
@@ -1004,8 +1005,9 @@ def propagate(h: HamiltonianMatrix, psi0: WaveState, times, method: str = "auto"
     if dec is None:
         frames = ((k, state[None], np.array([ln])) for k, (state, ln) in enumerate(_expm_frames(h, psi0, ts)))
     else:
+        coeff = dec.expand(psi0.amplitudes)
         step = max(1, _BLOCK_CELLS // h.dim)
-        frames = ((a, *_spectral_frames(dec, psi0, ts[a : a + step])) for a in range(0, len(ts), step))
+        frames = ((a, *_spectral_frames(dec, coeff, psi0, ts[a : a + step])) for a in range(0, len(ts), step))
     route = "expm" if dec is None else dec.route
     return route, ((a, amps, _check_frames(log_norms, ts, a)) for a, amps, log_norms in frames)
 

@@ -18,6 +18,8 @@ Taylor degree of ``matrix_exp`` and the expm route replaced.
 the sine route keeps as maps.  ``eig_propagated`` evolves any square matrix
 through ``decompose``'s biorthogonal eigenbasis, the reference that shares
 nothing with either route.
+``cell_sums`` is the reshape-and-sum of a two-band cell's densities that
+``aggregate_density``'s strided add replaced.
 ``script`` imports a script under ``scripts/`` whose checks a test reuses.
 """
 
@@ -243,6 +245,12 @@ def complex_chiral_frames(dec: ChiralModes, psi: np.ndarray, times) -> np.ndarra
     if dec.rotated:
         amps = (amps.reshape(len(amps), -1, 2) @ w.T).reshape(amps.shape)
     return amps
+
+
+def cell_sums(densities: np.ndarray, sites_per_cell: int) -> np.ndarray:
+    """Per-cell density of a (frames, dim) or (dim,) stack: each cell's sites summed over a reshaped axis."""
+    d = np.asarray(densities, dtype=float)
+    return d.reshape(d.shape[:-1] + (d.shape[-1] // sites_per_cell, sites_per_cell)).sum(axis=-1)
 
 
 def banded(m) -> HamiltonianMatrix:

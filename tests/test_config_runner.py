@@ -2,6 +2,7 @@ import dataclasses
 import errno
 import hashlib
 import json
+import math
 import os
 import sys
 import threading
@@ -769,6 +770,50 @@ def test_runs_whose_phases_lost_their_digits_exit_2(case, tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert "times.t_max" in err and "|E| <=" in err and "lost their digits" in err
     assert not (tmp_path / "out").exists()
+
+
+# frame steps whose squares underflow: np.gradient would divide by zero in the velocity
+_UNDERFLOWING_STEPS = {
+    "hop-span": {
+        "model": {"family": "discrete_hn", "t1": 1e300, "t_minus1": 1e-300, "n_sites": 40},
+        "times": {"t_max": 1e-300, "frame_count": 5},
+    },
+    "spectral": {
+        "model": {"family": "discrete_hn", "t1": 1.0, "t_minus1": 2.0, "n_sites": 39},
+        "times": {"t_max": 3.6e-249, "frame_count": 5},
+        "method": "spectral",
+    },
+}
+
+# (t_max, frame_count) of every grid the tests build; the presets' are read from them
+_TEST_GRIDS = [
+    (15.0, 12), (1.0, 5), (1.0, 10), (2.0, 4096), (40.0, 40), (10.0, 10), (5.0, 10),
+    (1.2, 160), (1.2, 200), (1e17, 240), (1e300, 12), (0.01, 20), (600.0, 120),
+]
+
+
+@pytest.mark.parametrize("case", sorted(_UNDERFLOWING_STEPS))
+def test_a_frame_step_whose_square_underflows_exits_2(case, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(runner, "evolve_series", _never_evolved)
+    raw = {**_UNDERFLOWING_STEPS[case], "packet": {"sigma": 2.0, "x0": 20.0}, "output": {"directory": str(tmp_path / "out")}}
+    with pytest.raises(ConfigError, match=r"^times: TimeGrid: t_max .* whose square underflows"):
+        config_from_dict(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: times: TimeGrid: t_max")
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_preset_and_test_grid_keeps_a_frame_step_whose_square_is_normal():
+    grids = _TEST_GRIDS + [(get_preset(name).times.t_max, get_preset(name).times.frame_count) for name in preset_names()]
+    for t_max, frames in grids:
+        assert t_max / (frames - 1) > 1e-4   # about 150 orders of magnitude above the edge
+        TimeGrid(t_max=t_max, frame_count=frames)
+    # the edge: a step of 2^-511 squares to float_info.min exactly, the next float below it underflows
+    TimeGrid(t_max=4 * 2.0**-511, frame_count=5)
+    with pytest.raises(InvalidGrid, match="t_max"):
+        TimeGrid(t_max=4 * math.nextafter(2.0**-511, 0.0), frame_count=5)
 
 
 @pytest.mark.parametrize("out", ["file", "file/sub"])

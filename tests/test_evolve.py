@@ -798,7 +798,7 @@ def test_chiral_frames_match_the_complex_synthesis(spec, axis):
     psi = rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim)
     times = np.linspace(0.0, 30.0, 7)
     ref = complex_chiral_frames(dec, psi, times)
-    assert np.max(np.abs(dec.frames(psi, times) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(dec.frames(dec.expand(psi), times) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 BLOCK = 7   # frames per block once the cell budget is set to BLOCK frames of the chain
@@ -840,6 +840,38 @@ def test_blocked_series_matches_per_frame_propagation(spec, method, frames, monk
         assert np.max(np.abs(res.site_densities - density)) <= 1e-12 * np.max(density)
         assert np.max(np.abs(res.log_norms - log_norms)) <= 1e-12 * np.max(np.abs(log_norms))
     assert np.all(res.log_norms[times == 0] == psi0.log_norm)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        sw.DiscreteHN(1.0, 2.0, 40),
+        sw.NonHermitianSSH(2.0, 1.0, -0.6, 20, axis="y"),
+        sw.NonHermitianSSH(2.0, 1.0, -0.6, 20, axis="z"),
+    ],
+    ids=["sine", "chiral", "chiral+rotation"],
+)
+def test_propagate_expands_psi0_once_per_call(spec, monkeypatch):
+    """Three full blocks and part of a fourth from one expansion of psi0, each with the bits of a block expanded on its own."""
+    h = sw.build_hamiltonian(spec)
+    monkeypatch.setattr(evolve, "_BLOCK_CELLS", BLOCK * h.dim)
+    psi0 = random_state(h.dim, np.random.default_rng(36))
+    times = np.linspace(0.0, 3.0, 3 * BLOCK + 2)
+    dec = decompose_model(h)
+    expand, calls = type(dec).expand, []
+
+    def counted(self, psi):
+        calls.append(psi)
+        return expand(self, psi)
+
+    monkeypatch.setattr(type(dec), "expand", counted)
+    route, blocks = evolve.propagate(h, psi0, times, "spectral")
+    blocks = list(blocks)
+    assert route == dec.route and [a for a, _, _ in blocks] == [0, BLOCK, 2 * BLOCK, 3 * BLOCK]
+    assert len(calls) == 1 and calls[0] is psi0.amplitudes
+    for a, amps, log_norms in blocks:
+        ref_amps, ref_log_norms = evolve._spectral_frames(dec, expand(dec, psi0.amplitudes), psi0, times[a : a + BLOCK])
+        assert np.array_equal(amps, ref_amps) and np.array_equal(log_norms, ref_log_norms)
 
 
 def test_block_budget_below_one_frame_still_takes_a_frame(monkeypatch):

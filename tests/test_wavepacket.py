@@ -13,9 +13,10 @@ from skinwave.errors import (
 )
 from skinwave.evolve import evolve_series
 from skinwave.model import Geometry
+from skinwave.presets import get_preset
 from skinwave.wavepacket import HALF_WIDTH_FACTOR, aggregate_density, differentiate, moving_average, top_two_peaks
 
-from reference import HNOracleParams, hn_density
+from reference import HNOracleParams, cell_sums, hn_density
 
 
 def box_geometry(n=1000, dx=0.01):
@@ -76,6 +77,38 @@ def test_density_ssh_sums_sublattices():
     d = aggregate_density(np.abs(amps) ** 2, h.geometry)
     assert d[0] == pytest.approx(1.0, abs=1e-15)
     assert np.all(d[1:] == 0.0)
+
+
+def _preset_densities(name):
+    """The (frames, dim) site densities of a preset's run, and its geometry."""
+    cfg = get_preset(name)
+    h = sw.build_hamiltonian(cfg.model)
+    psi0 = sw.gaussian_state(h.geometry, cfg.packet)
+    times = np.linspace(0.0, cfg.times.t_max, cfg.times.frame_count)
+    return evolve_series(h, psi0, times).site_densities, h.geometry
+
+
+def test_two_band_density_is_the_reshaped_cell_sum_bit_for_bit():
+    """The strided add gives the bits of a sum over a reshaped length-2 axis, on run stacks and edge inputs."""
+    fig4, geom = _preset_densities("fig4")
+    rng = np.random.default_rng(36)
+    noisy = rng.random((17, geom.dim)) * 10.0 ** rng.integers(-300, 300, size=(17, geom.dim))
+    noisy[rng.random(noisy.shape) < 0.3] = 0.0
+    cases = [
+        ("fig4", fig4, geom),
+        ("sm-boundary", *_preset_densities("sm-boundary")),
+        ("one frame", fig4[7], geom),
+        ("random with zeros", noisy, geom),
+    ]
+    for name, d, g in cases:
+        out = aggregate_density(d, g)
+        assert out.shape == d.shape[:-1] + (g.dim // 2,), name
+        assert np.array_equal(out, cell_sums(d, 2)), name
+
+
+def test_one_site_density_is_its_input():
+    d = np.random.default_rng(5).random((4, 50))
+    assert aggregate_density(d, box_geometry(50, 1.0)) is d
 
 
 def test_density_matches_continuum_gaussian():
