@@ -14,10 +14,10 @@ a banded ``HamiltonianMatrix`` (``build_hamiltonian``), which carries the spec
 it was built from, so one input picks the route.  It takes a grid of elapsed
 times and yields unit-normalised amplitudes with the total log-norm per frame
 (so norms of order exp(hundreds) stay representable), a block of frames at a
-time (``_BLOCK_CELLS`` cells, or one frame on the expm route).  A frame at
-zero elapsed time is the initial state itself.  Times whose phases E t have
-lost their digits (``PHASE_LIMIT``, against the operator's Gershgorin bound
-on |E|) are refused on the call, on every route.
+time (``_BLOCK_CELLS`` cells, or one frame on the expm route), each through
+one step that makes a frame at zero elapsed time the initial state itself.
+Times whose phases E t have lost their digits (``PHASE_LIMIT``, against the
+operator's Gershgorin bound on |E|) are refused on the call, on every route.
 ``evolve_series`` writes the blocks' densities into one (frames x dim) float
 array, so it never forms a complex (frames x dim) array.
 
@@ -39,10 +39,11 @@ of the whole chain:
 * ...+rotation: the gain/loss two-band chains use their asymmetric-hop twin,
   rotating psi0 into it and the frames back cell by cell.
 
-Every other input (a chain without a counterpart, or an operator built
-without a spec) takes expm.  States are mapped through S^-1 and S, which
-stays accurate far past where inverting a right-eigenvector matrix fails
-(states weighted at the small-S end lose eps * S_max / S_min).  No route
+Every other input (a chain without a counterpart, an S outside the normal
+float range among them, or an operator built without a spec) takes expm.
+States are mapped through S^-1 and S, which stays accurate far past where
+inverting a right-eigenvector matrix fails (states weighted at the small-S
+end lose eps * S_max / S_min).  No route
 forms an N x N array: only a chiral block with an edge mode or more than two
 segments forms a dense half-size B (for its SVD), and the expm route keeps
 its generator as bands.  ``decompose`` (eig plus a polished inverse) and
@@ -739,8 +740,6 @@ def decompose_model(h: HamiltonianMatrix) -> SineModes | ChiralModes | None:
     if h.spec is None or (sim := counterpart(h.spec)) is None:
         return None
     s, diag, off = sim
-    if s.min() < np.finfo(float).tiny:
-        raise NumericalOverflow("similarity S underflows: S^-1 is not representable")
     n, rotated = len(s), getattr(h.spec, "axis", "y") == "z"
     if np.all(diag == diag[0]) and np.all(off == off[0]):
         energies = diag[0] + 2.0 * off[0] * np.cos(np.arange(1, n + 1) * (math.pi / (n + 1)))
@@ -832,36 +831,29 @@ def _check_phase_resolution(h: HamiltonianMatrix, t_max: float) -> None:
         )
 
 
-def _normalise(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-normalise the last axis in place; returns the scaled amplitudes and log of the norms."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # a degenerate frame ends in _check_frames
+def _normalise(amps: np.ndarray, offset: float) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-normalise the last axis in place; returns the scaled amplitudes and ``offset`` plus the log of the norms."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # a degenerate frame ends in _block_step
         nrm = np.linalg.norm(amps, axis=-1, keepdims=True)
         amps /= nrm
-        return amps, np.log(nrm[..., 0])
+        return amps, offset + np.log(nrm[..., 0])
 
 
-def _check_frames(log_norms: np.ndarray, ts: np.ndarray, first: int) -> np.ndarray:
-    """Pass the log-norms of grid frames ``first``, ``first + 1``, ... through; name the first degenerate one."""
+def _block_step(psi0: WaveState, ts: np.ndarray, first: int, amps: np.ndarray, log_norms: np.ndarray):
+    """Grid frames ``first``, ``first + 1``, ... of either route, with psi0 at zero elapsed time.
+
+    psi0 goes in by ``np.where``, since on 'expm' ``amps`` views the running
+    state; a non-finite log-norm raises NumericalOverflow naming its frame.
+    """
+    at_start = ts[first : first + len(amps)] == 0
+    if np.any(at_start):
+        amps = np.where(at_start[:, None], psi0.amplitudes, amps)
+        log_norms = np.where(at_start, psi0.log_norm, log_norms)
     bad = ~np.isfinite(log_norms)
     if np.any(bad):
         k = first + int(np.argmax(bad))
         raise NumericalOverflow(f"frame {k} (t={ts[k]}): state norm degenerate")
-    return log_norms
-
-
-def _spectral_frames(dec: SineModes | ChiralModes, coeff, psi0: WaveState, ts: np.ndarray):
-    """Unit-normalised amplitudes (frames x dim) of psi0 at the checked times ``ts``, and their unchecked log-norms.
-
-    ``coeff`` is psi0's ``dec.expand``.  The counterpart's spectrum is real, so
-    the frames' phases never grow and the norm's growth is all in S.  Frames at
-    zero elapsed time are psi0's amplitudes and log-norm unchanged.
-    """
-    amps, log_nrm = _normalise(dec.frames(coeff, ts))
-    log_norms = psi0.log_norm_offset + log_nrm
-    at_start = ts == 0
-    amps[at_start] = psi0.amplitudes
-    log_norms[at_start] = psi0.log_norm
-    return amps, log_norms
+    return first, amps, log_norms
 
 
 def _generator(h: HamiltonianMatrix):
@@ -947,7 +939,7 @@ def _unit(amps: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _expm_frames(h: HamiltonianMatrix, psi0: WaveState, ts: np.ndarray):
-    """Yield psi0 stepped to each of the checked times ``ts``: its unit amplitudes and its unchecked log-norm.
+    """Yield psi0 stepped to each of the checked times ``ts``: its amplitudes and its unchecked log-norm.
 
     Each gap exp(-i H gap) psi = e^(shift gap) exp(A gap) psi, with the one
     unit-time generator A of ``_generator``, is taken as s steps of the
@@ -973,7 +965,7 @@ def _expm_frames(h: HamiltonianMatrix, psi0: WaveState, ts: np.ndarray):
                     state += term
                 state, log_nrm = _unit(state)
                 log_norm += log_nrm
-        yield (psi0.amplitudes, psi0.log_norm) if t == 0 else (state, log_norm)
+        yield state, log_norm
         prev_t = t
 
 
@@ -990,7 +982,7 @@ def propagate(h: HamiltonianMatrix, psi0: WaveState, times, method: str = "auto"
     ``blocks`` yields (grid index of the first frame, unit-normalised amplitudes
     (frames x dim), total log-norms): ``_BLOCK_CELLS`` cells per block on a
     counterpart route, each synthesised from that expansion, one frame per
-    block on 'expm'.  A degenerate norm raises NumericalOverflow naming its grid frame.
+    block on 'expm'.  ``_block_step`` puts psi0 at zero elapsed time and checks the norms.
     """
     if not isinstance(h, HamiltonianMatrix):
         raise InvalidParameter(f"propagate: the operator must be a HamiltonianMatrix, got {type(h).__name__}")
@@ -1003,13 +995,14 @@ def propagate(h: HamiltonianMatrix, psi0: WaveState, times, method: str = "auto"
         what = "an operator without a spec" if h.spec is None else type(h.spec).__name__
         raise InvalidParameter(f"method 'spectral': {what} has no Hermitian counterpart route; use 'auto' or 'expm'")
     if dec is None:
-        frames = ((k, state[None], np.array([ln])) for k, (state, ln) in enumerate(_expm_frames(h, psi0, ts)))
+        blocks = ((k, state[None], np.array([ln])) for k, (state, ln) in enumerate(_expm_frames(h, psi0, ts)))
     else:
         coeff = dec.expand(psi0.amplitudes)
         step = max(1, _BLOCK_CELLS // h.dim)
-        frames = ((a, *_spectral_frames(dec, coeff, psi0, ts[a : a + step])) for a in range(0, len(ts), step))
+        offset = psi0.log_norm_offset
+        blocks = ((a, *_normalise(dec.frames(coeff, ts[a : a + step]), offset)) for a in range(0, len(ts), step))
     route = "expm" if dec is None else dec.route
-    return route, ((a, amps, _check_frames(log_norms, ts, a)) for a, amps, log_norms in frames)
+    return route, (_block_step(psi0, ts, *block) for block in blocks)
 
 
 def evolve_series(h: HamiltonianMatrix, psi0: WaveState, times, method: str = "auto") -> EvolutionResult:

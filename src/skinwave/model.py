@@ -16,7 +16,8 @@ a real tridiagonal H with same-sign off-diagonals a (super) and b (sub) is
 S Hbar S^-1, with S = diag(1, cumprod(sqrt(b/a))) positive and Hbar real
 symmetric (same diagonal, off-diagonals sign(a) sqrt(a b)).  S carries the skin
 effect and Hbar the Hermitian spreading; the counterpart routes, the skin
-factor and the band laws all read them there.
+factor and the band laws all read them there, and find none where S leaves
+the normal float range.
 """
 
 from __future__ import annotations
@@ -268,9 +269,10 @@ def build_hamiltonian(spec: ModelSpec) -> HamiltonianMatrix:
 def chain_similarity(bands: dict[int, np.ndarray]):
     """``(S, diagonal, off_diagonal)`` of the symmetric counterpart, or None where H has none.
 
-    None for dim < 2, an imaginary entry, a nonzero entry off the three bands,
-    a b <= 0 anywhere, or a product a b, a ratio b/a or an S past the float range
-    (a ratio that underflows to 0 among them).
+    The one rule that admits a counterpart.  None for dim < 2, an imaginary entry, a
+    nonzero entry off the three bands, a b <= 0 anywhere, a product a b or a ratio
+    b/a past the float range (one that underflows to 0 among them), or an S not
+    finite or below the smallest normal float (S^-1 not representable).
     """
     n = len(bands.get(1, ())) + 1
     diag, sup, sub = (bands.get(k, np.zeros(n - abs(k))).real for k in (0, 1, -1))
@@ -284,7 +286,7 @@ def chain_similarity(bands: dict[int, np.ndarray]):
         if not np.all(ratio > 0):
             return None
         s = np.concatenate([[1.0], np.cumprod(np.sqrt(ratio))])
-    if not np.all(np.isfinite(s)):
+    if not np.all((np.finfo(float).tiny <= s) & (s < math.inf)):
         return None
     return s, diag, np.sign(sup) * np.sqrt(prod)
 
@@ -304,7 +306,7 @@ def skin_factor(spec: ModelSpec) -> float | None:
 
     Per site for chains, per cell for two-band chains (the intracell ratio if
     there is one cell).  None without a Hermitian counterpart: strong gamma,
-    a continuum grid with 2 m b dx >= 1, or hops or an S past the float range.
+    a continuum grid with 2 m b dx >= 1, or hops or an S past the normal float range.
     """
     if (sim := counterpart(spec)) is None:
         return None
@@ -351,15 +353,16 @@ def band_curvature(spec: ModelSpec, k, band: int = 1):
     return -band * (tbar * spec.t2 * np.cos(k) + v * v) / np.abs(tbar + spec.t2 * np.exp(1j * k))
 
 
-def solve_momentum_for_velocity(
-    spec: ModelSpec, target: float, band: int = 1, k_hi: float = math.pi
-) -> float:
-    """Smallest k in (0, k_hi] whose counterpart group velocity reaches ``target``.
+_K_HI = math.pi   # upper end of the momenta searched for a target velocity: the zone edge
+
+
+def solve_momentum_for_velocity(spec: ModelSpec, target: float, band: int = 1) -> float:
+    """Smallest k in (0, pi] whose counterpart group velocity reaches ``target``.
 
     Falls back to the velocity maximum when the target is (marginally) out of
     reach, which happens when the target equals the band's top speed.
     """
-    ks = np.linspace(1e-6, k_hi, 4001)
+    ks = np.linspace(1e-6, _K_HI, 4001)
     vs = group_velocity(spec, ks, band)
     if target > 0:
         above = np.nonzero(vs >= target)[0]

@@ -88,9 +88,10 @@ def oracle_series(
     ln r per unit length, and the width of the counterpart packet spreading
     at the curvature of its band (``band_curvature``).  Nothing is read from
     the run but its times and domain.  A packet narrower than one grid
-    spacing (not a Gaussian on the grid), ``boundary_ssh`` and chains with
-    no Hermitian counterpart (a lattice with |gamma/2| > |t1|, a continuum
-    grid with 2 m b dx >= 1) get empty columns and a note saying why.  The
+    spacing (not a Gaussian on the grid), a ``boundary_ssh`` with gamma on
+    some cells but not all, and chains with no Hermitian counterpart (a lattice
+    with |gamma/2| > |t1|, a continuum grid with 2 m b dx >= 1, an S past the
+    float range) get empty columns and a note saying why.  The
     oracle trajectory is blanked after wall contact (free-evolution validity
     only), incident velocities before contact, reflected velocities after.
     The deviation stops the guard band before the measured contact or the
@@ -104,7 +105,7 @@ def oracle_series(
 
     if packet.sigma < getattr(spec, "dx", 1.0):   # one spacing; a cell on the lattices
         note = "oracle: n/a (packet narrower than the grid)"
-    elif isinstance(spec, BoundarySSH):  # bulk r = 1: no uniform-skin law to deviate from
+    elif isinstance(spec, BoundarySSH) and 0 < spec.boundary_cells < spec.n_cells:   # r = 1 in the bulk only
         note = "oracle: n/a (boundary_ssh has no uniform skin factor)"
     elif (r := skin_factor(spec)) is None:   # per site, so a continuum r^(1/dx) cannot overflow
         note = "oracle: n/a (no Hermitian counterpart)"

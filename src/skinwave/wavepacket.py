@@ -92,9 +92,6 @@ class TrajectorySeries:
     domain: tuple[float, float]
     dx: float
 
-    def __len__(self) -> int:
-        return len(self.times)
-
     def approach(self, guard_band: int = 0) -> np.ndarray:
         """Mask of the frames before ``contact_index - guard_band``; every frame without contact."""
         keep = np.ones(len(self.times), dtype=bool)
@@ -208,24 +205,22 @@ def _parabola_peaks(dens: np.ndarray, i: np.ndarray, xs: np.ndarray, spacing: fl
     return np.where((i > 0) & (i < n - 1), xs[i] + np.clip(offset, -0.5, 0.5) * spacing, xs[i])
 
 
-def top_two_peaks(
-    dens: np.ndarray,
-    geometry: Geometry,
-    min_separation: int = 3,
-    min_height_fraction: float = 1e-3,
-):
+_MIN_SEPARATION, _MIN_HEIGHT_FRACTION = 3, 1e-3   # of a second maximum from top_two_peaks' first
+
+
+def top_two_peaks(dens: np.ndarray, geometry: Geometry):
     """Positions and heights of the two highest local maxima (snapshot diagnostics).
 
-    Secondary maxima below ``min_height_fraction`` of the primary are noise
-    and are not reported.
+    Secondary maxima below ``_MIN_HEIGHT_FRACTION`` of the primary, or fewer
+    than ``_MIN_SEPARATION`` samples from it, are not reported.
     """
     dens = np.asarray(dens, dtype=float)
     maxima = np.flatnonzero((dens[1:-1] >= dens[:-2]) & (dens[1:-1] >= dens[2:])) + 1
     chosen: list[int] = []
     for height, j in sorted(zip(dens[maxima].tolist(), maxima.tolist()), reverse=True):
-        if chosen and height < min_height_fraction * dens[chosen[0]]:
+        if chosen and height < _MIN_HEIGHT_FRACTION * dens[chosen[0]]:
             break
-        if all(abs(j - c) >= min_separation for c in chosen):
+        if all(abs(j - c) >= _MIN_SEPARATION for c in chosen):
             chosen.append(j)
         if len(chosen) == 2:
             break

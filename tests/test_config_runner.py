@@ -712,6 +712,24 @@ def test_boundary_ssh_reports_no_oracle_deviation(tmp_path):
     assert len(rows) == 10 and all(row.endswith(",,,") for row in rows)
 
 
+@pytest.mark.parametrize("cells, gamma, deviation", [(200, -0.2, 2.9605), (0, 0.0, 157.5)], ids=["all-gamma", "no-gamma"])
+def test_boundary_ssh_with_gamma_on_every_cell_or_none_reads_the_uniform_chains_oracle(cells, gamma, deviation, tmp_path):
+    """Such a boundary_ssh builds the bands of a non_hermitian_ssh: its report and oracle.csv are that chain's."""
+    def run(model, out):
+        return run_experiment(small_config(
+            tmp_path / out,
+            model={"t1": 2.0, "t2": 1.0, "n_cells": 200, "axis": "z", **model},
+            packet={"sigma": 10.0, "x0": 100.0, "k0": 1.0},
+            times={"t_max": 150.0, "frame_count": 60},
+            analysis={"smoothing_window": 5, "contact_threshold": 6.0, "guard_band": 5},
+        ))
+
+    boundary = run({"family": "boundary_ssh", "gamma": -0.2, "boundary_cells": cells}, "boundary")
+    uniform = run({"family": "non_hermitian_ssh", "gamma": gamma}, "uniform")
+    assert boundary == uniform   # the manifest among them: every file's sha256, oracle.csv's too
+    assert boundary.max_oracle_deviation == pytest.approx(deviation, abs=0.05)
+
+
 def test_strong_gamma_ssh_runs_without_oracle(tmp_path, capsys):
     """|gamma/2| > |t1| has no Hermitian counterpart: the run still writes
     every file, with an empty lattice oracle and a note saying why."""

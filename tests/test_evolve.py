@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import skinwave as sw
 from skinwave import evolve
+from skinwave.config import ExperimentConfig, OutputOptions, TimeGrid
 from skinwave.errors import DefectiveMatrix, DimensionMismatch, InvalidParameter, NumericalOverflow
 from skinwave.evolve import (
     METHODS,
@@ -26,6 +27,7 @@ from skinwave.evolve import (
 )
 from skinwave.model import chain_similarity, counterpart
 from skinwave.presets import get_preset, preset_names
+from skinwave.runner import run_experiment
 
 from reference import (
     adaptive_taylor_terms,
@@ -87,10 +89,27 @@ def test_structured_route_survives_extreme_conditioning():
     assert np.max(np.abs(gram - np.eye(100))) < 1e-12
 
 
-def test_similarity_underflow_is_refused():
-    spec = sw.DiscreteHN(100.0, 0.01, 200)   # S falls as 1e-2 per site, below the smallest float
-    with pytest.raises(NumericalOverflow):
-        decompose_model(sw.build_hamiltonian(spec))
+@pytest.mark.parametrize(
+    "spec",
+    [sw.DiscreteHN(100.0, 0.01, 200), sw.DiscreteHN(0.01, 100.0, 200)],
+    ids=["S-underflows", "S-overflows"],
+)
+def test_an_s_past_the_normal_range_either_way_has_no_counterpart(spec, tmp_path):
+    """S falls (or grows) by 1e2 per site, past the normal floats by site 155: one rule for both mirror images.
+
+    No counterpart, so 'auto' takes expm, 'spectral' refuses with its one
+    message, and the run reports no oracle.
+    """
+    h = sw.build_hamiltonian(spec)
+    assert counterpart(spec) is None and decompose_model(h) is None
+    packet = sw.GaussianParams(sigma=10.0, x0=100.0)
+    psi0 = sw.gaussian_state(h.geometry, packet)
+    assert evolve.propagate(h, psi0, [0.0, 0.01])[0] == "expm"
+    message = "method 'spectral': DiscreteHN has no Hermitian counterpart route; use 'auto' or 'expm'"
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+        evolve.propagate(h, psi0, [0.0, 0.01], "spectral")
+    report = run_experiment(ExperimentConfig(spec, packet, TimeGrid(0.05, 10), output=OutputOptions(str(tmp_path))))
+    assert report.route == "expm" and "oracle: n/a (no Hermitian counterpart)" in report.notes
 
 
 def test_propagate_spectral_t0_is_identity():
@@ -99,6 +118,28 @@ def test_propagate_spectral_t0_is_identity():
     (amps,), (log_norm,) = propagated(h, psi, [0.0], "spectral")
     assert np.allclose(amps, psi.amplitudes, atol=1e-12)
     assert log_norm == pytest.approx(psi.log_norm, abs=1e-12)
+
+
+@pytest.mark.parametrize("method", ["spectral", "expm"])
+def test_frame_zero_is_psi0_on_both_routes_and_nothing_is_written_through_it(method):
+    """On the grid [-1, 0, 1] frame 1 is psi0 bit for bit and psi0 is left as it was.
+
+    On 'expm' the block is a view of the running state, so frame 2 must be
+    the stepped state that ``_expm_frames`` itself reaches from t = 0, not a
+    step from psi0 written into it.
+    """
+    h = _chain(40)
+    psi0 = random_state(40, np.random.default_rng(37))
+    before = psi0.amplitudes.copy()
+    times = np.array([-1.0, 0.0, 1.0])
+    _, blocks = evolve.propagate(h, psi0, times, method)
+    amps, log_norms = (np.concatenate(part) for part in zip(*((a, ln) for _, a, ln in blocks)))
+    assert np.array_equal(amps[1], psi0.amplitudes) and log_norms[1] == psi0.log_norm
+    assert np.array_equal(psi0.amplitudes, before)
+    if method == "expm":
+        stepped = [(state.copy(), ln) for state, ln in evolve._expm_frames(h, psi0, times)]
+        assert np.array_equal(amps[2], stepped[2][0]) and log_norms[2] == stepped[2][1]
+        assert not np.array_equal(stepped[1][0], psi0.amplitudes)   # the route's own t = 0 is a stepped state
 
 
 def _chain(n, t1=1.0, tm1=2.0):
@@ -870,7 +911,8 @@ def test_propagate_expands_psi0_once_per_call(spec, monkeypatch):
     assert route == dec.route and [a for a, _, _ in blocks] == [0, BLOCK, 2 * BLOCK, 3 * BLOCK]
     assert len(calls) == 1 and calls[0] is psi0.amplitudes
     for a, amps, log_norms in blocks:
-        ref_amps, ref_log_norms = evolve._spectral_frames(dec, expand(dec, psi0.amplitudes), psi0, times[a : a + BLOCK])
+        frames = dec.frames(expand(dec, psi0.amplitudes), times[a : a + BLOCK])
+        _, ref_amps, ref_log_norms = evolve._block_step(psi0, times, a, *evolve._normalise(frames, psi0.log_norm_offset))
         assert np.array_equal(amps, ref_amps) and np.array_equal(log_norms, ref_log_norms)
 
 
